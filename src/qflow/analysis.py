@@ -17,8 +17,6 @@ of M(T).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +37,25 @@ FD_STEP = 5e-5
 ONSET_TOL = 1e-10
 
 
-def thread_count() -> int:
-    """Sweep parallelism cap from QFLOW_THREADS (default 1: sequential)."""
-    raw = os.environ.get("QFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def vary_params(p, value: float, vary: str):
+    """Parameters at swept ratio ``value`` (R = W / lambda or C = gamma0 / gamma).
+
+    ``vary`` names the constant that absorbs the ratio; the other constant
+    keeps its value in ``p``.  R policies: "lambda" (W fixed) and "W"
+    (lambda fixed).  C policies: "gamma" or its alias "lambda" (gamma0
+    fixed) and "gamma0" (gamma fixed).
+    """
+    if isinstance(p, TimeLocalParams):
+        if vary == "lambda":
+            return TimeLocalParams(p.W, p.W / value, p.omega0)
+        if vary == "W":
+            return TimeLocalParams(value * p.lam, p.lam, p.omega0)
+        raise ConfigError(f"unknown vary policy {vary!r} for R sweeps")
+    if vary in ("lambda", "gamma"):
+        return MemoryKernelParams(p.gamma0, p.gamma0 / value, p.omega0)
+    if vary == "gamma0":
+        return MemoryKernelParams(value * p.gamma0, p.gamma, p.omega0)
+    raise ConfigError(f"unknown vary policy {vary!r} for C sweeps")
 
 
 @dataclass(frozen=True)
@@ -101,17 +111,15 @@ class SweepSpec:
         return out
 
     def params_at(self, value: float):
+        """Parameters at one swept value.
+
+        With vary="W" (or "gamma0") the spec's W (gamma0) is the fixed
+        lambda (gamma).
+        """
         if self.model == "time-local":
-            if self.vary == "lambda":
-                return TimeLocalParams(self.W, self.W / value, self.omega0)
-            if self.vary == "W":
-                return TimeLocalParams(value * self.W, self.W, self.omega0)
-            raise ConfigError(f"unknown vary policy {self.vary!r} for R sweeps")
-        if self.vary in ("lambda", "gamma"):
-            return MemoryKernelParams(self.gamma0, self.gamma0 / value, self.omega0)
-        if self.vary == "gamma0":
-            return MemoryKernelParams(value * self.gamma0, self.gamma0, self.omega0)
-        raise ConfigError(f"unknown vary policy {self.vary!r} for C sweeps")
+            return vary_params(TimeLocalParams(self.W, self.W, self.omega0), value, self.vary)
+        return vary_params(MemoryKernelParams(self.gamma0, self.gamma0, self.omega0),
+                           value, self.vary)
 
     def model_at(self, value: float):
         p = self.params_at(value)
@@ -178,14 +186,8 @@ def _row_at(spec: SweepSpec, value: float):
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep row by row (rows may run on a thread pool)."""
-    values = spec.values()
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda v: _row_at(spec, v), values))
-    else:
-        results = [_row_at(spec, v) for v in values]
+    """Evaluate the sweep row by row."""
+    results = [_row_at(spec, v) for v in spec.values()]
 
     rows = tuple(tuple(r) for r, _ in results)
     errors = tuple(
@@ -227,13 +229,8 @@ def integrand_A(t: float, R: float, spec: InitialStateSpec, p: TimeLocalParams,
     ``vary="lambda"`` holds W = p.W fixed and sets lambda = W / R (the
     default reading of an R sweep); ``vary="W"`` holds lambda fixed.
     """
-    if vary == "lambda":
-        eff = TimeLocalParams(p.W, p.W / R, p.omega0)
-    elif vary == "W":
-        eff = TimeLocalParams(R * p.lam, p.lam, p.omega0)
-    else:
-        raise ConfigError(f"unknown vary policy {vary!r}")
-    return integrand_A_from_model(t, TimeLocalModel(eff), initial_state(spec))
+    model = TimeLocalModel(vary_params(p, R, vary))
+    return integrand_A_from_model(t, model, initial_state(spec))
 
 
 @dataclass(frozen=True)
@@ -254,15 +251,6 @@ class CriticalPointReport:
     fd_step: float
 
 
-def _abs_c_sq_at(T: float, R: float, spec_state: InitialStateSpec, p: TimeLocalParams,
-                 vary: str) -> float:
-    if vary == "lambda":
-        eff = TimeLocalParams(p.W, p.W / R, p.omega0)
-    else:
-        eff = TimeLocalParams(R * p.lam, p.lam, p.omega0)
-    return float(channels.abs_c_squared(T, eff))
-
-
 def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
                    r_min: float, r_max: float, steps: int = 81,
                    vary: str = "lambda") -> CriticalPointReport:
@@ -279,7 +267,7 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     grid = np.linspace(r_min, r_max, steps)
 
     def f_of(R: float) -> float:
-        return _abs_c_sq_at(T, R, spec, p, vary)
+        return float(channels.abs_c_squared(T, vary_params(p, R, vary)))
 
     def df_of(R: float) -> float:
         return (f_of(R + h) - f_of(R - h)) / (2.0 * h)
@@ -301,10 +289,9 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     r_star = 0.5 * (lo + hi)
     df_res = abs(df_of(r_star))
 
-    model_of = lambda R: TimeLocalModel(
-        TimeLocalParams(p.W, p.W / R, p.omega0) if vary == "lambda"
-        else TimeLocalParams(R * p.lam, p.lam, p.omega0)
-    )
+    def model_of(R: float) -> TimeLocalModel:
+        return TimeLocalModel(vary_params(p, R, vary))
+
     rho0 = initial_state(spec)
 
     def d_of(R: float) -> float:
@@ -378,42 +365,40 @@ def _mk_preset(label, outputs):
     )
 
 
+_PRESETS = {
+    "fig1": lambda: _tl_preset("fig1", 0.1, ("phase",)),
+    "fig2": lambda: _tl_preset("fig2", 0.1, ("M",)),
+    "fig3": lambda: _tl_preset("fig3", 1.0, ("N",)),
+    "fig4": lambda: _tl_preset("fig4", 1.0, ("phase", "N")),
+    "fig5": lambda: _tl_preset("fig5", 10.0, ("phase", "N")),
+    "fig6": lambda: _tl_preset("fig6", 10.0, ("N",)),
+    "fig7": lambda: _tl_preset(
+        "fig7", 10.0, ("phase", "N"), z_list=(0.5,),
+        vartheta0=tuple(k * math.pi / 12.0 for k in range(13)),
+        varphi0=math.pi / 6,
+    ),
+    "fig8": lambda: _mk_preset("fig8", ("phase",)),
+    "fig9": lambda: _mk_preset("fig9", ("M",)),
+    "appendix-nm": lambda: _tl_preset(
+        "appendix-nm", 0.6, ("N", "M"), z_list=(1.0,),
+        vartheta0=(math.pi / 3,), varphi0=0.0,
+        start=0.3, stop=1.2, steps=46,
+    ),
+    "appendix-ady": lambda: _tl_preset(
+        "appendix-ady", 0.6, ("A", "D", "N"), z_list=(1.0,),
+        vartheta0=(math.pi / 3,), varphi0=0.0,
+        start=0.3, stop=1.2, steps=46,
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def figure_preset(name: str) -> SweepSpec:
     """Built-in sweep presets fig1 ... fig9, appendix-nm, appendix-ady."""
-    presets = {
-        "fig1": lambda: _tl_preset("fig1", 0.1, ("phase",)),
-        "fig2": lambda: _tl_preset("fig2", 0.1, ("M",)),
-        "fig3": lambda: _tl_preset("fig3", 1.0, ("N",)),
-        "fig4": lambda: _tl_preset("fig4", 1.0, ("phase", "N")),
-        "fig5": lambda: _tl_preset("fig5", 10.0, ("phase", "N")),
-        "fig6": lambda: _tl_preset("fig6", 10.0, ("N",)),
-        "fig7": lambda: _tl_preset(
-            "fig7", 10.0, ("phase", "N"), z_list=(0.5,),
-            vartheta0=tuple(k * math.pi / 12.0 for k in range(13)),
-            varphi0=math.pi / 6,
-        ),
-        "fig8": lambda: _mk_preset("fig8", ("phase",)),
-        "fig9": lambda: _mk_preset("fig9", ("M",)),
-        "appendix-nm": lambda: _tl_preset(
-            "appendix-nm", 0.6, ("N", "M"), z_list=(1.0,),
-            vartheta0=(math.pi / 3,), varphi0=0.0,
-            start=0.3, stop=1.2, steps=46,
-        ),
-        "appendix-ady": lambda: _tl_preset(
-            "appendix-ady", 0.6, ("A", "D", "N"), z_list=(1.0,),
-            vartheta0=(math.pi / 3,), varphi0=0.0,
-            start=0.3, stop=1.2, steps=46,
-        ),
-    }
     try:
-        return presets[name]()
+        return _PRESETS[name]()
     except KeyError:
         raise ConfigError(
-            f"unknown figure preset {name!r}; choose from {sorted(presets)}"
+            f"unknown figure preset {name!r}; choose from {sorted(_PRESETS)}"
         ) from None
-
-
-PRESET_NAMES = (
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-    "appendix-nm", "appendix-ady",
-)

@@ -14,9 +14,13 @@ memory time gamma, C = gamma0/gamma, tau = gamma t):
     rho(t)     : populations scale with xi(C, tau), coherences with
                  exp(-i w0 t) xi(C/2, tau)
 
-Both closed forms are cross-checked against hand-rolled fixed-step RK4
-integrations of the respective master equations; the integrators share no
-code path with the analytic propagators.
+Both envelopes come from one kernel: xi(C, tau) is the Lorentzian envelope
+at lambda = 1, W^2 = C.  Both closed forms are cross-checked against
+hand-rolled fixed-step RK4 integrations.  The time-local oracle takes its
+decay rate from that kernel, so it checks that the closed form solves the
+master equation its rates define.  The memory-kernel oracle integrates the
+integro-differential equation without any closed-form function, so it is an
+independent check of the shared kernel.
 """
 
 from __future__ import annotations
@@ -196,16 +200,21 @@ def _sinhc(x):
     return np.where(small, series, out)
 
 
-def _g_and_gdot(t, p: TimeLocalParams):
-    """Return (g, gdot) with c = exp(-(lam + i w0) t / 2) g; both are real."""
+def _damping_kernel(t, rate: float, w_sq: float):
+    """Return (g, gdot, sinhc(Om t / 2)), all real, with Om^2 = rate^2 - 4 w_sq.
+
+    g is the envelope both models share: c = exp(-(lambda + i w0) t / 2) g at
+    (rate, w_sq) = (lambda, W^2), and xi(C, tau) = exp(-tau / 2) g at
+    (1, C) with t = tau.
+    """
     t = np.asarray(t, dtype=float)
-    omega_sq = p.lam * p.lam - 4.0 * p.W * p.W
+    omega_sq = rate * rate - 4.0 * w_sq
     u = 0.5 * np.sqrt(complex(omega_sq)) * t
     ch = np.cosh(u)
     sc = _sinhc(u)
-    g = ch + 0.5 * p.lam * t * sc
-    gdot = 0.5 * p.lam * ch + 0.25 * omega_sq * t * sc
-    return g.real, gdot.real
+    g = ch + 0.5 * rate * t * sc
+    gdot = 0.5 * rate * ch + 0.25 * omega_sq * t * sc
+    return g.real, gdot.real, sc.real
 
 
 def lorentzian_density(omega, p: TimeLocalParams):
@@ -218,14 +227,14 @@ def lorentzian_density(omega, p: TimeLocalParams):
 def amplitude(t, p: TimeLocalParams):
     """Complex excited-state amplitude c(t); accepts scalars or arrays."""
     t = np.asarray(t, dtype=float)
-    g, _ = _g_and_gdot(t, p)
+    g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
     return np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
 
 
 def amplitude_derivative(t, p: TimeLocalParams):
     """Analytic dc/dt, formulated without dividing by g (no pole hazard)."""
     t = np.asarray(t, dtype=float)
-    g, gdot = _g_and_gdot(t, p)
+    g, gdot, _ = _damping_kernel(t, p.lam, p.W * p.W)
     half = 0.5 * (p.lam + 1j * p.omega0)
     return np.exp(-half * t) * (gdot - half * g)
 
@@ -233,16 +242,14 @@ def amplitude_derivative(t, p: TimeLocalParams):
 def abs_c_squared(t, p: TimeLocalParams):
     """|c(t)|^2 = exp(-lambda t) g(t)^2."""
     t = np.asarray(t, dtype=float)
-    g, _ = _g_and_gdot(t, p)
+    g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
     return np.exp(-p.lam * t) * g * g
 
 
 def d_abs_c_squared_dt(t, p: TimeLocalParams):
     """Closed form d|c|^2/dt = -2 W^2 t exp(-lambda t) g(t) sinhc(Om t / 2)."""
     t = np.asarray(t, dtype=float)
-    g, _ = _g_and_gdot(t, p)
-    u = 0.5 * np.sqrt(complex(p.lam * p.lam - 4.0 * p.W * p.W)) * t
-    sc = _sinhc(u).real
+    g, _, sc = _damping_kernel(t, p.lam, p.W * p.W)
     return -2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc
 
 
@@ -255,7 +262,7 @@ def amplitude_c(t: float, p: TimeLocalParams) -> AmplitudeState:
     """
     if t < 0.0:
         raise ConfigError("amplitude_c requires t >= 0")
-    g, gdot = _g_and_gdot(float(t), p)
+    g, gdot, _ = _damping_kernel(float(t), p.lam, p.W * p.W)
     if abs(g) < POLE_TOL:
         raise PoleError(f"decay rate pole: c(t) = 0 at t = {t!r}")
     c = cmath.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
@@ -277,197 +284,152 @@ def xi(C: float, tau):
     if C < 0.0:
         raise ConfigError(f"C={C} must be >= 0")
     tau = np.asarray(tau, dtype=float)
-    v = 0.5 * np.sqrt(complex(1.0 - 4.0 * C)) * tau
-    out = np.exp(-0.5 * tau) * (np.cosh(v) + 0.5 * tau * _sinhc(v)).real
+    g, _, _ = _damping_kernel(tau, 1.0, C)
+    out = np.exp(-0.5 * tau) * g
     return out if out.ndim else float(out)
 
 
 def d_xi_dtau(C: float, tau):
     """Closed form d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
     tau = np.asarray(tau, dtype=float)
-    v = 0.5 * np.sqrt(complex(1.0 - 4.0 * C)) * tau
-    out = -C * tau * np.exp(-0.5 * tau) * _sinhc(v).real
+    _, _, sc = _damping_kernel(tau, 1.0, C)
+    out = -C * tau * np.exp(-0.5 * tau) * sc
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
-# Analytic propagation
+# Analytic propagation: both models share rho00 = p00 P(t), rho01 = coh Q(t)
 # ---------------------------------------------------------------------------
 
-def _time_local_states(rho0: DensityMatrix, times, p: TimeLocalParams) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    x = abs_c_squared(t, p)
-    c = amplitude(t, p)
+def _assemble(rho0: DensityMatrix, pop, coh_factor, trace: float) -> np.ndarray:
+    """Matrices with rho00 = p00 pop, rho11 = trace - rho00, rho01 = coh coh_factor.
+
+    States pass (P, Q) with trace 1; state derivatives pass (Pdot, Qdot)
+    with trace 0.
+    """
     p00 = rho0.matrix[0, 0].real
-    coh = rho0.matrix[0, 1]
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = p00 * x
-    out[..., 1, 1] = 1.0 - p00 * x
-    out[..., 0, 1] = coh * c
-    out[..., 1, 0] = np.conj(coh * c)
+    coh = rho0.matrix[0, 1] * coh_factor
+    out = np.empty(np.shape(pop) + (2, 2), dtype=complex)
+    out[..., 0, 0] = p00 * pop
+    out[..., 1, 1] = trace - p00 * pop
+    out[..., 0, 1] = coh
+    out[..., 1, 0] = np.conj(coh)
     return out
 
 
-def _time_local_state_dot(rho0: DensityMatrix, times, p: TimeLocalParams) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    dx = d_abs_c_squared_dt(t, p)
-    dc = amplitude_derivative(t, p)
-    p00 = rho0.matrix[0, 0].real
-    coh = rho0.matrix[0, 1]
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = p00 * dx
-    out[..., 1, 1] = -p00 * dx
-    out[..., 0, 1] = coh * dc
-    out[..., 1, 0] = np.conj(coh * dc)
-    return out
+class _DampingModel:
+    """A damping model bound to one parameter set.
+
+    Subclasses supply the factors (P, Q) by ``_factors`` and their time
+    derivatives by ``_rates``.  ``states``, ``state_dot`` and ``trajectory``
+    are written out in each subclass body, because ``perfbench/tracer.py``
+    wraps them in the class ``__dict__``.
+    """
+
+    tag = ""
+    # (trajectory metadata key, parameter attribute)
+    _meta_keys: tuple[tuple[str, str], ...] = ()
+
+    def __init__(self, params):
+        self.params = params
+
+    @property
+    def omega0(self) -> float:
+        return self.params.omega0
+
+    def steady_state(self) -> DensityMatrix:
+        return DensityMatrix.ground()
+
+    def timescale(self) -> float:
+        return self.params.timescale()
+
+    def feature_scale(self) -> float:
+        return self.params.feature_scale()
+
+    def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return _bloch_of_states(self.states(rho0, times))
+
+    def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return _bloch_of_states(self.state_dot(rho0, times))
+
+    def _states(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return _assemble(rho0, *self._factors(np.asarray(times, dtype=float)), 1.0)
+
+    def _state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return _assemble(rho0, *self._rates(np.asarray(times, dtype=float)), 0.0)
+
+    def _trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
+        meta = {"omega0": self.params.omega0, "phi0": float(np.angle(rho0.matrix[1, 0]))}
+        meta.update((key, getattr(self.params, attr)) for key, attr in self._meta_keys)
+        return Trajectory(np.asarray(times, float), self.states(rho0, times), self.tag, meta)
+
+
+class TimeLocalModel(_DampingModel):
+    """Time-local model: P = |c|^2, Q = c(t)."""
+
+    tag = "time-local"
+    _meta_keys = (("W", "W"), ("lambda", "lam"))
+
+    def _factors(self, t):
+        return abs_c_squared(t, self.params), amplitude(t, self.params)
+
+    def _rates(self, t):
+        return d_abs_c_squared_dt(t, self.params), amplitude_derivative(t, self.params)
+
+    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return self._states(rho0, times)
+
+    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return self._state_dot(rho0, times)
+
+    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
+        return self._trajectory(rho0, times)
+
+
+class MemoryKernelModel(_DampingModel):
+    """Exponential-memory model: P = xi(C, tau), Q = exp(-i w0 t) xi(C/2, tau).
+
+    Positivity is not guaranteed for C > 1/4; states are returned as-is and
+    violations are surfaced by :func:`positivity_check`, never clamped.
+    """
+
+    tag = "memory-kernel"
+    _meta_keys = (("gamma0", "gamma0"), ("gamma", "gamma"))
+
+    def _factors(self, t):
+        p = self.params
+        tau = p.tau(t)
+        return xi(p.C, tau), np.exp(-1j * p.omega0 * t) * xi(0.5 * p.C, tau)
+
+    def _rates(self, t):
+        p = self.params
+        tau = p.tau(t)
+        dxi2 = p.gamma * d_xi_dtau(0.5 * p.C, tau)
+        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * xi(0.5 * p.C, tau))
+        return p.gamma * d_xi_dtau(p.C, tau), dcoh
+
+    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return self._states(rho0, times)
+
+    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
+        return self._state_dot(rho0, times)
+
+    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
+        return self._trajectory(rho0, times)
 
 
 def evolve_time_local(rho0: DensityMatrix, t: float, p: TimeLocalParams) -> DensityMatrix:
     """Analytic solution: populations scale by |c|^2, coherences by c(t)."""
     if t < 0.0:
         raise ConfigError("evolve_time_local requires t >= 0")
-    return DensityMatrix(_time_local_states(rho0, float(t), p))
-
-
-def _memory_kernel_states(rho0: DensityMatrix, times, p: MemoryKernelParams) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    tau = p.tau(t)
-    xi1 = np.asarray(xi(p.C, tau))
-    xi2 = np.asarray(xi(0.5 * p.C, tau))
-    rot = np.exp(-1j * p.omega0 * t)
-    p00 = rho0.matrix[0, 0].real
-    coh = rho0.matrix[0, 1]
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = p00 * xi1
-    out[..., 1, 1] = 1.0 - p00 * xi1
-    out[..., 0, 1] = coh * rot * xi2
-    out[..., 1, 0] = np.conj(coh * rot * xi2)
-    return out
-
-
-def _memory_kernel_state_dot(rho0: DensityMatrix, times, p: MemoryKernelParams) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    tau = p.tau(t)
-    xi2 = np.asarray(xi(0.5 * p.C, tau))
-    dxi1 = p.gamma * np.asarray(d_xi_dtau(p.C, tau))
-    dxi2 = p.gamma * np.asarray(d_xi_dtau(0.5 * p.C, tau))
-    rot = np.exp(-1j * p.omega0 * t)
-    p00 = rho0.matrix[0, 0].real
-    coh = rho0.matrix[0, 1]
-    dcoh = coh * rot * (dxi2 - 1j * p.omega0 * xi2)
-    out = np.empty(t.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = p00 * dxi1
-    out[..., 1, 1] = -p00 * dxi1
-    out[..., 0, 1] = dcoh
-    out[..., 1, 0] = np.conj(dcoh)
-    return out
+    return DensityMatrix(TimeLocalModel(p).states(rho0, float(t)))
 
 
 def evolve_memory_kernel(rho0: DensityMatrix, t: float, p: MemoryKernelParams) -> DensityMatrix:
-    """Analytic solution of the exponential-memory model (Schroedinger picture).
-
-    Positivity is not guaranteed for C > 1/4; the state is returned as-is
-    and violations are surfaced by :func:`positivity_check`, never clamped.
-    """
+    """Analytic solution of the exponential-memory model (Schroedinger picture)."""
     if t < 0.0:
         raise ConfigError("evolve_memory_kernel requires t >= 0")
-    return DensityMatrix(_memory_kernel_states(rho0, float(t), p))
-
-
-# ---------------------------------------------------------------------------
-# Model wrappers used by the flow / phase / sweep pipelines
-# ---------------------------------------------------------------------------
-
-class TimeLocalModel:
-    """Time-local model bound to one parameter set."""
-
-    tag = "time-local"
-
-    def __init__(self, params: TimeLocalParams):
-        self.params = params
-
-    @property
-    def omega0(self) -> float:
-        return self.params.omega0
-
-    def steady_state(self) -> DensityMatrix:
-        return DensityMatrix.ground()
-
-    def timescale(self) -> float:
-        return self.params.timescale()
-
-    def feature_scale(self) -> float:
-        return self.params.feature_scale()
-
-    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _time_local_states(rho0, times, self.params)
-
-    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _time_local_state_dot(rho0, times, self.params)
-
-    def evolve(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
-        return evolve_time_local(rho0, t, self.params)
-
-    def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.states(rho0, times))
-
-    def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.state_dot(rho0, times))
-
-    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
-        meta = {
-            "omega0": self.params.omega0,
-            "phi0": float(np.angle(rho0.matrix[1, 0])),
-            "W": self.params.W,
-            "lambda": self.params.lam,
-        }
-        return Trajectory(np.asarray(times, float), self.states(rho0, times), self.tag, meta)
-
-
-class MemoryKernelModel:
-    """Exponential-memory model bound to one parameter set."""
-
-    tag = "memory-kernel"
-
-    def __init__(self, params: MemoryKernelParams):
-        self.params = params
-
-    @property
-    def omega0(self) -> float:
-        return self.params.omega0
-
-    def steady_state(self) -> DensityMatrix:
-        return DensityMatrix.ground()
-
-    def timescale(self) -> float:
-        return self.params.timescale()
-
-    def feature_scale(self) -> float:
-        return self.params.feature_scale()
-
-    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _memory_kernel_states(rho0, times, self.params)
-
-    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _memory_kernel_state_dot(rho0, times, self.params)
-
-    def evolve(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
-        return evolve_memory_kernel(rho0, t, self.params)
-
-    def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.states(rho0, times))
-
-    def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.state_dot(rho0, times))
-
-    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
-        meta = {
-            "omega0": self.params.omega0,
-            "phi0": float(np.angle(rho0.matrix[1, 0])),
-            "gamma0": self.params.gamma0,
-            "gamma": self.params.gamma,
-        }
-        return Trajectory(np.asarray(times, float), self.states(rho0, times), self.tag, meta)
+    return DensityMatrix(MemoryKernelModel(p).states(rho0, float(t)))
 
 
 def sample_times(model, t_end: float, min_samples: int = 801, per_feature: int = 40) -> np.ndarray:
@@ -486,7 +448,7 @@ def sample_times(model, t_end: float, min_samples: int = 801, per_feature: int =
 
 
 # ---------------------------------------------------------------------------
-# Independent ODE oracles (fixed-step RK4, no shared code with the above)
+# ODE oracles (fixed-step RK4)
 # ---------------------------------------------------------------------------
 
 _NUMBER_OP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -589,7 +551,7 @@ def ode_oracle_time_local_path(
         )
 
     def make_rhs(stage_times: np.ndarray):
-        g, gdot = _g_and_gdot(stage_times, p)
+        g, gdot, _ = _damping_kernel(stage_times, p.lam, p.W * p.W)
         if float(np.min(np.abs(g))) < POLE_TOL:
             raise PoleError("decay rate pole on the integration grid")
         gamma_t = 0.5 * p.lam - gdot / g

@@ -33,11 +33,10 @@ from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .infoflow import FlowLedger
-from .qstate import DensityMatrix, InitialStateSpec, initial_state
+from .qstate import DEGENERACY_EPS, DensityMatrix, InitialStateSpec, initial_state
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
-DEGENERACY_EPS = 1e-9
 
 
 class PhaseUndefinedError(NumericalError):

@@ -102,27 +102,13 @@ def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
 
 def sigma(t: float, model, rho0: DensityMatrix, standard_state: DensityMatrix | None = None,
           *, evolve_reference: bool = False) -> float:
-    """Instantaneous rate dD/dt; positive values signal backward flow.
+    """Instantaneous rate dD/dt from the model's analytic state derivative.
 
-    The models in this package supply analytic state derivatives; for a
-    model object without ``bloch_dot_series`` a centered finite difference
-    with step 1e-6 * timescale is used instead.
+    Positive values signal backward flow.
     """
     ref = model.steady_state() if standard_state is None else standard_state
-    if hasattr(model, "bloch_dot_series"):
-        _, sig = _d_sigma_arrays(model, rho0, ref, float(t), evolve_reference)
-        return float(sig)
-    h = 1e-6 * model.timescale()
-    lo = max(t - h, 0.0)
-    hi = t + h
-    ref_arr = ref.bloch().as_array()
-
-    def dist(at: float) -> float:
-        b = model.bloch_series(rho0, at)
-        r2 = model.bloch_series(ref, at) if evolve_reference else ref_arr
-        return 0.5 * float(np.linalg.norm(b - r2))
-
-    return (dist(hi) - dist(lo)) / (hi - lo)
+    _, sig = _d_sigma_arrays(model, rho0, ref, float(t), evolve_reference)
+    return float(sig)
 
 
 def _bisect(f, a: float, b: float, xtol: float) -> float:

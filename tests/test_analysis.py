@@ -63,6 +63,9 @@ class TestIntegrandA:
         )
         with pytest.raises(ConfigError):
             integrand_A(1.0, 0.3, spec, p, vary="nope")
+        with pytest.raises(ConfigError):
+            critical_point(T, spec, TimeLocalParams(0.6, 1.0, 1.0), 0.4, 1.0, steps=21,
+                           vary="nope")
 
 
 class TestCriticalPoint:
@@ -104,14 +107,6 @@ class TestSweeps:
         b = run_sweep(spec)
         assert a.rows == b.rows
         assert a.columns == b.columns
-
-    def test_thread_pool_matches_sequential(self, monkeypatch):
-        spec = SweepSpec(start=0.2, stop=1.0, steps=4, W=0.5,
-                         z_list=(1.0,), outputs=("N", "M"))
-        seq = run_sweep(spec)
-        monkeypatch.setenv("QFLOW_THREADS", "3")
-        par = run_sweep(spec)
-        assert seq.rows == par.rows
 
     def test_phase_output_has_three_columns(self):
         spec = SweepSpec(start=0.2, stop=0.4, steps=2, W=0.1,

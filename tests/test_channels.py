@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qflow import channels
@@ -355,3 +357,34 @@ class TestParamValidation:
         assert p.C == 0.25
         assert p.tau_R == 0.5
         assert float(p.tau(3.0)) == 6.0
+
+
+_INITIAL_AND_TIME = dict(
+    z=st.floats(0.0, 1.0), vt=st.floats(0.0, math.pi),
+    vp=st.floats(0.0, 2.0 * math.pi), t=st.floats(0.01, 10.0),
+)
+
+
+def assert_state_dot_matches_difference(model, rho0, t):
+    h = 1e-5 * model.feature_scale()
+    fd = (model.states(rho0, t + h) - model.states(rho0, t - h)) / (2.0 * h)
+    err = np.max(np.abs(model.state_dot(rho0, t) - fd))
+    assert err < 1e-7 / model.feature_scale()
+
+
+class TestStateDot:
+    """Analytic state derivatives against a centered difference of the states."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(R=st.floats(0.05, 0.5) | st.floats(0.5, 3.0), W=st.floats(0.1, 2.0),
+           **_INITIAL_AND_TIME)
+    def test_time_local(self, R, W, z, vt, vp, t):
+        model = TimeLocalModel(TimeLocalParams(W, W / R, 1.0))
+        assert_state_dot_matches_difference(model, initial_state(InitialStateSpec(z, vt, vp)), t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(C=st.floats(0.01, 0.25) | st.floats(0.25, 1.5), gamma=st.floats(0.2, 2.0),
+           **_INITIAL_AND_TIME)
+    def test_memory_kernel(self, C, gamma, z, vt, vp, t):
+        model = MemoryKernelModel(MemoryKernelParams(C * gamma, gamma, 1.0))
+        assert_state_dot_matches_difference(model, initial_state(InitialStateSpec(z, vt, vp)), t)

@@ -59,20 +59,6 @@ class TestSigma:
             fd = (dist(t + h) - dist(t - h)) / (2.0 * h)
             assert sigma(t, model, rho0) == pytest.approx(fd, abs=1e-6)
 
-    def test_fd_fallback_for_bare_models(self):
-        full = tl_model(0.7, 1.3)
-
-        class Bare:
-            timescale = staticmethod(full.timescale)
-            steady_state = staticmethod(full.steady_state)
-            bloch_series = staticmethod(full.bloch_series)
-
-        rho0 = initial_state(EQUATOR)
-        for t in (0.5, 2.0):
-            assert sigma(t, Bare(), rho0) == pytest.approx(
-                sigma(t, full, rho0), abs=1e-6
-            )
-
 
 class TestFlows:
     def test_zero_coupling_no_flow(self):
