@@ -224,33 +224,49 @@ def lorentzian_density(omega, p: TimeLocalParams):
     return (p.W * p.W * p.lam / math.pi) / (det * det + p.lam * p.lam)
 
 
+def _c(p: TimeLocalParams, t, g):
+    return np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
+
+
+def _c_dot(p: TimeLocalParams, t, g, gdot):
+    half = 0.5 * (p.lam + 1j * p.omega0)
+    return np.exp(-half * t) * (gdot - half * g)
+
+
+def _abs_c_sq(p: TimeLocalParams, t, g):
+    return np.exp(-p.lam * t) * g * g
+
+
+def _abs_c_sq_dot(p: TimeLocalParams, t, g, sc):
+    return -2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc
+
+
 def amplitude(t, p: TimeLocalParams):
     """Complex excited-state amplitude c(t); accepts scalars or arrays."""
     t = np.asarray(t, dtype=float)
     g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    return np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
+    return _c(p, t, g)
 
 
 def amplitude_derivative(t, p: TimeLocalParams):
     """Analytic dc/dt, formulated without dividing by g (no pole hazard)."""
     t = np.asarray(t, dtype=float)
     g, gdot, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    half = 0.5 * (p.lam + 1j * p.omega0)
-    return np.exp(-half * t) * (gdot - half * g)
+    return _c_dot(p, t, g, gdot)
 
 
 def abs_c_squared(t, p: TimeLocalParams):
     """|c(t)|^2 = exp(-lambda t) g(t)^2."""
     t = np.asarray(t, dtype=float)
     g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    return np.exp(-p.lam * t) * g * g
+    return _abs_c_sq(p, t, g)
 
 
 def d_abs_c_squared_dt(t, p: TimeLocalParams):
     """Closed form d|c|^2/dt = -2 W^2 t exp(-lambda t) g(t) sinhc(Om t / 2)."""
     t = np.asarray(t, dtype=float)
     g, _, sc = _damping_kernel(t, p.lam, p.W * p.W)
-    return -2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc
+    return _abs_c_sq_dot(p, t, g, sc)
 
 
 def amplitude_c(t: float, p: TimeLocalParams) -> AmplitudeState:
@@ -279,13 +295,21 @@ def first_amplitude_zero(p: TimeLocalParams) -> float | None:
     return 2.0 * (math.pi - math.atan2(w, p.lam)) / w
 
 
+def _xi(tau, g):
+    return np.exp(-0.5 * tau) * g
+
+
+def _xi_dot(C: float, tau, sc):
+    return -C * tau * np.exp(-0.5 * tau) * sc
+
+
 def xi(C: float, tau):
     """Population relaxation factor of the exponential-memory model."""
     if C < 0.0:
         raise ConfigError(f"C={C} must be >= 0")
     tau = np.asarray(tau, dtype=float)
     g, _, _ = _damping_kernel(tau, 1.0, C)
-    out = np.exp(-0.5 * tau) * g
+    out = _xi(tau, g)
     return out if out.ndim else float(out)
 
 
@@ -293,7 +317,7 @@ def d_xi_dtau(C: float, tau):
     """Closed form d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
     tau = np.asarray(tau, dtype=float)
     _, _, sc = _damping_kernel(tau, 1.0, C)
-    out = -C * tau * np.exp(-0.5 * tau) * sc
+    out = _xi_dot(C, tau, sc)
     return out if out.ndim else float(out)
 
 
@@ -371,10 +395,14 @@ class TimeLocalModel(_DampingModel):
     _meta_keys = (("W", "W"), ("lambda", "lam"))
 
     def _factors(self, t):
-        return abs_c_squared(t, self.params), amplitude(t, self.params)
+        p = self.params
+        g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
+        return _abs_c_sq(p, t, g), _c(p, t, g)
 
     def _rates(self, t):
-        return d_abs_c_squared_dt(t, self.params), amplitude_derivative(t, self.params)
+        p = self.params
+        g, gdot, sc = _damping_kernel(t, p.lam, p.W * p.W)
+        return _abs_c_sq_dot(p, t, g, sc), _c_dot(p, t, g, gdot)
 
     def states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return self._states(rho0, times)
@@ -399,14 +427,18 @@ class MemoryKernelModel(_DampingModel):
     def _factors(self, t):
         p = self.params
         tau = p.tau(t)
-        return xi(p.C, tau), np.exp(-1j * p.omega0 * t) * xi(0.5 * p.C, tau)
+        g1, _, _ = _damping_kernel(tau, 1.0, p.C)
+        g2, _, _ = _damping_kernel(tau, 1.0, 0.5 * p.C)
+        return _xi(tau, g1), np.exp(-1j * p.omega0 * t) * _xi(tau, g2)
 
     def _rates(self, t):
         p = self.params
         tau = p.tau(t)
-        dxi2 = p.gamma * d_xi_dtau(0.5 * p.C, tau)
-        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * xi(0.5 * p.C, tau))
-        return p.gamma * d_xi_dtau(p.C, tau), dcoh
+        _, _, sc1 = _damping_kernel(tau, 1.0, p.C)
+        g2, _, sc2 = _damping_kernel(tau, 1.0, 0.5 * p.C)
+        dxi2 = p.gamma * _xi_dot(0.5 * p.C, tau, sc2)
+        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * _xi(tau, g2))
+        return p.gamma * _xi_dot(p.C, tau, sc1), dcoh
 
     def states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return self._states(rho0, times)

@@ -167,6 +167,8 @@ def cmd_flows(cfg: RunConfig) -> None:
     meta["N_total"] = _fmt(ledger.N_total)
     meta["M_total"] = _fmt(ledger.M_total)
     meta["segments"] = str(len(ledger.segments))
+    for key in ("brackets", "bisect_rounds", "fake_brackets"):
+        meta[key] = str(ledger.meta[key])
     meta["positivity_ok"] = str(ledger.positivity.ok)
     if ledger.positivity.first_violation_time is not None:
         meta["first_violation_time"] = _fmt(ledger.positivity.first_violation_time)

@@ -9,7 +9,11 @@ to neither side).
 
 Run boundaries are located by bracketing sign changes of sigma = dD/dt on a
 dense sampling grid and bisecting to 1e-10 relative time accuracy; sigma is
-evaluated from the models' analytic state derivatives.
+evaluated from the models' analytic state derivatives.  All brackets of a
+ledger are bisected together, one vectorised sigma evaluation per round, and
+the accumulation evaluates D only at the new boundary knots, reusing the grid
+values.  The ledger's meta records the bracket count, the bisection rounds
+and the same-sign ("fake") brackets that fell back to their midpoint.
 """
 
 from __future__ import annotations
@@ -111,63 +115,66 @@ def sigma(t: float, model, rho0: DensityMatrix, standard_state: DensityMatrix | 
     return float(sig)
 
 
-def _bisect(f, a: float, b: float, xtol: float) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        # sampling noise produced a fake bracket; split the difference
-        return 0.5 * (a + b)
-    while b - a > xtol:
-        m = 0.5 * (a + b)
+def _bisect_all(f, a: np.ndarray, b: np.ndarray, xtol: float):
+    """Bisect all brackets [a_i, b_i] of the vectorised f together.
+
+    Each bracket takes the scalar steps: an end or midpoint where f is exactly
+    0 is the root, a same-sign ("fake") bracket gives its midpoint, the rest
+    halve while b - a > xtol.  Returns (roots, rounds, fake bracket count).
+    """
+    if not a.size:
+        return a, 0, 0
+    a, b = a.copy(), b.copy()
+    fa, fb = np.split(f(np.concatenate([a, b])), 2)
+    fake = np.sign(fa) * np.sign(fb) > 0.0
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
+    live = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0) & (b - a > xtol))
+    rounds = 0
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
         fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+        rounds += 1
+        left = (fm < 0.0) == (fa[live] < 0.0)
+        a[live[left]], fa[live[left]] = m[left], fm[left]
+        b[live[~left]] = m[~left]
+        roots[live] = np.where(fm == 0.0, m, 0.5 * (a[live] + b[live]))
+        live = live[(fm != 0.0) & (b[live] - a[live] > xtol)]
+    return roots, rounds, int(np.count_nonzero(fake))
 
 
-def _locate_boundaries(times, dist, sig, sigma_at, t_end: float) -> list[float]:
+def _locate_boundaries(times, dist, sig, sigma_at, t_end: float):
+    """Run boundaries of D, and (brackets, bisection rounds, fake brackets)."""
     d_span = float(np.max(dist) - np.min(dist))
     if d_span <= 1e-12 * max(1.0, float(np.max(dist))):
-        return []  # D is constant: no flow in either direction
-    floor = SIGMA_NOISE_REL * float(np.max(np.abs(sig)))
-    xtol = BISECT_REL_TOL * t_end
-    bounds: list[float] = []
-    n = times.size
-    for k in range(1, n):
-        s_prev, s_cur = sig[k - 1], sig[k]
-        if s_cur == 0.0:
-            if k < n - 1 and max(abs(s_prev), abs(sig[k + 1])) >= floor:
-                bounds.append(float(times[k]))
-            continue
-        if s_prev == 0.0 or (s_prev < 0.0) == (s_cur < 0.0):
-            continue
-        if max(abs(s_prev), abs(s_cur)) < floor:
-            continue
-        bounds.append(_bisect(sigma_at, float(times[k - 1]), float(times[k]), xtol))
-    return sorted(set(bounds))
+        return np.empty(0), (0, 0, 0)  # D is constant: no flow in either direction
+    mag = np.abs(sig)
+    big = mag >= SIGMA_NOISE_REL * float(np.max(mag))  # above the noise floor
+    zero, neg = sig == 0.0, sig < 0.0
+    # exact grid zeros, and sign changes between nonzero neighbours; either
+    # needs a neighbour above the floor
+    zeros = 1 + np.flatnonzero(zero[1:-1] & (big[:-2] | big[2:]))
+    pairs = np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]) & (big[:-1] | big[1:]))
+    roots, rounds, fake = _bisect_all(sigma_at, times[pairs], times[pairs + 1],
+                                      BISECT_REL_TOL * t_end)
+    return np.unique(np.concatenate([times[zeros], roots])), (int(pairs.size), rounds, fake)
 
 
-def _accumulate(times, bounds, dist_at, t_end: float):
-    """Split [0, t_end] at the boundaries and telescope D over each run."""
-    knots = np.unique(np.concatenate([times, np.asarray(bounds, dtype=float)]))
-    d_knots = dist_at(knots)
-    edges = np.concatenate([[0.0], np.asarray(bounds, dtype=float), [t_end]])
+def _accumulate(times, dist, bounds, dist_at, t_end: float):
+    """Split [0, t_end] at the boundaries and telescope D over each run.
+
+    D is evaluated only at the boundaries; the grid values are reused.
+    """
+    d_bounds = dist_at(bounds) if bounds.size else bounds
+    knots, first = np.unique(np.concatenate([times, bounds]), return_index=True)
+    d_knots = np.concatenate([dist, d_bounds])[first]
+    edges = np.concatenate([[0.0], bounds, [t_end]])
     edge_idx = np.searchsorted(knots, edges)
     net = d_knots[edge_idx[1:]] - d_knots[edge_idx[:-1]]
     floor = DELTA_FLOOR * max(1.0, float(np.max(d_knots)))
     cls = np.where(net > floor, 1, np.where(net < -floor, -1, 0))
 
     mids = 0.5 * (knots[:-1] + knots[1:])
-    seg_of_interval = np.searchsorted(edges[1:-1], mids) if len(bounds) else np.zeros(
-        mids.size, dtype=int
-    )
+    seg_of_interval = np.searchsorted(bounds, mids)
     interval_cls = cls[seg_of_interval]
     dd = np.diff(d_knots)
     n_cum = np.concatenate([[0.0], np.cumsum(np.where(interval_cls > 0, dd, 0.0))])
@@ -189,16 +196,14 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
         raise ConfigError("flow sampling grid must span [0, t_end]")
     dist, sig = _d_sigma_arrays(model, rho1, rho2, times, evolve_reference)
 
-    def sigma_at(t: float) -> float:
-        _, s = _d_sigma_arrays(model, rho1, rho2, t, evolve_reference)
-        return float(s)
+    def sigma_at(ts: np.ndarray) -> np.ndarray:
+        return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[1]
 
     def dist_at(ts: np.ndarray) -> np.ndarray:
-        d, _ = _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)
-        return d
+        return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[0]
 
-    bounds = _locate_boundaries(times, dist, sig, sigma_at, t_end)
-    segments, d_s, n_s, m_s = _accumulate(times, bounds, dist_at, t_end)
+    bounds, (brackets, rounds, fake) = _locate_boundaries(times, dist, sig, sigma_at, t_end)
+    segments, d_s, n_s, m_s = _accumulate(times, dist, bounds, dist_at, t_end)
 
     traj = model.trajectory(rho1, times)
     return FlowLedger(
@@ -211,7 +216,8 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
         segments=segments,
         model=model.tag,
         positivity=positivity_check(traj),
-        meta={"t_end": float(t_end), "evolve_reference": evolve_reference},
+        meta={"t_end": float(t_end), "evolve_reference": evolve_reference,
+              "brackets": brackets, "bisect_rounds": rounds, "fake_brackets": fake},
     )
 
 

@@ -97,6 +97,18 @@ class TestFlows:
             assert abs(r[1] - rows[0][1] - r[3] + r[4]) < 1e-8
 
 
+    def test_boundary_search_counts_in_meta(self, tmp_path):
+        # a fig5 state (W = 10, z = 0.75, vartheta0 = pi/4, varphi0 = pi/3) at R = 2
+        out = tmp_path / "flows.csv"
+        assert main(["flows", "--W", "10", "--lambda", "5", "--z", "0.75",
+                     "--vartheta0", f"{math.pi / 4:.17g}", "--varphi0", f"{math.pi / 3:.17g}",
+                     "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert 0 < int(meta["brackets"]) <= int(meta["segments"]) - 1
+        assert int(meta["bisect_rounds"]) > 0
+        assert meta["fake_brackets"] == "0"
+
+
 class TestGp:
     def test_closed_system_value(self, tmp_path):
         out = tmp_path / "gp.csv"
