@@ -29,12 +29,13 @@ from .channels import (
     TimeLocalParams,
 )
 from .errors import BracketError, ConfigError, NumericalError
-from .geomphase import figure_value, gp_mixed_auto
+from .geomphase import figure_value, gp_mixed_auto, phase_integrand
 from .infoflow import flows
-from .qstate import InitialStateSpec, initial_state
+from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 FD_STEP = 5e-5
 ONSET_TOL = 1e-10
+_GROUND = DensityMatrix.ground().bloch().as_array()
 
 
 def vary_params(p, value: float, vary: str):
@@ -211,15 +212,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 def integrand_A_from_model(t: float, model, rho0) -> float:
-    """A(t) = omega0 [1/2 + r_z / (2 sqrt(4 D^2 - 2 r_z - 1))] for one state."""
+    """Phase integrand A(t) of one state from its Bloch vector (geomphase.phase_integrand)."""
     b = model.bloch_series(rho0, float(t))
-    r_z = float(b[2])
-    d = 0.5 * math.sqrt(b[0] ** 2 + b[1] ** 2 + (r_z + 1.0) ** 2)
-    radicand = 4.0 * d * d - 2.0 * r_z - 1.0
-    if radicand < -1e-10:
-        raise NumericalError(f"negative phase-integrand radicand {radicand:.3e}")
-    radicand = max(radicand, 1e-300)
-    return model.omega0 * (0.5 + r_z / (2.0 * math.sqrt(radicand)))
+    return float(phase_integrand(bloch_trace_distance(b, _GROUND), b[2], model.omega0))
 
 
 def integrand_A(t: float, R: float, spec: InitialStateSpec, p: TimeLocalParams,
@@ -295,8 +290,7 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     rho0 = initial_state(spec)
 
     def d_of(R: float) -> float:
-        b = model_of(R).bloch_series(rho0, T)
-        return 0.5 * math.sqrt(b[0] ** 2 + b[1] ** 2 + (b[2] + 1.0) ** 2)
+        return float(bloch_trace_distance(model_of(R).bloch_series(rho0, T), _GROUND))
 
     def a_of(R: float) -> float:
         return integrand_A_from_model(T, model_of(R), rho0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PoleError, StepSizeError
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, bloch_array, eigenvalues
 
 POLE_TOL = 1e-12
 ORACLE_CONVERGENCE_TOL = 1e-8
@@ -174,19 +174,7 @@ class Trajectory:
 
     def bloch(self) -> np.ndarray:
         """Bloch vectors of all samples, shape (n, 3)."""
-        return _bloch_of_states(self.states)
-
-    def min_eigenvalues(self) -> np.ndarray:
-        r = np.linalg.norm(self.bloch(), axis=-1)
-        return 0.5 * (1.0 - r)
-
-
-def _bloch_of_states(states: np.ndarray) -> np.ndarray:
-    out = np.empty(states.shape[:-2] + (3,), dtype=float)
-    out[..., 0] = 2.0 * states[..., 0, 1].real
-    out[..., 1] = -2.0 * states[..., 0, 1].imag
-    out[..., 2] = (states[..., 0, 0] - states[..., 1, 1]).real
-    return out
+        return bloch_array(self.states)
 
 
 def _sinhc(x):
@@ -371,10 +359,10 @@ class _DampingModel:
         return self.params.feature_scale()
 
     def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.states(rho0, times))
+        return bloch_array(self.states(rho0, times))
 
     def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _bloch_of_states(self.state_dot(rho0, times))
+        return bloch_array(self.state_dot(rho0, times))
 
     def _states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return _assemble(rho0, *self._factors(np.asarray(times, dtype=float)), 1.0)
@@ -657,18 +645,19 @@ class PositivityReport:
     threshold: float
 
 
-def positivity_check(traj: Trajectory, threshold: float = 1e-9) -> PositivityReport:
-    """Scan a trajectory for eigenvalues below -threshold."""
-    if len(traj) == 0:
-        raise ConfigError("positivity_check requires a non-empty trajectory")
-    eigs = traj.min_eigenvalues()
+def positivity_check(times, bloch, threshold: float = 1e-9) -> PositivityReport:
+    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -threshold."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ConfigError("positivity_check requires a non-empty sample")
+    eigs = eigenvalues(bloch)[1]
     i_min = int(np.argmin(eigs))
     bad = np.flatnonzero(eigs < -threshold)
-    first = float(traj.times[bad[0]]) if bad.size else None
+    first = float(times[bad[0]]) if bad.size else None
     return PositivityReport(
         ok=bad.size == 0,
         min_eigenvalue=float(eigs[i_min]),
-        argmin_time=float(traj.times[i_min]),
+        argmin_time=float(times[i_min]),
         first_violation_time=first,
         threshold=threshold,
     )

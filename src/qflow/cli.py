@@ -29,7 +29,7 @@ from .channels import (
 from .errors import ConfigError, NumericalError
 from .geomphase import figure_value, gp_mixed_auto
 from .infoflow import flows
-from .qstate import InitialStateSpec, initial_state
+from .qstate import InitialStateSpec, eigenvalues, initial_state
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         "r_x", "r_y", "r_z", "amp", "gamma", "delta", "min_eig", "pos_ok",
     ]
     bloch = traj.bloch()
-    eigs = traj.min_eigenvalues()
+    eigs = eigenvalues(bloch)[1]
     rows = []
     for k, t in enumerate(times):
         s = traj.states[k]

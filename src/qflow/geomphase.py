@@ -18,6 +18,10 @@ Four routes to the same physics live here:
 * :func:`gp_pure`        - adaptive quadrature of the pure-state closed form
 * :func:`gp_flow_form`   - the same integral driven through the flow ledger
 * :func:`gp_perturbative`- first order in W^2 for the time-local model
+
+The flow form and ``analysis.integrand_A_from_model`` share
+:func:`phase_integrand`; :func:`gp_pure` keeps its own integrand in |c|^2 as
+the independent reference the other routes are checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .infoflow import FlowLedger
-from .qstate import DEGENERACY_EPS, DensityMatrix, InitialStateSpec, initial_state
+from .qstate import DEGENERACY_EPS, DensityMatrix, InitialStateSpec, eigenbasis, initial_state
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
@@ -90,50 +94,26 @@ class PhaseResult:
 
 
 def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, BranchData]:
-    """Eigen-branch curves of a sampled trajectory.
+    """Eigen-branch curves of a sampled trajectory by :func:`qflow.qstate.eigenbasis`.
 
-    ``"spectral"`` reads the eigenbasis off the matrices (polar angle and
-    azimuth of the lower-left entry); ``"literal"`` uses the same polar
-    angle with the fixed azimuth omega0 t + phi0 recorded in the
-    trajectory metadata and the swapped component layout of the
-    closed-form expressions.
+    ``"spectral"`` reads the eigenbasis off the matrices; ``"literal"`` uses
+    the fixed azimuth omega0 t + phi0 recorded in the trajectory metadata.
     """
-    if mode not in ("literal", "spectral"):
-        raise ConfigError(f"unknown decomposition mode {mode!r}")
-    b = traj.bloch()
-    x, y, z = b[:, 0], b[:, 1], b[:, 2]
-    r_xy = np.hypot(x, y)
-    r = np.hypot(r_xy, z)
-    k_min = int(np.argmin(r))
-    if r[k_min] < DEGENERACY_EPS:
-        raise DegenerateStateError(
-            f"eigenbasis undefined: |r| = {r[k_min]:.3e} at t = {traj.times[k_min]:.6g}"
-        )
-    theta = np.arctan2(r_xy, z)
+    azimuth = None
     if mode == "literal":
         try:
             omega0 = traj.meta["omega0"]
         except KeyError:
             raise ConfigError("literal mode requires omega0 in the trajectory metadata")
-        phi = omega0 * traj.times + traj.meta.get("phi0", 0.0)
-    else:
-        phi = np.arctan2(y, x)  # azimuth of rho[1, 0]
-
-    half = 0.5 * theta
-    s, c = np.sin(half), np.cos(half)
-    ph = np.exp(1j * phi)
-    eps_plus = 0.5 * (1.0 + r)
-    eps_minus = 0.5 * (1.0 - r)
-    if mode == "literal":
-        v_plus = np.stack([s + 0j, c * ph], axis=1)
-        v_minus = np.stack([-c + 0j, s * ph], axis=1)
-    else:
-        v_plus = np.stack([c + 0j, s * ph], axis=1)
-        v_minus = np.stack([-s + 0j, c * ph], axis=1)
-    return (
-        BranchData("plus", eps_plus, v_plus),
-        BranchData("minus", eps_minus, v_minus),
-    )
+        azimuth = omega0 * traj.times + traj.meta.get("phi0", 0.0)
+    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(traj.bloch(), mode, azimuth)
+    gap = eps_plus - eps_minus  # |r|
+    k_min = int(np.argmin(gap))
+    if gap[k_min] < DEGENERACY_EPS:
+        raise DegenerateStateError(
+            f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {traj.times[k_min]:.6g}"
+        )
+    return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
 
 
 def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
@@ -285,14 +265,29 @@ def gp_pure(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1) -> float:
     return -float(value)
 
 
+def phase_integrand(d, r_z, omega0: float):
+    """Phase integrand omega0 [1/2 + r_z / (2 sqrt(4 D^2 - 2 r_z - 1))], elementwise.
+
+    D is the trace distance to the ground state.  The radicand equals |r|^2:
+    below -1e-10 D and r_z are not one state's (:class:`NumericalError`),
+    below 1e-12 r -> 0 (:class:`DegenerateStateError`).
+    """
+    radicand = 4.0 * d * d - 2.0 * r_z - 1.0
+    low = float(np.min(radicand))
+    if low < -1e-10:
+        raise NumericalError(f"negative phase-integrand radicand {low:.3e}")
+    if low < 1e-12:
+        raise DegenerateStateError(f"phase integrand degenerate (r -> 0): radicand {low:.3e}")
+    return omega0 * (0.5 + r_z / (2.0 * np.sqrt(radicand)))
+
+
 def gp_flow_form(spec: InitialStateSpec, p: TimeLocalParams, n: int,
                  ledger: FlowLedger) -> float:
-    """Pure-state phase driven through the flow ledger.
+    """Pure-state phase driven through the flow ledger; must match :func:`gp_pure`.
 
-    The radicand 4 [D(0) + N(t) - M(t)]^2 - 2 r_z(t) - 1 equals r(t)^2
-    identically (Bloch geometry), so this must match :func:`gp_pure`;
-    a negative radicand beyond -1e-10 means the ledger does not belong to
-    the trajectory implied by (spec, p, n).
+    :func:`phase_integrand` of D(0) + N(t) - M(t) and the closed-form r_z(t).
+    A negative radicand means a ledger of another trajectory, or the identity
+    residual of a right one, hence a :class:`NumericalError`.
     """
     T = 2.0 * math.pi * n / p.omega0
     times = ledger.times
@@ -303,16 +298,7 @@ def gp_flow_form(spec: InitialStateSpec, p: TimeLocalParams, n: int,
     x = np.asarray(channels.abs_c_squared(times, p))
     r_z = a * x - 1.0
     d_eff = ledger.D[0] + ledger.N - ledger.M
-    radicand = 4.0 * d_eff * d_eff - 2.0 * r_z - 1.0
-    if float(np.min(radicand)) < -1e-10:
-        raise ConfigError(
-            "negative radicand: ledger and trajectory are inconsistently paired"
-        )
-    radicand = np.maximum(radicand, 0.0)
-    if float(np.min(radicand)) < 1e-12:
-        raise DegenerateStateError("flow-form integrand degenerate (r -> 0)")
-    integrand = p.omega0 * (0.5 + r_z / (2.0 * np.sqrt(radicand)))
-    return -float(simpson(integrand, x=times))
+    return -float(simpson(phase_integrand(d_eff, r_z, p.omega0), x=times))
 
 
 def kappa1(lam: float, T: float) -> float:

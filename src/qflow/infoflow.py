@@ -26,7 +26,8 @@ import numpy as np
 
 from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
 from .errors import ConfigError
-from .qstate import BlochVector, DensityMatrix, InitialStateSpec, density_from_bloch
+from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array,
+                     bloch_trace_distance, density_from_bloch)
 
 DELTA_FLOOR = 1e-13
 SIGMA_NOISE_REL = 1e-9
@@ -83,25 +84,26 @@ class BlpResult:
     n_samples: int
 
 
-def _pair_bloch(model, rho1, rho2, times, evolve_reference: bool):
-    b1 = model.bloch_series(rho1, times)
-    d1 = model.bloch_dot_series(rho1, times)
-    if evolve_reference:
-        b2 = model.bloch_series(rho2, times)
-        d2 = model.bloch_dot_series(rho2, times)
-    else:
-        b2 = np.broadcast_to(rho2.bloch().as_array(), b1.shape)
-        d2 = np.zeros_like(d1)
-    return b1 - b2, d1 - d2
-
-
 def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
-    diff, ddiff = _pair_bloch(model, rho1, rho2, times, evolve_reference)
-    dist = 0.5 * np.sqrt(np.sum(diff * diff, axis=-1))
-    dot = np.sum(diff * ddiff, axis=-1)
+    """D, sigma = dD/dt and the Bloch vectors of rho1 at ``times``.
+
+    The z-component of the Bloch difference is 2 Re(rho00 - rho00'), not
+    z - z': the states store rho11 = 1 - rho00, so z keeps no digit of a
+    population below 2^-54.
+    """
+    s1 = model.states(rho1, times)
+    s2 = model.states(rho2, times) if evolve_reference else rho2.matrix
+    bloch = bloch_array(s1)
+    diff = bloch - bloch_array(s2)
+    diff[..., 2] = 2.0 * (s1[..., 0, 0] - s2[..., 0, 0]).real
+    del s1, s2  # free the matrices before the derivatives are built
+    ddiff = model.bloch_dot_series(rho1, times)
+    if evolve_reference:
+        ddiff -= model.bloch_dot_series(rho2, times)
+    dist = bloch_trace_distance(diff, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = np.where(dist > 0.0, dot / (4.0 * dist), 0.0)
-    return dist, sig
+        sig = np.where(dist > 0.0, np.sum(diff * ddiff, axis=-1) / (4.0 * dist), 0.0)
+    return dist, sig, bloch
 
 
 def sigma(t: float, model, rho0: DensityMatrix, standard_state: DensityMatrix | None = None,
@@ -111,8 +113,7 @@ def sigma(t: float, model, rho0: DensityMatrix, standard_state: DensityMatrix | 
     Positive values signal backward flow.
     """
     ref = model.steady_state() if standard_state is None else standard_state
-    _, sig = _d_sigma_arrays(model, rho0, ref, float(t), evolve_reference)
-    return float(sig)
+    return float(_d_sigma_arrays(model, rho0, ref, float(t), evolve_reference)[1])
 
 
 def _bisect_all(f, a: np.ndarray, b: np.ndarray, xtol: float):
@@ -194,7 +195,8 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
         raise ConfigError("flow sampling grid must span [0, t_end]")
-    dist, sig = _d_sigma_arrays(model, rho1, rho2, times, evolve_reference)
+    dist, sig, bloch = _d_sigma_arrays(model, rho1, rho2, times, evolve_reference)
+    positivity = positivity_check(times, bloch)
 
     def sigma_at(ts: np.ndarray) -> np.ndarray:
         return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[1]
@@ -204,8 +206,6 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
 
     bounds, (brackets, rounds, fake) = _locate_boundaries(times, dist, sig, sigma_at, t_end)
     segments, d_s, n_s, m_s = _accumulate(times, dist, bounds, dist_at, t_end)
-
-    traj = model.trajectory(rho1, times)
     return FlowLedger(
         standard_state=rho2,
         times=times,
@@ -215,7 +215,7 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
         M=m_s,
         segments=segments,
         model=model.tag,
-        positivity=positivity_check(traj),
+        positivity=positivity,
         meta={"t_end": float(t_end), "evolve_reference": evolve_reference,
               "brackets": brackets, "bisect_rounds": rounds, "fake_brackets": fake},
     )
@@ -250,10 +250,7 @@ def default_state_grid(n_theta: int = 12, n_phi: int = 24,
             theta = math.pi * (j + 0.5) / n_theta
             for k in range(n_phi):
                 phi = 2.0 * math.pi * k / n_phi
-                st = math.sin(theta)
-                states.append(density_from_bloch(BlochVector(
-                    r * st * math.cos(phi), r * st * math.sin(phi), r * math.cos(theta)
-                )))
+                states.append(density_from_bloch(PolarBloch(r, theta, phi).to_bloch()))
     return states
 
 
@@ -302,8 +299,7 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     chunk = 512
     for lo in range(0, len(grid), chunk):
         sel = pair_idx[lo:lo + chunk]
-        diff = stack[sel[:, 0]] - stack[sel[:, 1]]
-        dist = 0.5 * np.sqrt(np.sum(diff * diff, axis=-1))
+        dist = bloch_trace_distance(stack[sel[:, 0]], stack[sel[:, 1]])
         inc = np.diff(dist, axis=-1)
         scores[lo:lo + chunk] = np.sum(np.where(inc > 0.0, inc, 0.0), axis=-1)
 
@@ -343,7 +339,8 @@ def weak_coupling_flows(spec: InitialStateSpec, p: TimeLocalParams, t: float
     r0, theta0 = polar.r, polar.theta
     a = 1.0 + r0 * math.cos(theta0)
     b_sq = (r0 * math.sin(theta0)) ** 2
-    d0 = 0.5 * math.sqrt(b_sq + a * a)
+    d0 = float(bloch_trace_distance(spec.to_bloch().as_array(),
+                                    DensityMatrix.ground().bloch().as_array()))
     if d0 < 1e-12:  # starting at the standard state: no flow at any order
         return 0.0, 0.0
     lam = p.lam

@@ -1,5 +1,9 @@
 """Qubit state representations, conversions, eigendecomposition, trace distance.
 
+Each qubit-geometry formula is written once here, vectorised over samples:
+:func:`bloch_array`, :func:`eigenvalues`, :func:`eigenbasis` and
+:func:`bloch_trace_distance`.
+
 Conventions (see CONVENTIONS.md for the full story):
 
 * Basis index 0 is the excited level, index 1 the ground level, so the
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, UnphysicalStateError
+from .errors import ConfigError, DegenerateStateError, UnphysicalStateError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -163,21 +167,14 @@ class DensityMatrix:
         return cls(np.diag([1.0, 0.0]).astype(complex))
 
     def bloch(self) -> BlochVector:
-        m = self.matrix
-        return BlochVector(
-            2.0 * m[0, 1].real,
-            -2.0 * m[0, 1].imag,
-            (m[0, 0] - m[1, 1]).real,
-        )
+        return BlochVector(*bloch_array(self.matrix))
 
     def purity(self) -> float:
         r = self.bloch().norm()
         return 0.5 * (1.0 + r * r)
 
     def min_eigenvalue(self) -> float:
-        # Hermitian unit-trace 2x2: eigenvalues are (1 +- |r|)/2 even when
-        # |r| > 1 (non-positive matrix).
-        return 0.5 * (1.0 - self.bloch().norm())
+        return float(eigenvalues(self.bloch().as_array())[1])
 
     def is_positive(self, tol: float = -EIGENVALUE_FLOOR) -> bool:
         return self.min_eigenvalue() >= -tol
@@ -204,18 +201,63 @@ class SpectralDecomposition:
     mode: str = "spectral"
 
     def psi_plus(self) -> np.ndarray:
-        h = 0.5 * self.theta_t
-        ph = np.exp(1j * self.phase)
-        if self.mode == "literal":
-            return np.array([math.sin(h), math.cos(h) * ph], dtype=complex)
-        return np.array([math.cos(h), math.sin(h) * ph], dtype=complex)
+        return _eigenvectors(self.theta_t, self.phase, self.mode)[0]
 
     def psi_minus(self) -> np.ndarray:
-        h = 0.5 * self.theta_t
-        ph = np.exp(1j * self.phase)
-        if self.mode == "literal":
-            return np.array([-math.cos(h), math.sin(h) * ph], dtype=complex)
-        return np.array([-math.sin(h), math.cos(h) * ph], dtype=complex)
+        return _eigenvectors(self.theta_t, self.phase, self.mode)[1]
+
+
+def bloch_array(states) -> np.ndarray:
+    """Bloch vectors (..., 3) of Hermitian unit-trace matrices (..., 2, 2)."""
+    states = np.asarray(states)
+    out = np.empty(states.shape[:-2] + (3,), dtype=float)
+    out[..., 0] = 2.0 * states[..., 0, 1].real
+    out[..., 1] = -2.0 * states[..., 0, 1].imag
+    out[..., 2] = (states[..., 0, 0] - states[..., 1, 1]).real
+    return out
+
+
+def eigenvalues(bloch) -> tuple[np.ndarray, np.ndarray]:
+    """(eps_plus, eps_minus) = ((1 + |r|)/2, (1 - |r|)/2) of Bloch arrays (..., 3).
+
+    Also for a non-positive matrix (|r| > 1): eps_minus is the minimum eigenvalue.
+    """
+    b = np.asarray(bloch, dtype=float)
+    r = np.sqrt(np.sum(b * b, axis=-1))
+    return 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+
+
+def _eigenvectors(theta, phase, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(v_plus, v_minus) at polar angle theta and azimuth phase, in the layout of ``mode``."""
+    half = 0.5 * np.asarray(theta, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    if mode == "literal":  # swapped components: theta -> pi - theta
+        c, s = s, c
+    ph = np.exp(1j * np.asarray(phase, dtype=float))
+    return np.stack([c + 0j, s * ph], axis=-1), np.stack([-s + 0j, c * ph], axis=-1)
+
+
+def eigenbasis(bloch, mode: str = "spectral", azimuth=None):
+    """(eps_plus, eps_minus, theta, phase, v_plus, v_minus) of Bloch arrays (..., 3).
+
+    Both modes share :func:`eigenvalues` and ``theta = atan2(hypot(x, y), z)``;
+    ``"spectral"`` gives the matrix eigenvectors with the azimuth of
+    ``rho[1, 0]``, ``"literal"`` the swapped layout with the caller's azimuth
+    (see CONVENTIONS.md).  An unknown mode, or literal mode without an
+    azimuth, raises :class:`ConfigError`.  The vectors have shape (..., 2).
+    """
+    if mode not in ("spectral", "literal"):
+        raise ConfigError(f"unknown decomposition mode {mode!r}")
+    b = np.asarray(bloch, dtype=float)
+    x, y, z = b[..., 0], b[..., 1], b[..., 2]
+    if mode == "spectral":
+        phase = np.arctan2(y, x)  # azimuth of rho[1, 0]
+    elif azimuth is None:
+        raise ConfigError("literal mode requires the caller to supply the azimuth")
+    else:
+        phase = np.asarray(azimuth, dtype=float)
+    theta = np.arctan2(np.hypot(x, y), z)
+    return (*eigenvalues(b), theta, phase, *_eigenvectors(theta, phase, mode))
 
 
 def density_from_bloch(b: BlochVector) -> DensityMatrix:
@@ -247,44 +289,27 @@ def eigendecompose(
     *,
     phase: float | None = None,
 ) -> SpectralDecomposition:
-    """Decompose a state into eigenvalues and an eigenbasis parameterisation.
+    """Decompose one state by :func:`eigenbasis`.
 
-    In ``"spectral"`` mode the polar angle is ``atan2(hypot(x, y), z)`` and
-    the azimuth is read off the lower-left matrix entry; the reconstructed
-    vectors are verified to satisfy ``rho @ psi = eps * psi`` to 1e-10.
-    In ``"literal"`` mode the same polar angle is used but the azimuth must
-    be supplied by the caller (trajectory context), and the component
-    layout of the eigenvectors is swapped; these vectors belong to the
-    closed-form phase expressions, not to the matrix itself.
-
-    States with ``|r| < 1e-9`` get ``degenerate=True`` rather than an error;
-    downstream consumers decide how to handle them.
+    Spectral vectors are verified to satisfy ``rho @ psi = eps * psi`` to
+    1e-10; literal ones need the azimuth ``phase`` from the caller and
+    belong to the closed-form phase expressions, not to the matrix.  States
+    with ``|r| < 1e-9`` get ``degenerate=True`` and zero angles rather than
+    an error; downstream consumers decide how to handle them.
     """
-    if mode not in ("spectral", "literal"):
-        raise ValueError(f"unknown decomposition mode {mode!r}")
-    b = rho.bloch()
-    r = b.norm()
-    eps_plus = 0.5 * (1.0 + r)
-    eps_minus = 0.5 * (1.0 - r)
-    if r < DEGENERACY_EPS:
+    eps_plus, eps_minus, theta, az, v_plus, v_minus = eigenbasis(
+        rho.bloch().as_array(), mode, phase)
+    eps_plus, eps_minus = float(eps_plus), float(eps_minus)
+    if eps_plus - eps_minus < DEGENERACY_EPS:
         return SpectralDecomposition(eps_plus, eps_minus, 0.0, 0.0, True, mode)
-
-    theta_t = math.atan2(math.hypot(b.x, b.y), b.z)
-    if mode == "literal":
-        if phase is None:
-            raise ValueError("literal mode requires the caller to supply `phase`")
-        dec = SpectralDecomposition(eps_plus, eps_minus, theta_t, float(phase), False, mode)
-        return dec
-
-    az = math.atan2(b.y, b.x)  # arg of rho[1, 0]
-    dec = SpectralDecomposition(eps_plus, eps_minus, theta_t, az, False, mode)
-    for eps, psi in ((eps_plus, dec.psi_plus()), (eps_minus, dec.psi_minus())):
-        residual = np.max(np.abs(rho.matrix @ psi - eps * psi))
-        if residual > 1e-10:
-            raise DegenerateStateError(
-                f"spectral eigenvector residual {residual:.2e} exceeds 1e-10"
-            )
-    return dec
+    if mode == "spectral":
+        for eps, psi in ((eps_plus, v_plus), (eps_minus, v_minus)):
+            residual = np.max(np.abs(rho.matrix @ psi - eps * psi))
+            if residual > 1e-10:
+                raise DegenerateStateError(
+                    f"spectral eigenvector residual {residual:.2e} exceeds 1e-10"
+                )
+    return SpectralDecomposition(eps_plus, eps_minus, float(theta), float(az), False, mode)
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -299,7 +324,8 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(eigs)))
 
 
-def bloch_trace_distance(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Vectorised half-Euclidean trace distance between Bloch arrays (..., 3)."""
-    d = np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)
-    return 0.5 * np.sqrt(np.sum(d * d, axis=-1))
+def bloch_trace_distance(r1, r2) -> np.ndarray:
+    """Trace distance |r1 - r2| / 2 between Bloch arrays (..., 3), broadcast."""
+    d = np.subtract(r1, r2, dtype=float)
+    d *= d
+    return 0.5 * np.sqrt(np.sum(d, axis=-1))

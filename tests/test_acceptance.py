@@ -358,11 +358,13 @@ def test_criterion_09_memory_kernel_positivity():
     for C in (0.05, 0.1, 0.2):
         model = MemoryKernelModel(MemoryKernelParams(C, 1.0, 1.0))
         for rho0 in probes:
-            rep = positivity_check(model.trajectory(rho0, times))
+            traj = model.trajectory(rho0, times)
+            rep = positivity_check(traj.times, traj.bloch())
             ok_small &= rep.ok
             worst = min(worst, rep.min_eigenvalue)
     model = MemoryKernelModel(MemoryKernelParams(1.0, 1.0, 1.0))
-    rep_one = positivity_check(model.trajectory(DensityMatrix.excited(), times))
+    traj = model.trajectory(DensityMatrix.excited(), times)
+    rep_one = positivity_check(traj.times, traj.bloch())
     ok = ok_small and not rep_one.ok
     _report("criterion 9 (memory-kernel positivity)", ok,
             f"C<=0.2 min eig {worst:.1e}; C=1 violation at "

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from qflow.analysis import (
     PRESET_NAMES,
@@ -14,7 +15,7 @@ from qflow.analysis import (
     run_sweep,
 )
 from qflow.channels import TimeLocalParams, abs_c_squared
-from qflow.errors import BracketError, ConfigError
+from qflow.errors import BracketError, ConfigError, DegenerateStateError
 from qflow.geomphase import gp_pure
 from qflow.qstate import InitialStateSpec
 
@@ -51,6 +52,15 @@ class TestIntegrandA:
                 )
                 if abs(dx) > 1e-12 and abs(da) > 1e-12:
                     assert math.copysign(1.0, da) == math.copysign(1.0, dx)
+
+    def test_center_of_the_ball_is_degenerate(self):
+        # the excited state passes through the center where |c|^2 = 1/2; the
+        # radicand r^2 vanishes there and the integrand is undefined
+        spec = InitialStateSpec(1.0, 0.0, 0.0)
+        p = TimeLocalParams(0.5, 1.0, 1.0)  # R = 1/2: |c|^2 decays monotonically
+        t_half = brentq(lambda t: float(abs_c_squared(t, p)) - 0.5, 0.0, 10.0, xtol=1e-15)
+        with pytest.raises(DegenerateStateError):
+            integrand_A(t_half, 0.5, spec, p)
 
     def test_vary_w_policy(self):
         spec = InitialStateSpec(1.0, math.pi / 3, 0.0)

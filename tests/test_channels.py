@@ -183,7 +183,7 @@ class TestTimeLocalPropagation:
         p = TimeLocalParams(2.0, 1.0, 1.0)
         model = TimeLocalModel(p)
         traj = model.trajectory(initial_state(EQUATOR), np.linspace(0.0, 2 * T_PERIOD, 2001))
-        assert positivity_check(traj).ok
+        assert positivity_check(traj.times, traj.bloch()).ok
 
     def test_against_ode_oracle_r1(self):
         p = TimeLocalParams(0.3, 0.3, 1.0)  # R = 1, first c-zero beyond one period
@@ -285,7 +285,7 @@ class TestMemoryKernelPropagation:
         p = MemoryKernelParams(1.0, 1.0, 1.0)
         model = MemoryKernelModel(p)
         traj = model.trajectory(DensityMatrix.excited(), np.linspace(0.0, 20.0, 4001))
-        report = positivity_check(traj)
+        report = positivity_check(traj.times, traj.bloch())
         assert not report.ok
         assert report.first_violation_time == pytest.approx(
             4.0 * math.pi / (3.0 * math.sqrt(3.0)), abs=0.02
@@ -298,7 +298,7 @@ class TestMemoryKernelPropagation:
             model = MemoryKernelModel(p)
             for rho0 in (DensityMatrix.excited(), DensityMatrix.ground()):
                 traj = model.trajectory(rho0, np.linspace(0.0, 20.0, 4001))
-                assert positivity_check(traj).ok
+                assert positivity_check(traj.times, traj.bloch()).ok
 
     def test_c_02_coherent_probe_violation_is_real(self):
         # Coherences relax with xi(C/2, tau) and outlive the populations, so a
@@ -308,11 +308,11 @@ class TestMemoryKernelPropagation:
         p = MemoryKernelParams(0.2, 1.0, 1.0)
         rho0 = initial_state(EQUATOR)
         traj = MemoryKernelModel(p).trajectory(rho0, np.linspace(0.0, 20.0, 4001))
-        report = positivity_check(traj)
+        report = positivity_check(traj.times, traj.bloch())
         assert not report.ok
         assert report.first_violation_time == pytest.approx(17.58, abs=0.1)
         oracle = ode_oracle_memory_kernel_path(rho0, 20.0, p)
-        assert not positivity_check(oracle).ok
+        assert not positivity_check(oracle.times, oracle.bloch()).ok
 
 
 class TestTrajectoryType:

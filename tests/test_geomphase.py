@@ -2,14 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from qflow.channels import TimeLocalModel, TimeLocalParams, Trajectory, abs_c_squared
-from qflow.errors import ConfigError, DegenerateStateError
+from qflow.channels import (
+    MemoryKernelModel,
+    MemoryKernelParams,
+    TimeLocalModel,
+    TimeLocalParams,
+    Trajectory,
+    abs_c_squared,
+)
+from qflow.errors import ConfigError, DegenerateStateError, NumericalError
 from qflow.geomphase import (
     BranchData,
     PhaseResult,
     PhaseUndefinedError,
+    _pure_integrand_factory,
     assemble_phase,
     branch_data,
     circle_distance,
@@ -22,11 +32,18 @@ from qflow.geomphase import (
     gp_pure,
     kappa1,
     kappa2,
+    phase_integrand,
     phi0_closed_candidate,
     principal_value,
 )
 from qflow.infoflow import flows
-from qflow.qstate import DensityMatrix, InitialStateSpec, initial_state
+from qflow.qstate import (
+    DensityMatrix,
+    InitialStateSpec,
+    bloch_trace_distance,
+    eigendecompose,
+    initial_state,
+)
 
 T = 2.0 * math.pi
 
@@ -160,6 +177,75 @@ class TestGpMixedGeneral:
             )
             raw, _, _ = assemble_phase(times, regauged)
             assert circle_distance(raw, raw0) < 1e-8
+
+
+class TestEigenbasisProperty:
+    """branch_data and eigendecompose share one eigenbasis formula."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memory=st.booleans(), coupling=st.floats(0.05, 5.0), ratio=st.floats(0.05, 3.0),
+           z=st.floats(0.1, 1.0), vt=st.floats(0.05, 0.5 * math.pi - 0.05),
+           vp=st.floats(0.0, 2.0 * math.pi), periods=st.floats(0.2, 3.0))
+    def test_branch_data_matches_eigendecompose(self, memory, coupling, ratio, z, vt, vp,
+                                                periods):
+        if memory:  # gamma0 = coupling, C = ratio (non-positive states above 1/4 too)
+            model = MemoryKernelModel(MemoryKernelParams(coupling, coupling / ratio, 1.0))
+        else:  # W = coupling, R = ratio
+            model = tl_model(coupling, coupling / ratio)
+        times = np.linspace(0.0, periods * T, 97)
+        traj = model.trajectory(initial_state(InitialStateSpec(z, vt, vp)), times)
+        try:
+            branches = {mode: branch_data(traj, mode) for mode in ("spectral", "literal")}
+        except DegenerateStateError:
+            assume(False)
+        azimuth = traj.meta["omega0"] * times + traj.meta["phi0"]
+        for k in range(times.size):
+            rho = traj.density(k)
+            for mode, phase in (("spectral", None), ("literal", azimuth[k])):
+                dec = eigendecompose(rho, mode, phase=phase)
+                plus, minus = branches[mode]
+                assert plus.eps[k] == pytest.approx(dec.eps_plus, abs=1e-15)
+                assert minus.eps[k] == pytest.approx(dec.eps_minus, abs=1e-15)
+                assert np.max(np.abs(plus.vectors[k] - dec.psi_plus())) < 1e-14
+                assert np.max(np.abs(minus.vectors[k] - dec.psi_minus())) < 1e-14
+        # the spectral branch vectors are eigenvectors of the sampled matrices
+        for br in branches["spectral"]:
+            rho_v = np.einsum("nij,nj->ni", traj.states, br.vectors)
+            assert np.max(np.abs(rho_v - br.eps[:, None] * br.vectors)) < 1e-10
+
+
+class TestPhaseIntegrandProperty:
+    """Three routes to the pure-state phase integrand agree pointwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta0=st.floats(0.3, 3.0), R=st.floats(0.05, 5.0), W=st.floats(0.1, 3.0),
+           frac=st.floats(0.01, 1.0))
+    def test_bloch_ledger_and_pure_routes_agree(self, theta0, R, W, frac):
+        p = TimeLocalParams(W, W / R, 1.0)
+        spec = InitialStateSpec(1.0, 0.5 * theta0, 0.4)
+        model = TimeLocalModel(p)
+        rho0 = initial_state(spec)
+        t = frac * T
+        pure = _pure_integrand_factory(spec, p)(t)
+        b = model.bloch_series(rho0, t)
+        ground = DensityMatrix.ground().bloch().as_array()
+        from_bloch = phase_integrand(bloch_trace_distance(b, ground), b[2], p.omega0)
+        ledger = flows(rho0, model, t)  # the ledger ends at t
+        polar = spec.to_polar()
+        r_z = (1.0 + polar.r * math.cos(polar.theta)) * float(abs_c_squared(t, p)) - 1.0
+        from_ledger = phase_integrand(ledger.D[0] + ledger.N[-1] - ledger.M[-1], r_z, p.omega0)
+        assert from_bloch == pytest.approx(pure, abs=1e-12)
+        # the ledger carries its identity residual (below 1e-8 even in fig5)
+        assert from_ledger == pytest.approx(pure, abs=1e-8)
+
+    def test_error_policy(self):
+        # radicand = 4 D^2 - 2 r_z - 1: 1 - 0 - 1 = 0 is the ball center,
+        # 0.25 - 0 - 1 < 0 pairs a distance with a z it cannot have
+        with pytest.raises(DegenerateStateError):
+            phase_integrand(np.array([0.6, 0.5]), np.array([0.0, 0.0]), 1.0)
+        with pytest.raises(NumericalError) as info:
+            phase_integrand(0.25, 0.0, 1.0)
+        assert not isinstance(info.value, DegenerateStateError)
 
 
 class TestGpPure:

@@ -10,7 +10,6 @@ from qflow.channels import (
     MemoryKernelParams,
     TimeLocalModel,
     TimeLocalParams,
-    amplitude_derivative,
     first_amplitude_zero,
     sample_times,
 )
@@ -259,16 +258,13 @@ class TestClosedFormBoundaries:
     @settings(max_examples=100, deadline=None)
     @given(W=st.floats(0.3, 10.0), R=st.floats(0.6, 5.0), p00=st.floats(0.01, 1.0))
     def test_population_states(self, W, R, p00):
-        # rho01 = 0: D = rho00(t) is resolved only down to half an ulp of 1,
-        # because rho11 is stored as 1 - rho00.  Near a zero of c, where
-        # rho00 ~ p00 |c'|^2 (t - t0)^2, sigma reads exactly 0 inside a band
-        # of half-width sqrt(2^-53 / p00) / |c'(t0)| and bisection stops there.
+        # rho01 = 0: D = rho00(t), taken from rho00 itself, keeps its digits
+        # down to the zeros of c, so those boundaries meet the bisection
+        # tolerance too; late runs decay like |c|^2 and fall under the noise
+        # floor from lambda T of about 18, so counts are compared up to 10.
         p = TimeLocalParams(W, W / R, 1.0)
         rho0 = DensityMatrix(np.diag([p00, 1.0 - p00]).astype(complex))
-        ledger = flows(rho0, TimeLocalModel(p), T)
-        closed, _ = closed_form_boundaries(p, T)
-        band = math.sqrt(np.finfo(float).eps / 2.0 / p00) / np.abs(amplitude_derivative(closed, p))
-        assert_boundaries_match(ledger, p, band, 10.0)
+        assert_boundaries_match(flows(rho0, TimeLocalModel(p), T), p, 0.0, 10.0)
 
 
 class TestBlp:

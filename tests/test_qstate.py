@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow.errors import DegenerateStateError, UnphysicalStateError
+from qflow.errors import ConfigError, DegenerateStateError, UnphysicalStateError
 from qflow.qstate import (
     BlochVector,
     DensityMatrix,
@@ -173,7 +173,7 @@ class TestEigendecompose:
 
     def test_literal_requires_phase(self):
         rho = initial_state(InitialStateSpec(0.8, 0.4, 0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             eigendecompose(rho, mode="literal")
 
     def test_literal_vectors_use_swapped_layout(self):
@@ -186,7 +186,7 @@ class TestEigendecompose:
         assert spe.psi_plus()[0].real == pytest.approx(math.cos(0.5 * spe.theta_t))
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             eigendecompose(DensityMatrix.ground(), mode="verbatim")
 
 
