@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from qflow.analysis import critical_point, integrand_A_from_model, vary_params
+from qflow.analysis import critical_point, integrand_A_from_model
 from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
 from qflow.infoflow import flows
 from qflow.qstate import InitialStateSpec, initial_state
@@ -44,7 +44,7 @@ def main() -> None:
     rho0 = initial_state(spec)
     print(f"{'R':>7} {'|c(T)|^2':>12} {'D(T)':>12} {'A(T)':>12} {'N(T)':>12} {'M(T)':>12}")
     for R in np.linspace(rep.r_star - 0.12, rep.r_star + 0.12, 13):
-        eff = vary_params(p, R, "lambda")
+        eff = p.at_ratio(R)
         model = TimeLocalModel(eff)
         ledger = flows(rho0, model, T)
         b = model.bloch_series(rho0, T)

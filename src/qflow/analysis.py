@@ -1,7 +1,8 @@
 """Parameter sweeps and the critical-point machinery.
 
 A sweep varies R = W / lambda (time-local) or C = gamma0 / gamma
-(memory kernel) while keeping the coupling-side constant fixed, and
+(memory kernel) while keeping the coupling-side constant fixed (W or gamma0,
+through the parameter classes' ``at_ratio``), and
 evaluates phases, flows, distances and the phase integrand for a set of
 initial states.  Sweeps are deterministic: identical specs produce
 bit-identical datasets, and per-point failures are recorded per row while
@@ -38,33 +39,11 @@ ONSET_TOL = 1e-10
 _GROUND = DensityMatrix.ground().bloch().as_array()
 
 
-def vary_params(p, value: float, vary: str):
-    """Parameters at swept ratio ``value`` (R = W / lambda or C = gamma0 / gamma).
-
-    ``vary`` names the constant that absorbs the ratio; the other constant
-    keeps its value in ``p``.  R policies: "lambda" (W fixed) and "W"
-    (lambda fixed).  C policies: "gamma" or its alias "lambda" (gamma0
-    fixed) and "gamma0" (gamma fixed).
-    """
-    if isinstance(p, TimeLocalParams):
-        if vary == "lambda":
-            return TimeLocalParams(p.W, p.W / value, p.omega0)
-        if vary == "W":
-            return TimeLocalParams(value * p.lam, p.lam, p.omega0)
-        raise ConfigError(f"unknown vary policy {vary!r} for R sweeps")
-    if vary in ("lambda", "gamma"):
-        return MemoryKernelParams(p.gamma0, p.gamma0 / value, p.omega0)
-    if vary == "gamma0":
-        return MemoryKernelParams(value * p.gamma0, p.gamma, p.omega0)
-    raise ConfigError(f"unknown vary policy {vary!r} for C sweeps")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes and outputs of one parameter sweep."""
 
-    model: str = "time-local"            # "time-local" | "memory-kernel"
-    param: str = "R"                      # swept parameter name
+    model: str = "time-local"            # "time-local" (sweeps R) | "memory-kernel" (C)
     start: float = 0.05
     stop: float = 5.0
     steps: int = 40
@@ -77,7 +56,6 @@ class SweepSpec:
     varphi0: float = math.pi / 3.0
     outputs: tuple[str, ...] = ("phase", "N", "M")
     mode: str = "literal"
-    vary: str = "lambda"                  # which constant absorbs the swept ratio
     tol: float = 1e-6
     label: str = ""
 
@@ -86,14 +64,16 @@ class SweepSpec:
             raise ConfigError("sweep resolution must be >= 2")
         if self.model not in ("time-local", "memory-kernel"):
             raise ConfigError(f"unknown model {self.model!r}")
-        expected = "R" if self.model == "time-local" else "C"
-        if self.param != expected:
-            raise ConfigError(f"model {self.model!r} sweeps {expected}, not {self.param!r}")
         if self.start <= 0.0 or self.stop <= self.start:
             raise ConfigError("sweep range must satisfy 0 < start < stop")
         bad = set(self.outputs) - {"phase", "N", "M", "D", "A"}
         if bad:
             raise ConfigError(f"unknown sweep outputs: {sorted(bad)}")
+
+    @property
+    def param(self) -> str:
+        """Name of the swept ratio."""
+        return "R" if self.model == "time-local" else "C"
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -112,15 +92,10 @@ class SweepSpec:
         return out
 
     def params_at(self, value: float):
-        """Parameters at one swept value.
-
-        With vary="W" (or "gamma0") the spec's W (gamma0) is the fixed
-        lambda (gamma).
-        """
+        """Parameters at one swept value: the fixed W (gamma0) at ratio ``value``."""
         if self.model == "time-local":
-            return vary_params(TimeLocalParams(self.W, self.W, self.omega0), value, self.vary)
-        return vary_params(MemoryKernelParams(self.gamma0, self.gamma0, self.omega0),
-                           value, self.vary)
+            return TimeLocalParams(self.W, self.W, self.omega0).at_ratio(value)
+        return MemoryKernelParams(self.gamma0, self.gamma0, self.omega0).at_ratio(value)
 
     def model_at(self, value: float):
         p = self.params_at(value)
@@ -197,7 +172,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     meta = {
         "model": spec.model,
         "param": spec.param,
-        "vary": spec.vary,
         "n": spec.n,
         "mode": spec.mode,
         "label": spec.label,
@@ -217,14 +191,9 @@ def integrand_A_from_model(t: float, model, rho0) -> float:
     return float(phase_integrand(bloch_trace_distance(b, _GROUND), b[2], model.omega0))
 
 
-def integrand_A(t: float, R: float, spec: InitialStateSpec, p: TimeLocalParams,
-                vary: str = "lambda") -> float:
-    """Phase integrand of the time-local model at ratio R.
-
-    ``vary="lambda"`` holds W = p.W fixed and sets lambda = W / R (the
-    default reading of an R sweep); ``vary="W"`` holds lambda fixed.
-    """
-    model = TimeLocalModel(vary_params(p, R, vary))
+def integrand_A(t: float, R: float, spec: InitialStateSpec, p: TimeLocalParams) -> float:
+    """Phase integrand of the time-local model at ratio R (W = p.W fixed, lambda = W / R)."""
+    model = TimeLocalModel(p.at_ratio(R))
     return integrand_A_from_model(t, model, initial_state(spec))
 
 
@@ -247,9 +216,10 @@ class CriticalPointReport:
 
 
 def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
-                   r_min: float, r_max: float, steps: int = 81,
-                   vary: str = "lambda") -> CriticalPointReport:
+                   r_min: float, r_max: float, steps: int = 81) -> CriticalPointReport:
     """Locate R* and verify the simultaneous-extremum / onset claims.
+
+    R = W / lambda is swept at W = p.W fixed (``TimeLocalParams.at_ratio``).
 
     The R range must bracket a sign change of the centered difference of
     |c(T, R)|^2; the first sign change (the first minimum) is refined by
@@ -262,7 +232,7 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     grid = np.linspace(r_min, r_max, steps)
 
     def f_of(R: float) -> float:
-        return float(channels.abs_c_squared(T, vary_params(p, R, vary)))
+        return float(channels.abs_c_squared(T, p.at_ratio(R)))
 
     def df_of(R: float) -> float:
         return (f_of(R + h) - f_of(R - h)) / (2.0 * h)
@@ -285,7 +255,7 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     df_res = abs(df_of(r_star))
 
     def model_of(R: float) -> TimeLocalModel:
-        return TimeLocalModel(vary_params(p, R, vary))
+        return TimeLocalModel(p.at_ratio(R))
 
     rho0 = initial_state(spec)
 
@@ -345,7 +315,7 @@ _Z_FAMILY = (0.25, 0.5, 0.75, 1.0)
 def _tl_preset(label, W, outputs, z_list=_Z_FAMILY, vartheta0=(math.pi / 4,),
                varphi0=math.pi / 3, start=0.05, stop=5.0, steps=40):
     return SweepSpec(
-        model="time-local", param="R", start=start, stop=stop, steps=steps,
+        model="time-local", start=start, stop=stop, steps=steps,
         W=W, z_list=z_list, vartheta0_list=vartheta0, varphi0=varphi0,
         outputs=outputs, label=label,
     )
@@ -353,7 +323,7 @@ def _tl_preset(label, W, outputs, z_list=_Z_FAMILY, vartheta0=(math.pi / 4,),
 
 def _mk_preset(label, outputs):
     return SweepSpec(
-        model="memory-kernel", param="C", start=0.01, stop=0.24, steps=24,
+        model="memory-kernel", start=0.01, stop=0.24, steps=24,
         gamma0=0.1, z_list=_Z_FAMILY, vartheta0_list=(math.pi / 4,),
         varphi0=math.pi / 3, outputs=outputs, label=label,
     )

@@ -14,10 +14,14 @@ memory time gamma, C = gamma0/gamma, tau = gamma t):
     rho(t)     : populations scale with xi(C, tau), coherences with
                  exp(-i w0 t) xi(C/2, tau)
 
-Both envelopes come from one kernel: xi(C, tau) is the Lorentzian envelope
-at lambda = 1, W^2 = C.  Both closed forms are cross-checked against
-hand-rolled fixed-step RK4 integrations.  The time-local oracle takes its
-decay rate from that kernel, so it checks that the closed form solves the
+Both models share one form, rho00 = p00 P(t) and rho01 = coh Q(t).  Each
+model class owns the only copy of its factors: ``factors(t)`` gives (P, Q)
+and ``rates(t)`` gives (Pdot, Qdot); the scalar helpers ``amplitude``,
+``abs_c_squared``, ``xi`` and their derivatives read them.  Both envelopes
+come from one kernel: xi(C, tau) is the Lorentzian envelope at lambda = 1,
+W^2 = C.  Both closed forms are cross-checked against hand-rolled
+fixed-step RK4 integrations.  The time-local oracle takes its decay rates
+from :func:`decay_rates`, so it checks that the closed form solves the
 master equation its rates define.  The memory-kernel oracle integrates the
 integro-differential equation without any closed-form function, so it is an
 independent check of the shared kernel.
@@ -31,11 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PoleError, StepSizeError
+from .errors import ConfigError, NumericalError, PoleError, StepSizeError
 from .qstate import DensityMatrix, bloch_array, eigenvalues
 
 POLE_TOL = 1e-12
 ORACLE_CONVERGENCE_TOL = 1e-8
+ORACLE_MAX_HALVINGS = 10
+POSITIVITY_TOL = 1e-9
+# sample_times: at least MIN_SAMPLES, SAMPLES_PER_FEATURE per feature scale,
+# and a grid above MAX_SAMPLES is a NumericalError
+MIN_SAMPLES = 801
+SAMPLES_PER_FEATURE = 40
+MAX_SAMPLES = 200001
 _SINHC_SERIES_CUTOFF = 1e-6
 
 
@@ -58,6 +69,10 @@ class TimeLocalParams:
     @property
     def R(self) -> float:
         return self.W / self.lam
+
+    def at_ratio(self, R: float) -> TimeLocalParams:
+        """The parameters at ratio R = W / lambda: W fixed, lambda = W / R."""
+        return TimeLocalParams(self.W, self.W / R, self.omega0)
 
     @property
     def Omega(self) -> complex:
@@ -110,6 +125,10 @@ class MemoryKernelParams:
     @property
     def C(self) -> float:
         return self.gamma0 / self.gamma
+
+    def at_ratio(self, C: float) -> MemoryKernelParams:
+        """The parameters at ratio C = gamma0 / gamma: gamma0 fixed, gamma = gamma0 / C."""
+        return MemoryKernelParams(self.gamma0, self.gamma0 / C, self.omega0)
 
     @property
     def tau_R(self) -> float:
@@ -212,66 +231,49 @@ def lorentzian_density(omega, p: TimeLocalParams):
     return (p.W * p.W * p.lam / math.pi) / (det * det + p.lam * p.lam)
 
 
-def _c(p: TimeLocalParams, t, g):
-    return np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
-
-
-def _c_dot(p: TimeLocalParams, t, g, gdot):
-    half = 0.5 * (p.lam + 1j * p.omega0)
-    return np.exp(-half * t) * (gdot - half * g)
-
-
-def _abs_c_sq(p: TimeLocalParams, t, g):
-    return np.exp(-p.lam * t) * g * g
-
-
-def _abs_c_sq_dot(p: TimeLocalParams, t, g, sc):
-    return -2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc
-
-
 def amplitude(t, p: TimeLocalParams):
     """Complex excited-state amplitude c(t); accepts scalars or arrays."""
-    t = np.asarray(t, dtype=float)
-    g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    return _c(p, t, g)
+    return TimeLocalModel(p).factors(t)[1]
 
 
 def amplitude_derivative(t, p: TimeLocalParams):
     """Analytic dc/dt, formulated without dividing by g (no pole hazard)."""
-    t = np.asarray(t, dtype=float)
-    g, gdot, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    return _c_dot(p, t, g, gdot)
+    return TimeLocalModel(p).rates(t)[1]
 
 
 def abs_c_squared(t, p: TimeLocalParams):
     """|c(t)|^2 = exp(-lambda t) g(t)^2."""
-    t = np.asarray(t, dtype=float)
-    g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
-    return _abs_c_sq(p, t, g)
+    return TimeLocalModel(p).factors(t)[0]
 
 
 def d_abs_c_squared_dt(t, p: TimeLocalParams):
     """Closed form d|c|^2/dt = -2 W^2 t exp(-lambda t) g(t) sinhc(Om t / 2)."""
+    return TimeLocalModel(p).rates(t)[0]
+
+
+def decay_rates(t, p: TimeLocalParams):
+    """Decay rate Gamma(t) = lambda/2 - gdot/g and shift Delta = omega0/2, elementwise.
+
+    Gamma = -Re(cdot/c) and Delta = -Im(cdot/c) are the rates of the
+    time-local master equation.  Gamma diverges at zeros of c (possible only
+    for R > 1/2); a :class:`PoleError` names the first such t instead of
+    returning infinities.
+    """
     t = np.asarray(t, dtype=float)
-    g, _, sc = _damping_kernel(t, p.lam, p.W * p.W)
-    return _abs_c_sq_dot(p, t, g, sc)
+    g, gdot, _ = _damping_kernel(t, p.lam, p.W * p.W)
+    poles = np.flatnonzero(np.abs(g) < POLE_TOL)
+    if poles.size:
+        raise PoleError(f"decay rate pole: c(t) = 0 at t = {float(t.flat[poles[0]])!r}")
+    return 0.5 * p.lam - gdot / g, np.full(t.shape, 0.5 * p.omega0)
 
 
 def amplitude_c(t: float, p: TimeLocalParams) -> AmplitudeState:
-    """Amplitude and rates at one instant.
-
-    The decay rate Gamma = -Re(cdot/c) and shift Delta = -Im(cdot/c) diverge
-    at zeros of c (possible only for R > 1/2); a :class:`PoleError` is
-    raised there instead of returning infinities.
-    """
+    """Amplitude and rates at one instant (see :func:`decay_rates`)."""
     if t < 0.0:
         raise ConfigError("amplitude_c requires t >= 0")
-    g, gdot, _ = _damping_kernel(float(t), p.lam, p.W * p.W)
-    if abs(g) < POLE_TOL:
-        raise PoleError(f"decay rate pole: c(t) = 0 at t = {t!r}")
-    c = cmath.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
-    ratio = -0.5 * (p.lam + 1j * p.omega0) + gdot / g
-    return AmplitudeState(c=c, gamma_t=-ratio.real, delta_t=-ratio.imag)
+    gamma_t, delta_t = decay_rates(float(t), p)
+    return AmplitudeState(c=complex(amplitude(t, p)), gamma_t=float(gamma_t),
+                          delta_t=float(delta_t))
 
 
 def first_amplitude_zero(p: TimeLocalParams) -> float | None:
@@ -283,29 +285,9 @@ def first_amplitude_zero(p: TimeLocalParams) -> float | None:
     return 2.0 * (math.pi - math.atan2(w, p.lam)) / w
 
 
-def _xi(tau, g):
-    return np.exp(-0.5 * tau) * g
-
-
-def _xi_dot(C: float, tau, sc):
-    return -C * tau * np.exp(-0.5 * tau) * sc
-
-
 def xi(C: float, tau):
     """Population relaxation factor of the exponential-memory model."""
-    if C < 0.0:
-        raise ConfigError(f"C={C} must be >= 0")
-    tau = np.asarray(tau, dtype=float)
-    g, _, _ = _damping_kernel(tau, 1.0, C)
-    out = _xi(tau, g)
-    return out if out.ndim else float(out)
-
-
-def d_xi_dtau(C: float, tau):
-    """Closed form d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
-    tau = np.asarray(tau, dtype=float)
-    _, _, sc = _damping_kernel(tau, 1.0, C)
-    out = _xi_dot(C, tau, sc)
+    out = MemoryKernelModel(MemoryKernelParams(C, 1.0)).factors(tau)[0]
     return out if out.ndim else float(out)
 
 
@@ -332,10 +314,11 @@ def _assemble(rho0: DensityMatrix, pop, coh_factor, trace: float) -> np.ndarray:
 class _DampingModel:
     """A damping model bound to one parameter set.
 
-    Subclasses supply the factors (P, Q) by ``_factors`` and their time
-    derivatives by ``_rates``.  ``states``, ``state_dot`` and ``trajectory``
-    are written out in each subclass body, because ``perfbench/tracer.py``
-    wraps them in the class ``__dict__``.
+    Subclasses own the only copy of their factors: ``factors(t)`` returns
+    (P, Q) and ``rates(t)`` returns (Pdot, Qdot), elementwise in t.  States
+    and state derivatives are assembled from them.  ``states``,
+    ``state_dot`` and ``trajectory`` are written out in each subclass body,
+    because ``perfbench/tracer.py`` wraps them in the class ``__dict__``.
     """
 
     tag = ""
@@ -365,10 +348,10 @@ class _DampingModel:
         return bloch_array(self.state_dot(rho0, times))
 
     def _states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _assemble(rho0, *self._factors(np.asarray(times, dtype=float)), 1.0)
+        return _assemble(rho0, *self.factors(times), 1.0)
 
     def _state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _assemble(rho0, *self._rates(np.asarray(times, dtype=float)), 0.0)
+        return _assemble(rho0, *self.rates(times), 0.0)
 
     def _trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
         meta = {"omega0": self.params.omega0, "phi0": float(np.angle(rho0.matrix[1, 0]))}
@@ -382,15 +365,21 @@ class TimeLocalModel(_DampingModel):
     tag = "time-local"
     _meta_keys = (("W", "W"), ("lambda", "lam"))
 
-    def _factors(self, t):
+    def factors(self, t):
+        """(|c|^2, c) = (exp(-lambda t) g^2, exp(-(lambda + i w0) t / 2) g)."""
         p = self.params
+        t = np.asarray(t, dtype=float)
         g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
-        return _abs_c_sq(p, t, g), _c(p, t, g)
+        return np.exp(-p.lam * t) * g * g, np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
 
-    def _rates(self, t):
+    def rates(self, t):
+        """(d|c|^2/dt, dc/dt) = (-2 W^2 t exp(-lambda t) g sinhc(Om t / 2), ...)."""
         p = self.params
+        t = np.asarray(t, dtype=float)
         g, gdot, sc = _damping_kernel(t, p.lam, p.W * p.W)
-        return _abs_c_sq_dot(p, t, g, sc), _c_dot(p, t, g, gdot)
+        half = 0.5 * (p.lam + 1j * p.omega0)
+        return (-2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc,
+                np.exp(-half * t) * (gdot - half * g))
 
     def states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return self._states(rho0, times)
@@ -412,21 +401,25 @@ class MemoryKernelModel(_DampingModel):
     tag = "memory-kernel"
     _meta_keys = (("gamma0", "gamma0"), ("gamma", "gamma"))
 
-    def _factors(self, t):
+    def factors(self, t):
+        """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
         p = self.params
+        t = np.asarray(t, dtype=float)
         tau = p.tau(t)
         g1, _, _ = _damping_kernel(tau, 1.0, p.C)
         g2, _, _ = _damping_kernel(tau, 1.0, 0.5 * p.C)
-        return _xi(tau, g1), np.exp(-1j * p.omega0 * t) * _xi(tau, g2)
+        return np.exp(-0.5 * tau) * g1, np.exp(-1j * p.omega0 * t) * (np.exp(-0.5 * tau) * g2)
 
-    def _rates(self, t):
+    def rates(self, t):
+        """Time derivatives of the factors; d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
         p = self.params
+        t = np.asarray(t, dtype=float)
         tau = p.tau(t)
         _, _, sc1 = _damping_kernel(tau, 1.0, p.C)
         g2, _, sc2 = _damping_kernel(tau, 1.0, 0.5 * p.C)
-        dxi2 = p.gamma * _xi_dot(0.5 * p.C, tau, sc2)
-        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * _xi(tau, g2))
-        return p.gamma * _xi_dot(p.C, tau, sc1), dcoh
+        dxi2 = p.gamma * (-(0.5 * p.C) * tau * np.exp(-0.5 * tau) * sc2)
+        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * (np.exp(-0.5 * tau) * g2))
+        return p.gamma * (-p.C * tau * np.exp(-0.5 * tau) * sc1), dcoh
 
     def states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return self._states(rho0, times)
@@ -452,16 +445,20 @@ def evolve_memory_kernel(rho0: DensityMatrix, t: float, p: MemoryKernelParams) -
     return DensityMatrix(MemoryKernelModel(p).states(rho0, float(t)))
 
 
-def sample_times(model, t_end: float, min_samples: int = 801, per_feature: int = 40) -> np.ndarray:
+def sample_times(model, t_end: float) -> np.ndarray:
     """Uniform grid on [0, t_end] dense enough to resolve the model's features.
 
     Returns an odd number of points (even interval count) so composite
-    Simpson integration applies directly.
+    Simpson integration applies directly.  A grid that would need more than
+    MAX_SAMPLES points raises :class:`NumericalError`.
     """
     if t_end <= 0.0:
         raise ConfigError("t_end must be > 0")
-    n = max(min_samples, int(math.ceil(per_feature * t_end / model.feature_scale())) + 1)
-    n = min(n, 200001)
+    n = max(MIN_SAMPLES,
+            int(math.ceil(SAMPLES_PER_FEATURE * t_end / model.feature_scale())) + 1)
+    if n > MAX_SAMPLES:
+        raise NumericalError(f"sampling [0, {t_end:.6g}] needs {n} samples, "
+                             f"above the cap of {MAX_SAMPLES}")
     if n % 2 == 0:
         n += 1
     return np.linspace(0.0, t_end, n)
@@ -515,7 +512,7 @@ def _rk4_path(make_rhs, y0: np.ndarray, t_end: float, n_steps: int) -> np.ndarra
 
 
 def _converged_rk4(make_rhs, y0: np.ndarray, t_end: float, dt: float | None,
-                   scale_dt: float, explicit_dt: bool, max_halvings: int = 10):
+                   scale_dt: float, explicit_dt: bool):
     """Run RK4 with step doubling until two successive refinements agree.
 
     Returns (path, times) at the final resolution.  With an explicit dt only
@@ -528,7 +525,7 @@ def _converged_rk4(make_rhs, y0: np.ndarray, t_end: float, dt: float | None,
         raise ConfigError("integration step dt must be > 0")
     n = max(2, int(math.ceil(t_end / dt)))
     prev = _rk4_path(make_rhs, y0, t_end, n)
-    for _ in range(max_halvings):
+    for _ in range(ORACLE_MAX_HALVINGS):
         n *= 2
         cur = _rk4_path(make_rhs, y0, t_end, n)
         err = float(np.max(np.abs(cur[::2] - prev)))
@@ -571,14 +568,10 @@ def ode_oracle_time_local_path(
         )
 
     def make_rhs(stage_times: np.ndarray):
-        g, gdot, _ = _damping_kernel(stage_times, p.lam, p.W * p.W)
-        if float(np.min(np.abs(g))) < POLE_TOL:
-            raise PoleError("decay rate pole on the integration grid")
-        gamma_t = 0.5 * p.lam - gdot / g
-        delta_t = 0.5 * p.omega0  # Im(gdot/g) = 0: g is real for real Omega^2
+        gamma_t, delta_t = decay_rates(stage_times, p)
 
         def rhs(j: int, rho: np.ndarray) -> np.ndarray:
-            return master_equation_rhs(rho, gamma_t[j], delta_t)
+            return master_equation_rhs(rho, gamma_t[j], delta_t[j])
 
         return rhs
 
@@ -645,19 +638,19 @@ class PositivityReport:
     threshold: float
 
 
-def positivity_check(times, bloch, threshold: float = 1e-9) -> PositivityReport:
-    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -threshold."""
+def positivity_check(times, bloch) -> PositivityReport:
+    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -POSITIVITY_TOL."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ConfigError("positivity_check requires a non-empty sample")
     eigs = eigenvalues(bloch)[1]
     i_min = int(np.argmin(eigs))
-    bad = np.flatnonzero(eigs < -threshold)
+    bad = np.flatnonzero(eigs < -POSITIVITY_TOL)
     first = float(times[bad[0]]) if bad.size else None
     return PositivityReport(
         ok=bad.size == 0,
         min_eigenvalue=float(eigs[i_min]),
         argmin_time=float(times[i_min]),
         first_violation_time=first,
-        threshold=threshold,
+        threshold=POSITIVITY_TOL,
     )

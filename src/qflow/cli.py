@@ -19,12 +19,12 @@ import numpy as np
 from . import __version__
 from .analysis import PRESET_NAMES, SweepSpec, critical_point, figure_preset, run_sweep
 from .channels import (
+    POSITIVITY_TOL,
     MemoryKernelModel,
     MemoryKernelParams,
     TimeLocalModel,
     TimeLocalParams,
-    amplitude_c,
-    xi,
+    decay_rates,
 )
 from .errors import ConfigError, NumericalError
 from .geomphase import figure_value, gp_mixed_auto
@@ -137,25 +137,20 @@ def cmd_simulate(cfg: RunConfig) -> None:
     ]
     bloch = traj.bloch()
     eigs = eigenvalues(bloch)[1]
-    rows = []
-    for k, t in enumerate(times):
-        s = traj.states[k]
-        if cfg.model == "time-local":
-            try:
-                amp_state = amplitude_c(float(t), model.params)
-            except NumericalError as exc:
-                raise NumericalError(f"simulate: {exc}") from exc
-            amp, gam, delta = abs(amp_state.c), amp_state.gamma_t, amp_state.delta_t
-        else:
-            amp = float(xi(model.params.C, model.params.tau(float(t))))
-            gam = delta = math.nan
-        rows.append([
-            float(t),
-            s[0, 0].real, s[0, 0].imag, s[0, 1].real, s[0, 1].imag,
-            s[1, 0].real, s[1, 0].imag, s[1, 1].real, s[1, 1].imag,
-            bloch[k, 0], bloch[k, 1], bloch[k, 2],
-            amp, gam, delta, float(eigs[k]), int(eigs[k] >= -1e-9),
-        ])
+    pop, coh = model.factors(times)
+    if cfg.model == "time-local":
+        try:
+            gam, delta = decay_rates(times, model.params)
+        except NumericalError as exc:
+            raise NumericalError(f"simulate: {exc}") from exc
+        amp = np.abs(coh)
+    else:
+        amp = pop  # xi(C, tau)
+        gam = delta = np.full(times.shape, math.nan)
+    # (re, im) pairs of rho00, rho01, rho10, rho11
+    table = np.column_stack([times, traj.states.reshape(-1, 4).view(float), bloch,
+                             amp, gam, delta, eigs])
+    rows = [[*r, int(r[-1] >= -POSITIVITY_TOL)] for r in table.tolist()]
     _emit(cfg, _base_meta(cfg), columns, rows)
 
 
@@ -206,7 +201,7 @@ def _sweep_spec(cfg: RunConfig, explicit: frozenset = frozenset()) -> SweepSpec:
     if cfg.figure:
         spec = figure_preset(cfg.figure)
         overrides = {"mode": cfg.mode, "tol": cfg.tol}
-        prefix = "R" if spec.param == "R" else "C"
+        prefix = spec.param
         if f"{prefix}_min" in explicit:
             overrides["start"] = getattr(cfg, f"{prefix}_min")
         if f"{prefix}_max" in explicit:
@@ -218,14 +213,14 @@ def _sweep_spec(cfg: RunConfig, explicit: frozenset = frozenset()) -> SweepSpec:
         return replace(spec, **overrides)
     if cfg.model == "time-local":
         return SweepSpec(
-            model="time-local", param="R",
+            model="time-local",
             start=cfg.R_min, stop=cfg.R_max, steps=cfg.R_steps,
             W=cfg.W, omega0=cfg.omega0, n=cfg.n,
             z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
             outputs=("phase", "N", "M"), mode=cfg.mode, tol=cfg.tol,
         )
     return SweepSpec(
-        model="memory-kernel", param="C",
+        model="memory-kernel",
         start=cfg.C_min, stop=cfg.C_max, steps=cfg.C_steps,
         gamma0=cfg.gamma0, omega0=cfg.omega0, n=cfg.n,
         z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,

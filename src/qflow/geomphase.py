@@ -41,6 +41,9 @@ from .qstate import DEGENERACY_EPS, DensityMatrix, InitialStateSpec, eigenbasis,
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
+# gp_mixed_auto's ladder: 2000 intervals per quasi-period, doubled at most 7 times
+LADDER_INTERVALS = 2000
+MAX_DOUBLINGS = 7
 
 
 class PhaseUndefinedError(NumericalError):
@@ -198,22 +201,19 @@ def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
 
 
 def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
-                  tol: float = 1e-6, n0: int | None = None,
-                  max_doublings: int = 7) -> PhaseResult:
+                  tol: float = 1e-6) -> PhaseResult:
     """Evaluate gp_mixed with sampling doubled until the step test passes."""
-    if n0 is None:
-        periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
-        n0 = 2000 * periods + 1
-    n = n0 if n0 % 2 == 1 else n0 + 1
+    periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
+    n = LADDER_INTERVALS * periods + 1
     result = None
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         traj = model.trajectory(rho0, np.linspace(0.0, T, n))
         result = gp_mixed(traj, mode=mode, T=T, tol=tol)
         if result.converged:
             return result
         n = 2 * (n - 1) + 1
     warnings.warn(
-        f"phase not converged to {tol} after {max_doublings} doublings "
+        f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {result.step_change:.3e})",
         RuntimeWarning,
         stacklevel=2,

@@ -62,21 +62,6 @@ class TestIntegrandA:
         with pytest.raises(DegenerateStateError):
             integrand_A(t_half, 0.5, spec, p)
 
-    def test_vary_w_policy(self):
-        spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
-        p = TimeLocalParams(0.2, 1.5, 1.0)
-        a = integrand_A(1.0, 0.3, spec, p, vary="W")  # W = 0.45, lam = 1.5
-        b = integrand_A(1.0, 0.3, spec, TimeLocalParams(0.45, 1.5, 1.0), vary="lambda")
-        # same effective parameters reached through either policy
-        assert a == pytest.approx(
-            integrand_A(1.0, 0.45 / 1.5, spec, TimeLocalParams(0.45, 99.0, 1.0)), abs=1e-12
-        )
-        with pytest.raises(ConfigError):
-            integrand_A(1.0, 0.3, spec, p, vary="nope")
-        with pytest.raises(ConfigError):
-            critical_point(T, spec, TimeLocalParams(0.6, 1.0, 1.0), 0.4, 1.0, steps=21,
-                           vary="nope")
-
 
 class TestCriticalPoint:
     def test_acceptance_configuration(self):
@@ -135,8 +120,18 @@ class TestSweeps:
         assert len(res.errors) == 2
         assert all(math.isnan(row[1]) for row in res.rows)
 
+    def test_sample_cap_is_a_row_error(self):
+        # R = 0.005 at W = 10 (lambda = 2000) needs 502,656 flow samples, above
+        # the cap: row 0 records the error, row 1 (R = 0.5) runs
+        spec = SweepSpec(start=0.005, stop=0.5, steps=2, W=10.0, z_list=(1.0,),
+                         outputs=("N",))
+        res = run_sweep(spec)
+        assert [row for row, _, _ in res.errors] == [0]
+        assert "needs 502656 samples" in res.errors[0][2]
+        assert math.isnan(res.rows[0][1]) and math.isfinite(res.rows[1][1])
+
     def test_memory_kernel_sweep_and_quarter_stamp(self):
-        spec = SweepSpec(model="memory-kernel", param="C", start=0.05, stop=0.5,
+        spec = SweepSpec(model="memory-kernel", start=0.05, stop=0.5,
                          steps=3, gamma0=0.1, z_list=(1.0,), outputs=("M",))
         res = run_sweep(spec)
         assert "crosses_validity_boundary" in res.meta
@@ -145,8 +140,6 @@ class TestSweeps:
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             SweepSpec(steps=1)
-        with pytest.raises(ConfigError):
-            SweepSpec(model="memory-kernel", param="R")
         with pytest.raises(ConfigError):
             SweepSpec(start=0.5, stop=0.2)
         with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ from qflow.channels import (
     amplitude_c,
     amplitude_derivative,
     d_abs_c_squared_dt,
+    decay_rates,
     evolve_memory_kernel,
     evolve_time_local,
     first_amplitude_zero,
@@ -30,7 +31,7 @@ from qflow.channels import (
     sample_times,
     xi,
 )
-from qflow.errors import ConfigError, PoleError, StepSizeError
+from qflow.errors import ConfigError, NumericalError, PoleError, StepSizeError
 from qflow.qstate import DensityMatrix, InitialStateSpec, initial_state
 
 T_PERIOD = 2.0 * math.pi
@@ -135,6 +136,44 @@ class TestAmplitude:
         for t in (0.3, 1.2, 2.9):
             fd = (float(abs_c_squared(t + h, p)) - float(abs_c_squared(t - h, p))) / (2 * h)
             assert float(d_abs_c_squared_dt(t, p)) == pytest.approx(fd, abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(W=st.floats(0.01, 20.0), R=st.floats(0.02, 5.0), u=st.floats(0.0, 1.0))
+    def test_abs_c_squared_is_the_squared_modulus(self, W, R, u):
+        # up to lambda t = 700 exp(-lambda t) is a normal double; products
+        # that fall below 1e-300 near a zero of c are compared absolutely
+        p = TimeLocalParams(W, W / R, 1.0)
+        t = u * min(700.0 / p.lam, 4.0 * T_PERIOD)
+        assert float(abs_c_squared(t, p)) == pytest.approx(
+            abs(complex(amplitude(t, p))) ** 2, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.xfail(strict=True, reason="exp(-lambda t) is subnormal past lambda t = 708, "
+                       "so |c|^2 = exp(-lambda t) g^2 loses its digits, and reads 0 "
+                       "from t = 3.73 on")
+    def test_abs_c_squared_at_fig5_row_0(self):
+        # W = 10, lambda = 200 (R = 0.05): at t = 3.7 |c|^2 reads 0.0246819
+        # against 0.0246183, at 5T/8 it reads 0 against 0.0196078
+        p = TimeLocalParams(10.0, 200.0, 1.0)
+        t = np.array([3.7, 5.0 * T_PERIOD / 8.0])
+        np.testing.assert_allclose(abs_c_squared(t, p), np.abs(amplitude(t, p)) ** 2,
+                                   rtol=1e-13)
+
+    def test_decay_rates_are_the_log_derivative(self):
+        # Gamma = -Re(cdot / c) and Delta = -Im(cdot / c)
+        p = TimeLocalParams(0.45, 1.0, 1.0)
+        t = np.linspace(0.0, T_PERIOD, 201)
+        gamma_t, delta_t = decay_rates(t, p)
+        ratio = amplitude_derivative(t, p) / amplitude(t, p)
+        assert np.max(np.abs(gamma_t + ratio.real)) < 1e-12
+        assert np.max(np.abs(delta_t + ratio.imag)) < 1e-12
+
+    def test_decay_rate_pole_names_the_first_zero(self):
+        p = TimeLocalParams(2.0, 1.0, 1.0)
+        t0 = first_amplitude_zero(p)
+        t1 = t0 + 2.0 * math.pi / abs(p.Omega.imag)  # the second zero of c
+        assert abs(complex(amplitude(t1, p))) < 1e-12
+        with pytest.raises(PoleError, match=f"t = {t0!r}$"):
+            decay_rates(np.array([0.0, 0.5 * t0, t0, t1]), p)
 
 
 class TestXi:
@@ -329,6 +368,12 @@ class TestTrajectoryType:
     def test_sample_grid_is_odd(self):
         model = TimeLocalModel(TimeLocalParams(0.5, 1.0, 1.0))
         assert sample_times(model, T_PERIOD).size % 2 == 1
+
+    def test_grid_above_the_cap_raises(self):
+        # W = 10, R = 0.005: 40 samples per 1 / lambda over one period
+        model = TimeLocalModel(TimeLocalParams(10.0, 2000.0, 1.0))
+        with pytest.raises(NumericalError, match="needs 502656 samples"):
+            sample_times(model, T_PERIOD)
 
     def test_accessors(self):
         model = TimeLocalModel(TimeLocalParams(0.5, 1.0, 1.0))
