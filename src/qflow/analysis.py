@@ -129,45 +129,57 @@ def _sweep_columns(spec: SweepSpec) -> list[str]:
 
 
 def _row_at(spec: SweepSpec, value: float):
-    """All outputs at one swept value; per-state failures become NaN + note."""
+    """All outputs at one swept value, and the count of unconverged phases.
+
+    The ledger outputs (N, M, D), each phase and A fail on their own: a
+    :class:`NumericalError` blanks only its own cells (NaN) and adds a note.
+    """
     model = spec.model_at(value)
     T = spec.horizon()
     row: list[float] = [float(value)]
     notes: list[tuple[str, str]] = []
+    unconverged = 0
     for label, state in spec.states():
         rho0 = initial_state(state)
-        cells: list[float] = []
-        try:
-            ledger = None
-            if {"N", "M", "D"} & set(spec.outputs):
+        ledger = None
+        if {"N", "M", "D"} & set(spec.outputs):
+            try:
                 ledger = flows(rho0, model, T)
-            for out in spec.outputs:
+            except NumericalError as exc:
+                notes.append((label, str(exc)))
+        for out in spec.outputs:
+            try:
                 if out == "phase":
                     r = gp_mixed_auto(model, rho0, T, mode=spec.mode, tol=spec.tol)
-                    cells.extend([r.phase_raw, r.phase, figure_value(r.phase) / math.pi])
-                elif out == "N":
-                    cells.append(ledger.N_total)
-                elif out == "M":
-                    cells.append(ledger.M_total)
-                elif out == "D":
-                    cells.append(float(ledger.D[-1]))
+                    unconverged += not r.converged
+                    row.extend([r.phase_raw, r.phase, figure_value(r.phase) / math.pi])
                 elif out == "A":
-                    cells.append(integrand_A_from_model(T, model, rho0))
-        except NumericalError as exc:
-            width = sum(3 if o == "phase" else 1 for o in spec.outputs)
-            cells = [math.nan] * width
-            notes.append((label, str(exc)))
-        row.extend(cells)
-    return row, notes
+                    row.append(integrand_A_from_model(T, model, rho0))
+                elif ledger is None:
+                    row.append(math.nan)
+                elif out == "N":
+                    row.append(ledger.N_total)
+                elif out == "M":
+                    row.append(ledger.M_total)
+                else:
+                    row.append(float(ledger.D[-1]))
+            except NumericalError as exc:
+                row.extend([math.nan] * (3 if out == "phase" else 1))
+                notes.append((label, str(exc)))
+    return row, notes, unconverged
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep row by row."""
+    """Evaluate the sweep row by row.
+
+    ``meta["unconverged_phases"]`` counts the phase cells (one per row and
+    state) whose doubling ladder ended without meeting ``spec.tol``.
+    """
     results = [_row_at(spec, v) for v in spec.values()]
 
-    rows = tuple(tuple(r) for r, _ in results)
+    rows = tuple(tuple(r) for r, _, _ in results)
     errors = tuple(
-        (i, label, msg) for i, (_, notes) in enumerate(results) for label, msg in notes
+        (i, label, msg) for i, (_, notes, _) in enumerate(results) for label, msg in notes
     )
     meta = {
         "model": spec.model,
@@ -175,6 +187,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "n": spec.n,
         "mode": spec.mode,
         "label": spec.label,
+        "unconverged_phases": sum(u for _, _, u in results),
     }
     if spec.crosses_quarter():
         meta["crosses_validity_boundary"] = "C range crosses 1/4"

@@ -137,7 +137,8 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
             connection[br.label] = math.nan
             overlaps[br.label] = complex(math.nan, math.nan)
             continue
-        steps = np.sum(np.conj(br.vectors[:-1]) * br.vectors[1:], axis=1)
+        v0, v1 = br.vectors[:, 0], br.vectors[:, 1]
+        steps = np.conj(v0[:-1]) * v0[1:] + np.conj(v1[:-1]) * v1[1:]
         mags = np.abs(steps)
         k_bad = int(np.argmin(mags))
         if mags[k_bad] < OVERLAP_FLOOR:
@@ -146,7 +147,7 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
                 f"t = {times[k_bad]:.6g} and t = {times[k_bad + 1]:.6g}"
             )
         conn = np.concatenate([[0.0], np.cumsum(np.angle(steps))])
-        endpoint = np.sum(np.conj(br.vectors[0]) * br.vectors, axis=1)
+        endpoint = np.conj(v0[0]) * v0 + np.conj(v1[0]) * v1
         w = np.sqrt(np.abs(br.eps[0] * br.eps))
         total += w * endpoint * np.exp(-1j * conn)
         connection[br.label] = float(conn[-1])
@@ -202,16 +203,26 @@ def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
 
 def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
                   tol: float = 1e-6) -> PhaseResult:
-    """Evaluate gp_mixed with sampling doubled until the step test passes."""
+    """Evaluate gp_mixed with sampling doubled until the step test passes.
+
+    Each doubling evaluates the model only at the new midpoints and keeps
+    the previous rung's states at the even samples.  The states are
+    elementwise in t and ``linspace(0, T, 2 m + 1)[::2]`` is
+    ``linspace(0, T, m + 1)`` bit for bit, so every rung is the trajectory
+    that ``model.trajectory`` would build on its grid.
+    """
     periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
-    n = LADDER_INTERVALS * periods + 1
-    result = None
-    for _ in range(MAX_DOUBLINGS + 1):
-        traj = model.trajectory(rho0, np.linspace(0.0, T, n))
+    traj = model.trajectory(rho0, np.linspace(0.0, T, LADDER_INTERVALS * periods + 1))
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            fine = np.linspace(0.0, T, 2 * len(traj) - 1)
+            states = np.empty((fine.size, 2, 2), dtype=complex)
+            states[::2] = traj.states
+            states[1::2] = model.states(rho0, fine[1::2])
+            traj = Trajectory(fine, states, traj.model, traj.meta)
         result = gp_mixed(traj, mode=mode, T=T, tol=tol)
         if result.converged:
             return result
-        n = 2 * (n - 1) + 1
     warnings.warn(
         f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {result.step_change:.3e})",

@@ -234,7 +234,13 @@ def _eigenvectors(theta, phase, mode: str) -> tuple[np.ndarray, np.ndarray]:
     if mode == "literal":  # swapped components: theta -> pi - theta
         c, s = s, c
     ph = np.exp(1j * np.asarray(phase, dtype=float))
-    return np.stack([c + 0j, s * ph], axis=-1), np.stack([-s + 0j, c * ph], axis=-1)
+    v_plus = np.empty(np.broadcast_shapes(c.shape, ph.shape) + (2,), dtype=complex)
+    v_minus = np.empty_like(v_plus)
+    v_plus[..., 0] = c
+    v_plus[..., 1] = s * ph
+    v_minus[..., 0] = -s
+    v_minus[..., 1] = c * ph
+    return v_plus, v_minus
 
 
 def eigenbasis(bloch, mode: str = "spectral", azimuth=None):

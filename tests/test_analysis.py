@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
+from qflow import channels
 from qflow.analysis import (
     PRESET_NAMES,
     SweepSpec,
@@ -129,6 +130,30 @@ class TestSweeps:
         assert [row for row, _, _ in res.errors] == [0]
         assert "needs 502656 samples" in res.errors[0][2]
         assert math.isnan(res.rows[0][1]) and math.isfinite(res.rows[1][1])
+
+    def test_ledger_error_keeps_the_phase(self, monkeypatch):
+        # a sample cap below the ledger grid fails N on both rows; the phase
+        # samples its own grid and must read exactly as without the cap
+        spec = SweepSpec(start=1.0, stop=2.0, steps=2, W=10.0, z_list=(1.0,),
+                         outputs=("phase", "N"))
+        clean = run_sweep(spec)
+        monkeypatch.setattr(channels, "MAX_SAMPLES", 900)
+        capped = run_sweep(spec)
+        assert clean.errors == ()
+        assert [row for row, _, _ in capped.errors] == [0, 1]
+        assert all("above the cap of 900" in msg for _, _, msg in capped.errors)
+        for before, after in zip(clean.rows, capped.rows):
+            assert math.isfinite(before[4]) and math.isnan(after[4])
+            assert after[:4] == before[:4]
+
+    def test_unconverged_phases_are_counted(self):
+        # no rung of the ladder can meet tol = 1e-15: every phase cell counts
+        spec = SweepSpec(start=1.0, stop=2.0, steps=2, W=10.0, z_list=(1.0,),
+                         outputs=("phase",), tol=1e-15)
+        with pytest.warns(RuntimeWarning, match="not converged"):
+            res = run_sweep(spec)
+        assert res.meta["unconverged_phases"] == len(res.rows) * len(spec.states()) == 2
+        assert all(math.isfinite(v) for row in res.rows for v in row)
 
     def test_memory_kernel_sweep_and_quarter_stamp(self):
         spec = SweepSpec(model="memory-kernel", start=0.05, stop=0.5,

@@ -147,6 +147,7 @@ class TestSweep:
         assert len([c for c in cols if c.startswith("phase_pi")]) == 4
         assert len(rows) == 3
         assert meta["sweep_label"] == "fig1"
+        assert meta["sweep_unconverged_phases"] == "0"
         # in units of pi, near the 2 pi branch for weak coupling
         pi_cols = [i for i, c in enumerate(cols) if c.startswith("phase_pi")]
         assert all(0.0 <= rows[0][i] < 2.0 for i in pi_cols)

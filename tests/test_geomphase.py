@@ -19,6 +19,7 @@ from qflow.geomphase import (
     BranchData,
     PhaseResult,
     PhaseUndefinedError,
+    WEIGHT_FLOOR,
     _pure_integrand_factory,
     assemble_phase,
     branch_data,
@@ -179,6 +180,15 @@ class TestGpMixedGeneral:
             assert circle_distance(raw, raw0) < 1e-8
 
 
+def phase_case(memory, coupling, ratio, z, vt, vp):
+    """A drawn model and initial state; C above 1/4 gives non-positive states too."""
+    if memory:  # gamma0 = coupling, C = ratio
+        model = MemoryKernelModel(MemoryKernelParams(coupling, coupling / ratio, 1.0))
+    else:  # W = coupling, R = ratio
+        model = tl_model(coupling, coupling / ratio)
+    return model, initial_state(InitialStateSpec(z, vt, vp))
+
+
 class TestEigenbasisProperty:
     """branch_data and eigendecompose share one eigenbasis formula."""
 
@@ -188,12 +198,9 @@ class TestEigenbasisProperty:
            vp=st.floats(0.0, 2.0 * math.pi), periods=st.floats(0.2, 3.0))
     def test_branch_data_matches_eigendecompose(self, memory, coupling, ratio, z, vt, vp,
                                                 periods):
-        if memory:  # gamma0 = coupling, C = ratio (non-positive states above 1/4 too)
-            model = MemoryKernelModel(MemoryKernelParams(coupling, coupling / ratio, 1.0))
-        else:  # W = coupling, R = ratio
-            model = tl_model(coupling, coupling / ratio)
+        model, rho0 = phase_case(memory, coupling, ratio, z, vt, vp)
         times = np.linspace(0.0, periods * T, 97)
-        traj = model.trajectory(initial_state(InitialStateSpec(z, vt, vp)), times)
+        traj = model.trajectory(rho0, times)
         try:
             branches = {mode: branch_data(traj, mode) for mode in ("spectral", "literal")}
         except DegenerateStateError:
@@ -212,6 +219,95 @@ class TestEigenbasisProperty:
         for br in branches["spectral"]:
             rho_v = np.einsum("nij,nj->ni", traj.states, br.vectors)
             assert np.max(np.abs(rho_v - br.eps[:, None] * br.vectors)) < 1e-10
+
+
+# both models, both modes, z in (0, 1] and one or two quasi-periods
+PHASE_CASES = dict(
+    memory=st.booleans(), mode=st.sampled_from(("literal", "spectral")),
+    coupling=st.floats(0.05, 5.0), ratio=st.floats(0.05, 3.0),
+    z=st.floats(0.0, 1.0, exclude_min=True), vt=st.floats(0.05, 0.5 * math.pi - 0.05),
+    vp=st.floats(0.0, 2.0 * math.pi), periods=st.integers(1, 2),
+)
+
+
+def reference_vectors(traj, mode):
+    """(v_plus, v_minus) of every sample, stacked with np.stack from the Bloch angles."""
+    b = traj.bloch()
+    half = 0.5 * np.arctan2(np.hypot(b[:, 0], b[:, 1]), b[:, 2])
+    c, s = np.cos(half), np.sin(half)
+    if mode == "literal":
+        c, s = s, c
+        phase = traj.meta["omega0"] * traj.times + traj.meta["phi0"]
+    else:
+        phase = np.arctan2(b[:, 1], b[:, 0])
+    ph = np.exp(1j * phase)
+    return np.stack([c + 0j, s * ph], axis=-1), np.stack([-s + 0j, c * ph], axis=-1)
+
+
+def reference_assemble(branches):
+    """(raw, connection, overlaps) of assemble_phase, component sums by np.sum(axis=1)."""
+    total = np.zeros(branches[0].eps.size, dtype=complex)
+    connection, overlaps = {}, {}
+    for br in branches:
+        if math.sqrt(abs(br.eps[0] * br.eps[-1])) < WEIGHT_FLOOR:
+            connection[br.label], overlaps[br.label] = math.nan, complex(math.nan, math.nan)
+            continue
+        steps = np.sum(np.conj(br.vectors[:-1]) * br.vectors[1:], axis=1)
+        conn = np.concatenate([[0.0], np.cumsum(np.angle(steps))])
+        endpoint = np.sum(np.conj(br.vectors[0]) * br.vectors, axis=1)
+        total += np.sqrt(np.abs(br.eps[0] * br.eps)) * endpoint * np.exp(-1j * conn)
+        connection[br.label] = float(conn[-1])
+        overlaps[br.label] = complex(endpoint[-1])
+    series = np.unwrap(np.angle(total))
+    return float(series[-1] - series[0]), connection, overlaps
+
+
+def same_values(a: dict, b: dict) -> bool:
+    """Bitwise-equal floats per key; NaN (a suppressed branch) equals NaN."""
+    return a.keys() == b.keys() and np.array_equal(list(a.values()), list(b.values()),
+                                                   equal_nan=True)
+
+
+class TestLadderOracle:
+    """The refined ladder and the array assembly equal their from-scratch forms bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**PHASE_CASES)
+    def test_refined_rungs_equal_rebuilt_trajectory(self, memory, mode, coupling, ratio,
+                                                    z, vt, vp, periods):
+        model, rho0 = phase_case(memory, coupling, ratio, z, vt, vp)
+        horizon = periods * T
+        try:
+            result = gp_mixed_auto(model, rho0, horizon, mode=mode)
+        except NumericalError:
+            assume(False)
+        rebuilt = gp_mixed(model.trajectory(rho0, np.linspace(0.0, horizon, result.n_samples)),
+                           mode=mode, T=horizon)
+        assert result.phase_raw == rebuilt.phase_raw
+        assert result.step_change == rebuilt.step_change
+        assert same_values(result.connection, rebuilt.connection)
+        assert same_values(result.overlaps, rebuilt.overlaps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**PHASE_CASES)
+    def test_assemble_phase_equals_stacked_sums(self, memory, mode, coupling, ratio,
+                                                z, vt, vp, periods):
+        model, rho0 = phase_case(memory, coupling, ratio, z, vt, vp)
+        times = np.linspace(0.0, periods * T, 2001)
+        traj = model.trajectory(rho0, times)
+        try:
+            branches = branch_data(traj, mode)
+            raw, _, details = assemble_phase(times, branches)
+        except NumericalError:
+            assume(False)
+        stacked = tuple(BranchData(br.label, br.eps, v)
+                        for br, v in zip(branches, reference_vectors(traj, mode)))
+        for br, ref in zip(branches, stacked):
+            assert np.array_equal(br.vectors, ref.vectors)
+        ref_raw, ref_connection, ref_overlaps = reference_assemble(stacked)
+        assert raw == ref_raw
+        assert same_values(details["connection"], ref_connection)
+        assert same_values(details["overlaps"], ref_overlaps)
 
 
 class TestPhaseIntegrandProperty:
