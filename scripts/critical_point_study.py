@@ -18,7 +18,7 @@ import numpy as np
 from qflow.analysis import critical_point, integrand_A_from_model
 from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
 from qflow.infoflow import flows
-from qflow.qstate import InitialStateSpec, initial_state
+from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
 
@@ -42,13 +42,14 @@ def main() -> None:
     print()
 
     rho0 = initial_state(spec)
+    ground = DensityMatrix.ground().bloch().as_array()
     print(f"{'R':>7} {'|c(T)|^2':>12} {'D(T)':>12} {'A(T)':>12} {'N(T)':>12} {'M(T)':>12}")
     for R in np.linspace(rep.r_star - 0.12, rep.r_star + 0.12, 13):
         eff = p.at_ratio(R)
         model = TimeLocalModel(eff)
         ledger = flows(rho0, model, T)
         b = model.bloch_series(rho0, T)
-        d_final = 0.5 * math.sqrt(b[0] ** 2 + b[1] ** 2 + (b[2] + 1.0) ** 2)
+        d_final = float(bloch_trace_distance(b, ground))
         a_final = integrand_A_from_model(T, model, rho0)
         x_final = float(abs_c_squared(T, eff))
         print(f"{R:7.4f} {x_final:12.6f} {d_final:12.6f} {a_final:12.6f} "

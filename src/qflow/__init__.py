@@ -15,7 +15,6 @@ exponential-memory integro-differential equation) with:
 __version__ = "0.1.0"
 
 from .channels import (
-    AmplitudeState,
     MemoryKernelModel,
     MemoryKernelParams,
     PositivityReport,
@@ -23,13 +22,8 @@ from .channels import (
     TimeLocalParams,
     Trajectory,
     amplitude,
-    amplitude_c,
-    evolve_memory_kernel,
-    evolve_time_local,
     first_amplitude_zero,
     lorentzian_density,
-    ode_oracle_memory_kernel,
-    ode_oracle_time_local,
     positivity_check,
     sample_times,
     xi,
@@ -72,7 +66,7 @@ from .analysis import (
     SweepSpec,
     critical_point,
     figure_preset,
-    integrand_A,
+    integrand_A_from_model,
     run_sweep,
 )
 from .qstate import (
@@ -81,7 +75,6 @@ from .qstate import (
     InitialStateSpec,
     PolarBloch,
     SpectralDecomposition,
-    bloch_from_density,
     density_from_bloch,
     eigendecompose,
     initial_state,

@@ -204,12 +204,6 @@ def integrand_A_from_model(t: float, model, rho0) -> float:
     return float(phase_integrand(bloch_trace_distance(b, _GROUND), b[2], model.omega0))
 
 
-def integrand_A(t: float, R: float, spec: InitialStateSpec, p: TimeLocalParams) -> float:
-    """Phase integrand of the time-local model at ratio R (W = p.W fixed, lambda = W / R)."""
-    model = TimeLocalModel(p.at_ratio(R))
-    return integrand_A_from_model(t, model, initial_state(spec))
-
-
 @dataclass(frozen=True)
 class CriticalPointReport:
     """Root of d|c(T, R)|^2/dR and the coincidence checks at it."""
@@ -237,7 +231,8 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     The R range must bracket a sign change of the centered difference of
     |c(T, R)|^2; the first sign change (the first minimum) is refined by
     bisection.  D(T, R) and A(T, R) are then differenced at R*, and the
-    backflow onset is compared against the collapse of dM/dR on the grid.
+    backflow onset is compared against the collapse of dM/dR on the grid;
+    a range in which either event is missing raises :class:`BracketError`.
     """
     if r_min <= 0.0 or r_max <= r_min:
         raise ConfigError("critical_point requires 0 < r_min < r_max")
@@ -293,11 +288,16 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
         n_grid[j] = ledger.N_total
         m_grid[j] = ledger.M_total
 
-    onset_idx = int(np.argmax(n_grid > ONSET_TOL)) if np.any(n_grid > ONSET_TOL) else steps - 1
+    onset = np.flatnonzero(n_grid > ONSET_TOL)
+    if onset.size == 0:
+        raise BracketError(f"no backflow onset (N(T) > {ONSET_TOL:g}) in [{r_min}, {r_max}]")
+    onset_idx = int(onset[0])
     dm_grid = (m_grid[2:] - m_grid[:-2]) / (grid[2:] - grid[:-2])  # centered, interior
     peak = int(np.argmax(dm_grid))
     below = np.flatnonzero(dm_grid[peak:] < 0.5 * dm_grid[peak])
-    m_flat_idx = (peak + int(below[0]) + 1) if below.size else steps - 1
+    if below.size == 0:
+        raise BracketError(f"no collapse of dM/dR below half its peak in [{r_min}, {r_max}]")
+    m_flat_idx = peak + int(below[0]) + 1
 
     step_R = float(grid[1] - grid[0])
     dm_onset = (m_grid[min(onset_idx + 2, steps - 1)] - m_grid[min(onset_idx + 1, steps - 1)]) / step_R

@@ -94,19 +94,6 @@ class TimeLocalParams:
 
 
 @dataclass(frozen=True)
-class AmplitudeState:
-    """Amplitude c(t) together with the instantaneous rates it generates."""
-
-    c: complex
-    gamma_t: float
-    delta_t: float
-
-    def __post_init__(self) -> None:
-        if abs(self.c) > 1.0 + 1e-9:
-            raise ConfigError(f"|c| = {abs(self.c)} exceeds 1")
-
-
-@dataclass(frozen=True)
 class MemoryKernelParams:
     """Constants of the exponential-memory model."""
 
@@ -267,15 +254,6 @@ def decay_rates(t, p: TimeLocalParams):
     return 0.5 * p.lam - gdot / g, np.full(t.shape, 0.5 * p.omega0)
 
 
-def amplitude_c(t: float, p: TimeLocalParams) -> AmplitudeState:
-    """Amplitude and rates at one instant (see :func:`decay_rates`)."""
-    if t < 0.0:
-        raise ConfigError("amplitude_c requires t >= 0")
-    gamma_t, delta_t = decay_rates(float(t), p)
-    return AmplitudeState(c=complex(amplitude(t, p)), gamma_t=float(gamma_t),
-                          delta_t=float(delta_t))
-
-
 def first_amplitude_zero(p: TimeLocalParams) -> float | None:
     """Time of the first zero of c(t), or None when R <= 1/2 (no zeros)."""
     om = p.Omega
@@ -322,8 +300,6 @@ class _DampingModel:
     """
 
     tag = ""
-    # (trajectory metadata key, parameter attribute)
-    _meta_keys: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, params):
         self.params = params
@@ -355,7 +331,6 @@ class _DampingModel:
 
     def _trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
         meta = {"omega0": self.params.omega0, "phi0": float(np.angle(rho0.matrix[1, 0]))}
-        meta.update((key, getattr(self.params, attr)) for key, attr in self._meta_keys)
         return Trajectory(np.asarray(times, float), self.states(rho0, times), self.tag, meta)
 
 
@@ -363,7 +338,6 @@ class TimeLocalModel(_DampingModel):
     """Time-local model: P = |c|^2, Q = c(t)."""
 
     tag = "time-local"
-    _meta_keys = (("W", "W"), ("lambda", "lam"))
 
     def factors(self, t):
         """(|c|^2, c) = (exp(-lambda t) g^2, exp(-(lambda + i w0) t / 2) g)."""
@@ -399,7 +373,6 @@ class MemoryKernelModel(_DampingModel):
     """
 
     tag = "memory-kernel"
-    _meta_keys = (("gamma0", "gamma0"), ("gamma", "gamma"))
 
     def factors(self, t):
         """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
@@ -429,20 +402,6 @@ class MemoryKernelModel(_DampingModel):
 
     def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
         return self._trajectory(rho0, times)
-
-
-def evolve_time_local(rho0: DensityMatrix, t: float, p: TimeLocalParams) -> DensityMatrix:
-    """Analytic solution: populations scale by |c|^2, coherences by c(t)."""
-    if t < 0.0:
-        raise ConfigError("evolve_time_local requires t >= 0")
-    return DensityMatrix(TimeLocalModel(p).states(rho0, float(t)))
-
-
-def evolve_memory_kernel(rho0: DensityMatrix, t: float, p: MemoryKernelParams) -> DensityMatrix:
-    """Analytic solution of the exponential-memory model (Schroedinger picture)."""
-    if t < 0.0:
-        raise ConfigError("evolve_memory_kernel requires t >= 0")
-    return DensityMatrix(MemoryKernelModel(p).states(rho0, float(t)))
 
 
 def sample_times(model, t_end: float) -> np.ndarray:
@@ -543,22 +502,14 @@ def _default_oracle_dt(timescale: float) -> float:
     return timescale / 200.0
 
 
-def ode_oracle_time_local(
-    rho0: DensityMatrix, t: float, p: TimeLocalParams, dt: float | None = None
-) -> DensityMatrix:
-    """4th-order fixed-step integration of the time-local master equation.
-
-    Certified only on intervals free of zeros of c(t), where the rates are
-    finite; a zero inside [0, t] raises :class:`PoleError` up front.
-    """
-    traj = ode_oracle_time_local_path(rho0, t, p, dt)
-    return traj.final()
-
-
 def ode_oracle_time_local_path(
     rho0: DensityMatrix, t_end: float, p: TimeLocalParams, dt: float | None = None
 ) -> Trajectory:
-    """Same integration, returning the whole path for sup-norm comparisons."""
+    """4th-order fixed-step integration of the time-local master equation.
+
+    Certified only on intervals free of zeros of c(t), where the rates are
+    finite; a zero inside [0, t_end] raises :class:`PoleError` up front.
+    """
     if t_end <= 0.0:
         raise ConfigError("oracle horizon must be > 0")
     t_zero = first_amplitude_zero(p)
@@ -580,14 +531,6 @@ def ode_oracle_time_local_path(
         dt, _default_oracle_dt(p.timescale()), explicit_dt=dt is not None,
     )
     return Trajectory(times, path, "time-local-oracle", {"omega0": p.omega0})
-
-
-def ode_oracle_memory_kernel(
-    rho0: DensityMatrix, t: float, p: MemoryKernelParams, dt: float | None = None
-) -> DensityMatrix:
-    """Auxiliary-variable integration of the memory-kernel master equation."""
-    traj = ode_oracle_memory_kernel_path(rho0, t, p, dt)
-    return traj.final()
 
 
 def ode_oracle_memory_kernel_path(

@@ -162,7 +162,7 @@ def cmd_flows(cfg: RunConfig) -> None:
     meta["N_total"] = _fmt(ledger.N_total)
     meta["M_total"] = _fmt(ledger.M_total)
     meta["segments"] = str(len(ledger.segments))
-    for key in ("brackets", "bisect_rounds", "fake_brackets"):
+    for key in ("brackets", "bisect_rounds"):
         meta[key] = str(ledger.meta[key])
     meta["positivity_ok"] = str(ledger.positivity.ok)
     if ledger.positivity.first_violation_time is not None:

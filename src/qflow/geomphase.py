@@ -101,6 +101,7 @@ def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, Br
 
     ``"spectral"`` reads the eigenbasis off the matrices; ``"literal"`` uses
     the fixed azimuth omega0 t + phi0 recorded in the trajectory metadata.
+    A sample with a NaN state raises :class:`NumericalError`.
     """
     azimuth = None
     if mode == "literal":
@@ -111,8 +112,11 @@ def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, Br
         azimuth = omega0 * traj.times + traj.meta.get("phi0", 0.0)
     eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(traj.bloch(), mode, azimuth)
     gap = eps_plus - eps_minus  # |r|
-    k_min = int(np.argmin(gap))
-    if gap[k_min] < DEGENERACY_EPS:
+    k_min = int(np.argmin(gap))  # the first NaN, if there is one
+    if not gap[k_min] >= DEGENERACY_EPS:
+        if np.isnan(gap[k_min]):
+            k_bad = int(np.flatnonzero(~np.isfinite(gap))[0])
+            raise NumericalError(f"state is not finite at t = {traj.times[k_bad]:.6g}")
         raise DegenerateStateError(
             f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {traj.times[k_min]:.6g}"
         )

@@ -9,11 +9,12 @@ to neither side).
 
 Run boundaries are located by bracketing sign changes of sigma = dD/dt on a
 dense sampling grid and bisecting to 1e-10 relative time accuracy; sigma is
-evaluated from the models' analytic state derivatives.  All brackets of a
-ledger are bisected together, one vectorised sigma evaluation per round, and
-the accumulation evaluates D only at the new boundary knots, reusing the grid
-values.  The ledger's meta records the bracket count, the bisection rounds
-and the same-sign ("fake") brackets that fell back to their midpoint.
+evaluated from the models' analytic state derivatives.  A bracket joins two
+grid samples of sigma that are nonzero and of opposite sign, so bisection
+starts from the grid's own values.  All brackets of a ledger are bisected
+together, one vectorised sigma evaluation per round, and the accumulation
+evaluates D only at the new boundary knots, reusing the grid values.  The
+ledger's meta records the bracket count and the bisection rounds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array,
                      bloch_trace_distance, density_from_bloch)
 
@@ -106,30 +107,26 @@ def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
     return dist, sig, bloch
 
 
-def sigma(t: float, model, rho0: DensityMatrix, standard_state: DensityMatrix | None = None,
-          *, evolve_reference: bool = False) -> float:
+def sigma(t: float, model, rho0: DensityMatrix,
+          standard_state: DensityMatrix | None = None) -> float:
     """Instantaneous rate dD/dt from the model's analytic state derivative.
 
     Positive values signal backward flow.
     """
     ref = model.steady_state() if standard_state is None else standard_state
-    return float(_d_sigma_arrays(model, rho0, ref, float(t), evolve_reference)[1])
+    return float(_d_sigma_arrays(model, rho0, ref, float(t), evolve_reference=False)[1])
 
 
-def _bisect_all(f, a: np.ndarray, b: np.ndarray, xtol: float):
+def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
     """Bisect all brackets [a_i, b_i] of the vectorised f together.
 
-    Each bracket takes the scalar steps: an end or midpoint where f is exactly
-    0 is the root, a same-sign ("fake") bracket gives its midpoint, the rest
-    halve while b - a > xtol.  Returns (roots, rounds, fake bracket count).
+    ``fa`` is f at the left ends; f at the two ends of a bracket must be
+    nonzero and of opposite sign.  A midpoint where f is exactly 0 is the
+    root; the rest halve while b - a > xtol.  Returns (roots, rounds).
     """
-    if not a.size:
-        return a, 0, 0
-    a, b = a.copy(), b.copy()
-    fa, fb = np.split(f(np.concatenate([a, b])), 2)
-    fake = np.sign(fa) * np.sign(fb) > 0.0
-    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, 0.5 * (a + b)))
-    live = np.flatnonzero((np.sign(fa) * np.sign(fb) < 0.0) & (b - a > xtol))
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    roots = 0.5 * (a + b)
+    live = np.flatnonzero(b - a > xtol)
     rounds = 0
     while live.size:
         m = 0.5 * (a[live] + b[live])
@@ -140,14 +137,14 @@ def _bisect_all(f, a: np.ndarray, b: np.ndarray, xtol: float):
         b[live[~left]] = m[~left]
         roots[live] = np.where(fm == 0.0, m, 0.5 * (a[live] + b[live]))
         live = live[(fm != 0.0) & (b[live] - a[live] > xtol)]
-    return roots, rounds, int(np.count_nonzero(fake))
+    return roots, rounds
 
 
 def _locate_boundaries(times, dist, sig, sigma_at, t_end: float):
-    """Run boundaries of D, and (brackets, bisection rounds, fake brackets)."""
+    """Run boundaries of D, and (brackets, bisection rounds)."""
     d_span = float(np.max(dist) - np.min(dist))
     if d_span <= 1e-12 * max(1.0, float(np.max(dist))):
-        return np.empty(0), (0, 0, 0)  # D is constant: no flow in either direction
+        return np.empty(0), (0, 0)  # D is constant: no flow in either direction
     mag = np.abs(sig)
     big = mag >= SIGMA_NOISE_REL * float(np.max(mag))  # above the noise floor
     zero, neg = sig == 0.0, sig < 0.0
@@ -155,9 +152,9 @@ def _locate_boundaries(times, dist, sig, sigma_at, t_end: float):
     # needs a neighbour above the floor
     zeros = 1 + np.flatnonzero(zero[1:-1] & (big[:-2] | big[2:]))
     pairs = np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]) & (big[:-1] | big[1:]))
-    roots, rounds, fake = _bisect_all(sigma_at, times[pairs], times[pairs + 1],
-                                      BISECT_REL_TOL * t_end)
-    return np.unique(np.concatenate([times[zeros], roots])), (int(pairs.size), rounds, fake)
+    roots, rounds = _bisect_all(sigma_at, times[pairs], times[pairs + 1], sig[pairs],
+                                BISECT_REL_TOL * t_end)
+    return np.unique(np.concatenate([times[zeros], roots])), (int(pairs.size), rounds)
 
 
 def _accumulate(times, dist, bounds, dist_at, t_end: float):
@@ -196,6 +193,9 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
     if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
         raise ConfigError("flow sampling grid must span [0, t_end]")
     dist, sig, bloch = _d_sigma_arrays(model, rho1, rho2, times, evolve_reference)
+    bad = np.flatnonzero(~np.isfinite(dist))
+    if bad.size:
+        raise NumericalError(f"trace distance is not finite at t = {times[bad[0]]:.6g}")
     positivity = positivity_check(times, bloch)
 
     def sigma_at(ts: np.ndarray) -> np.ndarray:
@@ -204,7 +204,7 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
     def dist_at(ts: np.ndarray) -> np.ndarray:
         return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[0]
 
-    bounds, (brackets, rounds, fake) = _locate_boundaries(times, dist, sig, sigma_at, t_end)
+    bounds, (brackets, rounds) = _locate_boundaries(times, dist, sig, sigma_at, t_end)
     segments, d_s, n_s, m_s = _accumulate(times, dist, bounds, dist_at, t_end)
     return FlowLedger(
         standard_state=rho2,
@@ -217,7 +217,7 @@ def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> Flo
         model=model.tag,
         positivity=positivity,
         meta={"t_end": float(t_end), "evolve_reference": evolve_reference,
-              "brackets": brackets, "bisect_rounds": rounds, "fake_brackets": fake},
+              "brackets": brackets, "bisect_rounds": rounds},
     )
 
 

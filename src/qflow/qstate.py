@@ -274,11 +274,6 @@ def density_from_bloch(b: BlochVector) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def bloch_from_density(rho: DensityMatrix) -> BlochVector:
-    """Inverse of :func:`density_from_bloch` (exact round trip)."""
-    return rho.bloch()
-
-
 def initial_state(spec: InitialStateSpec) -> DensityMatrix:
     """State (1 - z)/2 * I + z |xi><xi| of the initial-state family."""
     xi = np.array(

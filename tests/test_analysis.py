@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +15,13 @@ from qflow.analysis import (
     SweepSpec,
     critical_point,
     figure_preset,
-    integrand_A,
+    integrand_A_from_model,
     run_sweep,
 )
-from qflow.channels import TimeLocalParams, abs_c_squared
+from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
 from qflow.errors import BracketError, ConfigError, DegenerateStateError
 from qflow.geomphase import gp_pure
-from qflow.qstate import InitialStateSpec
+from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
 
@@ -27,9 +30,10 @@ class TestIntegrandA:
     def test_closed_system_is_constant(self):
         spec = InitialStateSpec(1.0, math.pi / 6, 0.0)  # theta0 = pi/3
         p = TimeLocalParams(1e-14, 1.0, 1.0)
+        model, rho0 = TimeLocalModel(p.at_ratio(1.0)), initial_state(spec)
         expected = math.cos(math.pi / 6) ** 2  # cos^2(theta0 / 2)
         for t in (0.1, 1.0, 4.0):
-            assert integrand_A(t, 1.0, spec, p) == pytest.approx(expected, abs=1e-9)
+            assert integrand_A_from_model(t, model, rho0) == pytest.approx(expected, abs=1e-9)
 
     def test_integral_gives_minus_phase(self):
         # quadrature cross-check: int_0^T A dt = -Phi
@@ -37,17 +41,23 @@ class TestIntegrandA:
         W, R = 0.3, 0.45
         p = TimeLocalParams(W, W / R, 1.0)
         times = np.linspace(0.0, T, 2001)
-        a_vals = np.array([integrand_A(t, R, spec, TimeLocalParams(W, 1.0, 1.0)) for t in times])
+        model, rho0 = TimeLocalModel(TimeLocalParams(W, 1.0, 1.0).at_ratio(R)), initial_state(spec)
+        a_vals = np.array([integrand_A_from_model(t, model, rho0) for t in times])
         assert simpson(a_vals, x=times) == pytest.approx(-gp_pure(spec, p), abs=1e-6)
 
     def test_r_derivative_sign_matches_decay_derivative(self):
         # the prefactor relating dA/dR to d|c|^2/dR is positive
         spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
         base = TimeLocalParams(0.6, 1.0, 1.0)
+        rho0 = initial_state(spec)
         h = 1e-6
+
+        def a_of(t, R):
+            return integrand_A_from_model(t, TimeLocalModel(base.at_ratio(R)), rho0)
+
         for R in (0.45, 0.58, 0.75, 0.9):
             for t in (0.7 * T, T):
-                da = integrand_A(t, R + h, spec, base) - integrand_A(t, R - h, spec, base)
+                da = a_of(t, R + h) - a_of(t, R - h)
                 dx = float(abs_c_squared(t, TimeLocalParams(0.6, 0.6 / (R + h), 1.0))) - float(
                     abs_c_squared(t, TimeLocalParams(0.6, 0.6 / (R - h), 1.0))
                 )
@@ -61,7 +71,7 @@ class TestIntegrandA:
         p = TimeLocalParams(0.5, 1.0, 1.0)  # R = 1/2: |c|^2 decays monotonically
         t_half = brentq(lambda t: float(abs_c_squared(t, p)) - 0.5, 0.0, 10.0, xtol=1e-15)
         with pytest.raises(DegenerateStateError):
-            integrand_A(t_half, 0.5, spec, p)
+            integrand_A_from_model(t_half, TimeLocalModel(p.at_ratio(0.5)), initial_state(spec))
 
 
 class TestCriticalPoint:
@@ -88,11 +98,40 @@ class TestCriticalPoint:
         with pytest.raises(BracketError):
             critical_point(T, spec, p, 0.05, 0.2, steps=16)
 
+    def test_missing_m_collapse_raises(self):
+        # R* = 0.65558 is bracketed by the last two grid points, but dM/dR
+        # peaks at the first interior point and never falls below half of it
+        spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
+        p = TimeLocalParams(0.6, 1.0, 1.0)
+        with pytest.raises(BracketError, match="dM/dR"):
+            critical_point(T, spec, p, 0.55, 0.6561, steps=31)
+
     def test_bad_range_rejected(self):
         spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
         p = TimeLocalParams(0.6, 1.0, 1.0)
         with pytest.raises(ConfigError):
             critical_point(T, spec, p, 0.5, 0.1)
+
+
+class TestCriticalPointStudy:
+    def test_table_distances(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "critical_point_study.py"
+        module_spec = importlib.util.spec_from_file_location("critical_point_study", path)
+        study = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(study)
+        monkeypatch.setattr(sys, "argv", [str(path)])  # the defaults W = 0.6, pi/3
+        study.main()
+        lines = capsys.readouterr().out.splitlines()
+        r_star = float(next(ln for ln in lines if ln.startswith("critical point R*")).split()[-1])
+        header = next(i for i, ln in enumerate(lines) if ln.split()[:2] == ["R", "|c(T)|^2"])
+        table = [[float(v) for v in ln.split()] for ln in lines[header + 1:]]
+        assert len(table) == 13
+        rho0 = initial_state(InitialStateSpec(1.0, math.pi / 3, 0.0))
+        ground = DensityMatrix.ground().bloch().as_array()
+        for row, R in zip(table, np.linspace(r_star - 0.12, r_star + 0.12, 13)):
+            assert row[0] == pytest.approx(R, abs=5.1e-5)
+            b = TimeLocalModel(TimeLocalParams(0.6, 1.0, 1.0).at_ratio(R)).bloch_series(rho0, T)
+            assert row[2] == pytest.approx(float(bloch_trace_distance(b, ground)), abs=6e-7)
 
 
 class TestSweeps:

@@ -16,12 +16,9 @@ from qflow.channels import (
     Trajectory,
     abs_c_squared,
     amplitude,
-    amplitude_c,
     amplitude_derivative,
     d_abs_c_squared_dt,
     decay_rates,
-    evolve_memory_kernel,
-    evolve_time_local,
     first_amplitude_zero,
     lorentzian_density,
     master_equation_rhs,
@@ -72,10 +69,10 @@ class TestLorentzian:
 class TestAmplitude:
     def test_initial_conditions(self):
         p = TimeLocalParams(0.6, 1.0, 1.0)
-        a = amplitude_c(0.0, p)
-        assert a.c == pytest.approx(1.0 + 0.0j, abs=1e-15)
-        assert a.gamma_t == pytest.approx(0.0, abs=1e-14)
-        assert a.delta_t == pytest.approx(0.5 * p.omega0, abs=1e-14)
+        gamma_t, delta_t = decay_rates(0.0, p)
+        assert complex(amplitude(0.0, p)) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert float(gamma_t) == pytest.approx(0.0, abs=1e-14)
+        assert float(delta_t) == pytest.approx(0.5 * p.omega0, abs=1e-14)
         # cdot(0) = -i omega0 / 2
         assert complex(amplitude_derivative(0.0, p)) == pytest.approx(-0.5j, abs=1e-14)
 
@@ -114,7 +111,7 @@ class TestAmplitude:
         p = TimeLocalParams(2.0, 1.0, 1.0)
         t0 = first_amplitude_zero(p)
         with pytest.raises(PoleError):
-            amplitude_c(t0, p)
+            decay_rates(t0, p)
 
     def test_first_zero_only_above_half(self):
         assert first_amplitude_zero(TimeLocalParams(0.3, 1.0, 1.0)) is None
@@ -202,11 +199,11 @@ class TestTimeLocalPropagation:
     def test_identity_at_zero(self):
         rho0 = initial_state(EQUATOR)
         p = TimeLocalParams(0.7, 1.0, 1.0)
-        assert evolve_time_local(rho0, 0.0, p).isclose(rho0, 1e-15)
+        assert DensityMatrix(TimeLocalModel(p).states(rho0, 0.0)).isclose(rho0, 1e-15)
 
     def test_relaxes_to_ground(self):
         p = TimeLocalParams(0.3, 1.0, 1.0)  # R < 1/2
-        rho = evolve_time_local(initial_state(EQUATOR), 300.0, p)
+        rho = DensityMatrix(TimeLocalModel(p).states(initial_state(EQUATOR), 300.0))
         assert rho.isclose(DensityMatrix.ground(), 1e-10)
         b = rho.bloch()
         assert (b.x, b.y, b.z) == pytest.approx((0.0, 0.0, -1.0), abs=1e-10)
@@ -237,7 +234,7 @@ class TestTimeLocalPropagation:
 
         p = TimeLocalParams(0.4, 1.0, 1.0)
         rho0 = density_of(random_bloch_array(rng, 1)[0])
-        out = evolve_time_local(rho0, 1.3, p)
+        out = DensityMatrix(TimeLocalModel(p).states(rho0, 1.3))
         x = float(abs_c_squared(1.3, p))
         assert out.matrix[0, 0].real == pytest.approx(rho0.matrix[0, 0].real * x, abs=1e-14)
 
@@ -268,8 +265,8 @@ class TestTimeLocalOracle:
         for t in (0.2, 1.0, 2.5, 5.0):
             state = model.states(rho0, t)
             lhs = model.state_dot(rho0, t)
-            a = amplitude_c(t, p)
-            rhs = master_equation_rhs(state, a.gamma_t, a.delta_t)
+            gamma_t, delta_t = decay_rates(t, p)
+            rhs = master_equation_rhs(state, gamma_t, delta_t)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_pole_inside_horizon_rejected(self):
@@ -287,7 +284,7 @@ class TestMemoryKernelPropagation:
     def test_identity_at_zero(self):
         rho0 = initial_state(EQUATOR)
         p = MemoryKernelParams(0.1, 1.0, 1.0)
-        assert evolve_memory_kernel(rho0, 0.0, p).isclose(rho0, 1e-15)
+        assert DensityMatrix(MemoryKernelModel(p).states(rho0, 0.0)).isclose(rho0, 1e-15)
 
     def test_against_oracle_smooth_regime(self):
         p = MemoryKernelParams(0.1, 1.0, 1.0)  # C = 0.1
@@ -381,7 +378,7 @@ class TestTrajectoryType:
         traj = model.trajectory(rho0, np.linspace(0.0, 1.0, 11))
         assert len(traj) == 11
         assert traj.initial().isclose(rho0, 1e-14)
-        assert traj.final().isclose(evolve_time_local(rho0, 1.0, model.params), 1e-14)
+        assert traj.final().isclose(DensityMatrix(model.states(rho0, 1.0)), 1e-14)
 
 
 class TestParamValidation:

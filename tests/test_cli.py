@@ -106,7 +106,6 @@ class TestFlows:
         meta, _, _ = read_csv(out)
         assert 0 < int(meta["brackets"]) <= int(meta["segments"]) - 1
         assert int(meta["bisect_rounds"]) > 0
-        assert meta["fake_brackets"] == "0"
 
 
 class TestGp:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qflow.channels import (
     abs_c_squared,
 )
 from qflow.errors import ConfigError, DegenerateStateError, NumericalError
+from qflow import geomphase
 from qflow.geomphase import (
     BranchData,
     PhaseResult,
@@ -139,6 +141,16 @@ class TestGpMixedGeneral:
         rho0 = initial_state(InitialStateSpec(0.5, 0.0, 0.0))
         with pytest.raises(DegenerateStateError, match="t ="):
             gp_mixed(model.trajectory(rho0, np.linspace(0.0, T, 2001)), "literal", T)
+
+    def test_non_finite_state_raises_on_first_rung(self):
+        # cosh in the damping kernel overflows from t = 17.88 (lambda t > 1430)
+        model = tl_model(5.0, 80.0)
+        rho0 = initial_state(InitialStateSpec(1.0, 1.0))
+        with mock.patch.object(geomphase, "gp_mixed", wraps=geomphase.gp_mixed) as spy, \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="not finite at t = 17.88"):
+            gp_mixed_auto(model, rho0, 6.0 * math.pi)
+        assert spy.call_count == 1
 
     def test_zero_sum_is_reported(self):
         # spectral mode, closed system, theta0 = pi/2: endpoint overlap is

@@ -11,7 +11,6 @@ from qflow.qstate import (
     DensityMatrix,
     InitialStateSpec,
     PolarBloch,
-    bloch_from_density,
     bloch_trace_distance,
     density_from_bloch,
     eigendecompose,
@@ -43,9 +42,9 @@ class TestDensityFromBloch:
         blochs = random_bloch_array(rng, 10_000)
         for b in blochs[:200]:
             rho = density_of(b)
-            back = bloch_from_density(rho).as_array()
+            back = rho.bloch().as_array()
             assert np.max(np.abs(back - b)) < 1e-12
-            assert density_from_bloch(bloch_from_density(rho)).isclose(rho, 1e-12)
+            assert density_from_bloch(rho.bloch()).isclose(rho, 1e-12)
         # vectorised check of the conversion algebra on the full set
         xs, ys, zs = blochs.T
         m01 = 0.5 * (xs - 1j * ys)
