@@ -207,6 +207,18 @@ class SpectralDecomposition:
         return _eigenvectors(self.theta_t, self.phase, self.mode)[1]
 
 
+def _norm_sq(b: np.ndarray):
+    """x^2 + y^2 + z^2 of Bloch arrays (..., 3), summed in ``np.sum``'s order.
+
+    Three elementwise passes instead of a reduction over the size-3 axis,
+    which numpy runs as a slow strided loop; a (3,) input gives a scalar.
+    """
+    s = b[..., 0] * b[..., 0]
+    s += b[..., 1] * b[..., 1]
+    s += b[..., 2] * b[..., 2]
+    return s
+
+
 def bloch_array(states) -> np.ndarray:
     """Bloch vectors (..., 3) of Hermitian unit-trace matrices (..., 2, 2)."""
     states = np.asarray(states)
@@ -222,8 +234,7 @@ def eigenvalues(bloch) -> tuple[np.ndarray, np.ndarray]:
 
     Also for a non-positive matrix (|r| > 1): eps_minus is the minimum eigenvalue.
     """
-    b = np.asarray(bloch, dtype=float)
-    r = np.sqrt(np.sum(b * b, axis=-1))
+    r = np.sqrt(_norm_sq(np.asarray(bloch, dtype=float)))
     return 0.5 * (1.0 + r), 0.5 * (1.0 - r)
 
 
@@ -327,6 +338,4 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 def bloch_trace_distance(r1, r2) -> np.ndarray:
     """Trace distance |r1 - r2| / 2 between Bloch arrays (..., 3), broadcast."""
-    d = np.subtract(r1, r2, dtype=float)
-    d *= d
-    return 0.5 * np.sqrt(np.sum(d, axis=-1))
+    return 0.5 * np.sqrt(_norm_sq(np.subtract(r1, r2, dtype=float)))

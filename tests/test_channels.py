@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qflow import channels
 from qflow.channels import (
     MemoryKernelModel,
     MemoryKernelParams,

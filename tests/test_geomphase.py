@@ -19,7 +19,6 @@ from qflow.errors import ConfigError, DegenerateStateError, NumericalError
 from qflow import geomphase
 from qflow.geomphase import (
     BranchData,
-    PhaseResult,
     PhaseUndefinedError,
     WEIGHT_FLOOR,
     _pure_integrand_factory,

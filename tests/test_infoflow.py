@@ -18,6 +18,7 @@ from qflow.channels import (
 from qflow.errors import ConfigError, NumericalError
 from qflow.infoflow import (
     BISECT_REL_TOL,
+    PAIR_BLOCK_SAMPLES,
     _bisect_all,
     blp_measure,
     default_state_grid,
@@ -26,7 +27,7 @@ from qflow.infoflow import (
     sigma,
     weak_coupling_flows,
 )
-from qflow.qstate import DensityMatrix, InitialStateSpec, initial_state
+from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
 EQUATOR = InitialStateSpec(1.0, math.pi / 4, math.pi / 3)
@@ -291,7 +292,90 @@ class TestClosedFormBoundaries:
         assert_boundaries_match(flows(rho0, TimeLocalModel(p), T), p, 0.0, 10.0)
 
 
+def pairwise_scores(model, grid, times):
+    """Reference scorer: one pair at a time, the sum of positive np.diff increments."""
+    scores = []
+    for s1, s2 in grid:
+        dist = bloch_trace_distance(model.bloch_series(s1, times), model.bloch_series(s2, times))
+        inc = np.diff(dist)
+        scores.append(np.sum(np.where(inc > 0.0, inc, 0.0)))
+    return np.array(scores)
+
+
+def assert_blp_matches_pairwise(model, grid, times):
+    result = blp_measure(model, grid, t_end=times[-1], times=times)
+    best = int(np.argmax(pairwise_scores(model, grid, times)))
+    assert result.argmax_index == best  # ties resolve to the lowest grid index
+    assert result.argmax_pair == grid[best]
+    assert result.value == pair_flows(*grid[best], model, times[-1], times).N_total
+    assert result.n_pairs == len(grid)
+    return result
+
+
+class NanAfter(TimeLocalModel):
+    """Time-local model whose factors and rates are NaN after ``t_bad``."""
+
+    t_bad = 4.0
+
+    def factors(self, t):
+        return tuple(np.where(np.asarray(t) > self.t_bad, np.nan, f) for f in super().factors(t))
+
+    def rates(self, t):
+        return tuple(np.where(np.asarray(t) > self.t_bad, np.nan, f) for f in super().rates(t))
+
+
+BLP_TIMES = np.linspace(0.0, T, 201)
+BLP_CHUNK = PAIR_BLOCK_SAMPLES // BLP_TIMES.size
+BLP_POOL = default_state_grid(2, 3, (0.5, 1.0))
+BLP_POOL += [DensityMatrix(s.matrix) for s in BLP_POOL[:4]]  # equal, distinct objects
+
+
 class TestBlp:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), size=st.sampled_from([1, 2, BLP_CHUNK - 1, BLP_CHUNK, BLP_CHUNK + 1]),
+           ratio=st.sampled_from([0.25, 1.0, 2.0]))
+    def test_scorer_matches_pairwise_reference(self, data, size, ratio):
+        index = st.integers(0, len(BLP_POOL) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=size, max_size=size))
+        grid = [(BLP_POOL[i], BLP_POOL[j]) for i, j in pairs]
+        assert_blp_matches_pairwise(tl_model(1.0, 1.0 / ratio), grid, BLP_TIMES)
+
+    def test_repeated_self_and_equal_pairs(self):
+        a, b, c = BLP_POOL[0], BLP_POOL[-4], BLP_POOL[5]  # b equals a, distinct object
+        grid = [(a, a), (a, b), (c, a), (b, c), (c, a), (c, b)]  # ties: (c, a) == (b, c)
+        assert assert_blp_matches_pairwise(tl_model(1.0, 0.5), grid, BLP_TIMES).argmax_index == 2
+
+    @pytest.mark.parametrize("at", [BLP_CHUNK - 1, BLP_CHUNK, 2 * BLP_CHUNK])
+    def test_best_pair_at_a_chunk_edge(self, at):
+        a, c = BLP_POOL[0], BLP_POOL[5]
+        grid = [(a, a)] * at + [(a, c)]  # self pairs score 0
+        result = blp_measure(tl_model(1.0, 0.5), grid, t_end=T, times=BLP_TIMES)
+        assert result.argmax_index == at
+
+    def test_equal_states_are_evolved_once(self):
+        model = tl_model(1.0, 0.5)
+        a, b, c = BLP_POOL[0], BLP_POOL[-4], BLP_POOL[5]
+        grid = [(a, c), (b, c), (c, b), (a, b), (a, a)]
+        before_ledger = []
+        real_pair_flows = infoflow.pair_flows
+
+        def ledger(*args, **kwargs):
+            before_ledger.append(spy.call_count)
+            return real_pair_flows(*args, **kwargs)
+
+        with mock.patch.object(model, "states", wraps=model.states) as spy, \
+                mock.patch.object(infoflow, "pair_flows", side_effect=ledger):
+            blp_measure(model, grid, t_end=T, times=BLP_TIMES)
+        assert before_ledger == [2]  # one evolution per distinct matrix, a and c
+
+    def test_non_finite_states_raise(self):
+        model = NanAfter(TimeLocalParams(1.0, 0.5, 1.0))
+        states = default_state_grid(2, 3, (1.0,))
+        grid = [(states[i], states[j]) for i in range(len(states))
+                for j in range(i + 1, len(states))]
+        with pytest.raises(NumericalError, match="not finite at t = 4.021"):
+            blp_measure(model, grid, t_end=T, times=BLP_TIMES)
+
     def test_reduces_to_standard_state_flow(self):
         model = tl_model(1.0, 1.0)
         rho1 = initial_state(EQUATOR)

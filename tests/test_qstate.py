@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from qflow.errors import ConfigError, DegenerateStateError, UnphysicalStateError
+from qflow.errors import ConfigError, UnphysicalStateError
 from qflow.qstate import (
     BlochVector,
     DensityMatrix,
@@ -14,6 +15,7 @@ from qflow.qstate import (
     bloch_trace_distance,
     density_from_bloch,
     eigendecompose,
+    eigenvalues,
     initial_state,
     trace_distance,
 )
@@ -226,3 +228,67 @@ class TestTraceDistance:
             assert trace_distance(ra, rc) <= (
                 trace_distance(ra, rb) + trace_distance(rb, rc) + 1e-12
             )
+
+
+def summed_trace_distance(r1, r2):
+    """Reference: |r1 - r2| / 2 through ``np.sum`` over the Bloch axis."""
+    d = np.subtract(r1, r2, dtype=float)
+    d *= d
+    return 0.5 * np.sqrt(np.sum(d, axis=-1))
+
+
+def summed_eigenvalues(bloch):
+    """Reference: (1 +- |r|) / 2 through ``np.sum`` over the Bloch axis."""
+    b = np.asarray(bloch, dtype=float)
+    r = np.sqrt(np.sum(b * b, axis=-1))
+    return 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+
+
+def assert_bitwise(out, ref):
+    assert type(out) is type(ref)
+    assert np.shape(out) == np.shape(ref)
+    assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+
+BLOCH_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, max_side=6).map(lambda s: s + (3,))
+COMPONENTS = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+
+
+class TestSquaredNormOrder:
+    """The Bloch-norm formulas sum x^2, y^2, z^2 in the order ``np.sum`` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=BLOCH_SHAPES)
+    def test_trace_distance_matches_summed_form(self, data, shape):
+        r1 = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
+        r2 = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
+        assert_bitwise(bloch_trace_distance(r1, r2), summed_trace_distance(r1, r2))
+        assert_bitwise(bloch_trace_distance(r1, 0.0), summed_trace_distance(r1, 0.0))
+        assert_bitwise(bloch_trace_distance(r1, r2[(0,) * (r2.ndim - 1)]),
+                       summed_trace_distance(r1, r2[(0,) * (r2.ndim - 1)]))  # broadcast
+        f1, f2 = np.asfortranarray(r1), np.asfortranarray(r2)
+        assert_bitwise(bloch_trace_distance(f1, f2), summed_trace_distance(f1, f2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=BLOCH_SHAPES)
+    def test_eigenvalues_match_summed_form(self, data, shape):
+        b = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
+        for arr in (b, np.asfortranarray(b)):
+            for out, ref in zip(eigenvalues(arr), summed_eigenvalues(arr)):
+                assert_bitwise(out, ref)
+
+    def test_non_contiguous_components(self, rng):
+        wide = rng.normal(size=(40, 7, 6))
+        b1, b2 = wide[..., ::2], wide[::-1, :, 1::2]  # strided Bloch axis, reversed rows
+        assert not b1.flags.c_contiguous and not b2.flags.c_contiguous
+        assert_bitwise(bloch_trace_distance(b1, b2), summed_trace_distance(b1, b2))
+        for out, ref in zip(eigenvalues(b1), summed_eigenvalues(b1)):
+            assert_bitwise(out, ref)
+
+    def test_single_vector_gives_a_scalar(self):
+        a, b = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.2])
+        d = bloch_trace_distance(a, b)
+        assert isinstance(d, np.float64) and np.ndim(d) == 0
+        assert_bitwise(d, summed_trace_distance(a, b))
+        eps_plus, eps_minus = eigenvalues(a)
+        assert np.ndim(eps_plus) == 0 and np.ndim(eps_minus) == 0
