@@ -113,30 +113,15 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def _phase_columns(label: str) -> list[str]:
-    return [f"phase_raw[{label}]", f"phase_mod[{label}]", f"phase_pi[{label}]"]
-
-
-def _sweep_columns(spec: SweepSpec) -> list[str]:
-    cols = [spec.param]
-    for label, _ in spec.states():
-        for out in spec.outputs:
-            if out == "phase":
-                cols.extend(_phase_columns(label))
-            else:
-                cols.append(f"{out}[{label}]")
-    return cols
-
-
 def _row_at(spec: SweepSpec, value: float):
-    """All outputs at one swept value, and the count of unconverged phases.
+    """(column, value) cells at one swept value, notes, and the unconverged phase count.
 
     The ledger outputs (N, M, D), each phase and A fail on their own: a
     :class:`NumericalError` blanks only its own cells (NaN) and adds a note.
     """
     model = spec.model_at(value)
     T = spec.horizon()
-    row: list[float] = [float(value)]
+    row: list[tuple[str, float]] = [(spec.param, float(value))]
     notes: list[tuple[str, str]] = []
     unconverged = 0
     for label, state in spec.states():
@@ -148,24 +133,27 @@ def _row_at(spec: SweepSpec, value: float):
             except NumericalError as exc:
                 notes.append((label, str(exc)))
         for out in spec.outputs:
+            names = ([f"{k}[{label}]" for k in ("phase_raw", "phase_mod", "phase_pi")]
+                     if out == "phase" else [f"{out}[{label}]"])
             try:
                 if out == "phase":
                     r = gp_mixed_auto(model, rho0, T, mode=spec.mode, tol=spec.tol)
                     unconverged += not r.converged
-                    row.extend([r.phase_raw, r.phase, figure_value(r.phase) / math.pi])
+                    values = [r.phase_raw, r.phase, figure_value(r.phase) / math.pi]
                 elif out == "A":
-                    row.append(integrand_A_from_model(T, model, rho0))
+                    values = [integrand_A_from_model(T, model, rho0)]
                 elif ledger is None:
-                    row.append(math.nan)
+                    values = [math.nan]
                 elif out == "N":
-                    row.append(ledger.N_total)
+                    values = [ledger.N_total]
                 elif out == "M":
-                    row.append(ledger.M_total)
+                    values = [ledger.M_total]
                 else:
-                    row.append(float(ledger.D[-1]))
+                    values = [float(ledger.D[-1])]
             except NumericalError as exc:
-                row.extend([math.nan] * (3 if out == "phase" else 1))
+                values = [math.nan] * len(names)
                 notes.append((label, str(exc)))
+            row.extend(zip(names, values))
     return row, notes, unconverged
 
 
@@ -177,7 +165,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     results = [_row_at(spec, v) for v in spec.values()]
 
-    rows = tuple(tuple(r) for r, _, _ in results)
+    rows = tuple(tuple(v for _, v in r) for r, _, _ in results)
     errors = tuple(
         (i, label, msg) for i, (_, notes, _) in enumerate(results) for label, msg in notes
     )
@@ -191,7 +179,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     }
     if spec.crosses_quarter():
         meta["crosses_validity_boundary"] = "C range crosses 1/4"
-    return SweepResult(spec, tuple(_sweep_columns(spec)), rows, errors, meta)
+    columns = tuple(name for name, _ in results[0][0])
+    return SweepResult(spec, columns, rows, errors, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +222,25 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     bisection.  D(T, R) and A(T, R) are then differenced at R*, and the
     backflow onset is compared against the collapse of dM/dR on the grid;
     a range in which either event is missing raises :class:`BracketError`.
+    The scales and dM/dR need an interior grid point, so ``steps < 3``
+    raises :class:`ConfigError`, as does ``T <= 0``.
     """
     if r_min <= 0.0 or r_max <= r_min:
         raise ConfigError("critical_point requires 0 < r_min < r_max")
+    if steps < 3:
+        raise ConfigError(f"critical_point needs steps >= 3, got {steps}")
+    if T <= 0.0:
+        raise ConfigError(f"critical_point needs a horizon T > 0, got {T}")
     h = FD_STEP
     grid = np.linspace(r_min, r_max, steps)
+
+    def cdiff(fn, R: float) -> float:
+        return (fn(R + h) - fn(R - h)) / (2.0 * h)
 
     def f_of(R: float) -> float:
         return float(channels.abs_c_squared(T, p.at_ratio(R)))
 
-    def df_of(R: float) -> float:
-        return (f_of(R + h) - f_of(R - h)) / (2.0 * h)
-
-    df_grid = np.array([df_of(R) for R in grid])
+    df_grid = np.array([cdiff(f_of, R) for R in grid])
     sign = np.sign(df_grid)
     flips = np.flatnonzero((sign[:-1] < 0) & (sign[1:] > 0))
     if flips.size == 0:
@@ -255,12 +250,12 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if df_of(mid) < 0.0:
+        if cdiff(f_of, mid) < 0.0:
             lo = mid
         else:
             hi = mid
     r_star = 0.5 * (lo + hi)
-    df_res = abs(df_of(r_star))
+    df_res = abs(cdiff(f_of, r_star))
 
     def model_of(R: float) -> TimeLocalModel:
         return TimeLocalModel(p.at_ratio(R))
@@ -272,9 +267,6 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
 
     def a_of(R: float) -> float:
         return integrand_A_from_model(T, model_of(R), rho0)
-
-    def cdiff(fn, R: float) -> float:
-        return (fn(R + h) - fn(R - h)) / (2.0 * h)
 
     dd_raw = cdiff(d_of, r_star)
     da_raw = cdiff(a_of, r_star)

@@ -17,9 +17,9 @@ memory time gamma, C = gamma0/gamma, tau = gamma t):
 Both models share one form, rho00 = p00 P(t) and rho01 = coh Q(t).  Each
 model class owns the only copy of its factors: ``factors(t)`` gives (P, Q)
 and ``rates(t)`` gives (Pdot, Qdot); the scalar helpers ``amplitude``,
-``abs_c_squared``, ``xi`` and their derivatives read them.  Both envelopes
-come from one kernel: xi(C, tau) is the Lorentzian envelope at lambda = 1,
-W^2 = C.  Both closed forms are cross-checked against hand-rolled
+``abs_c_squared`` and ``xi`` read them.  Both envelopes come from one
+kernel: xi(C, tau) is the Lorentzian envelope at lambda = 1, W^2 = C.
+Both closed forms are cross-checked against hand-rolled
 fixed-step RK4 integrations.  The time-local oracle takes its decay rates
 from :func:`decay_rates`, so it checks that the closed form solves the
 master equation its rates define.  The memory-kernel oracle integrates the
@@ -223,19 +223,9 @@ def amplitude(t, p: TimeLocalParams):
     return TimeLocalModel(p).factors(t)[1]
 
 
-def amplitude_derivative(t, p: TimeLocalParams):
-    """Analytic dc/dt, formulated without dividing by g (no pole hazard)."""
-    return TimeLocalModel(p).rates(t)[1]
-
-
 def abs_c_squared(t, p: TimeLocalParams):
     """|c(t)|^2 = exp(-lambda t) g(t)^2."""
     return TimeLocalModel(p).factors(t)[0]
-
-
-def d_abs_c_squared_dt(t, p: TimeLocalParams):
-    """Closed form d|c|^2/dt = -2 W^2 t exp(-lambda t) g(t) sinhc(Om t / 2)."""
-    return TimeLocalModel(p).rates(t)[0]
 
 
 def decay_rates(t, p: TimeLocalParams):
@@ -295,8 +285,9 @@ class _DampingModel:
     Subclasses own the only copy of their factors: ``factors(t)`` returns
     (P, Q) and ``rates(t)`` returns (Pdot, Qdot), elementwise in t.  States
     and state derivatives are assembled from them.  ``states``,
-    ``state_dot`` and ``trajectory`` are written out in each subclass body,
-    because ``perfbench/tracer.py`` wraps them in the class ``__dict__``.
+    ``state_dot`` and ``trajectory`` are defined here once and bound into
+    each subclass's ``__dict__`` by one assignment, because
+    ``perfbench/tracer.py`` wraps them per model class there.
     """
 
     tag = ""
@@ -311,9 +302,6 @@ class _DampingModel:
     def steady_state(self) -> DensityMatrix:
         return DensityMatrix.ground()
 
-    def timescale(self) -> float:
-        return self.params.timescale()
-
     def feature_scale(self) -> float:
         return self.params.feature_scale()
 
@@ -323,21 +311,25 @@ class _DampingModel:
     def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
         return bloch_array(self.state_dot(rho0, times))
 
-    def _states(self, rho0: DensityMatrix, times) -> np.ndarray:
+    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
         return _assemble(rho0, *self.factors(times), 1.0)
 
-    def _state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
+    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
         return _assemble(rho0, *self.rates(times), 0.0)
 
-    def _trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
+    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
         meta = {"omega0": self.params.omega0, "phi0": float(np.angle(rho0.matrix[1, 0]))}
         return Trajectory(np.asarray(times, float), self.states(rho0, times), self.tag, meta)
+
+
+_BOUND_PER_MODEL = (_DampingModel.states, _DampingModel.state_dot, _DampingModel.trajectory)
 
 
 class TimeLocalModel(_DampingModel):
     """Time-local model: P = |c|^2, Q = c(t)."""
 
     tag = "time-local"
+    states, state_dot, trajectory = _BOUND_PER_MODEL
 
     def factors(self, t):
         """(|c|^2, c) = (exp(-lambda t) g^2, exp(-(lambda + i w0) t / 2) g)."""
@@ -355,15 +347,6 @@ class TimeLocalModel(_DampingModel):
         return (-2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc,
                 np.exp(-half * t) * (gdot - half * g))
 
-    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return self._states(rho0, times)
-
-    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return self._state_dot(rho0, times)
-
-    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
-        return self._trajectory(rho0, times)
-
 
 class MemoryKernelModel(_DampingModel):
     """Exponential-memory model: P = xi(C, tau), Q = exp(-i w0 t) xi(C/2, tau).
@@ -373,6 +356,7 @@ class MemoryKernelModel(_DampingModel):
     """
 
     tag = "memory-kernel"
+    states, state_dot, trajectory = _BOUND_PER_MODEL
 
     def factors(self, t):
         """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
@@ -393,15 +377,6 @@ class MemoryKernelModel(_DampingModel):
         dxi2 = p.gamma * (-(0.5 * p.C) * tau * np.exp(-0.5 * tau) * sc2)
         dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * (np.exp(-0.5 * tau) * g2))
         return p.gamma * (-p.C * tau * np.exp(-0.5 * tau) * sc1), dcoh
-
-    def states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return self._states(rho0, times)
-
-    def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return self._state_dot(rho0, times)
-
-    def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
-        return self._trajectory(rho0, times)
 
 
 def sample_times(model, t_end: float) -> np.ndarray:

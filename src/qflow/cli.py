@@ -211,18 +211,12 @@ def _sweep_spec(cfg: RunConfig, explicit: frozenset = frozenset()) -> SweepSpec:
         if "n" in explicit:
             overrides["n"] = cfg.n
         return replace(spec, **overrides)
-    if cfg.model == "time-local":
-        return SweepSpec(
-            model="time-local",
-            start=cfg.R_min, stop=cfg.R_max, steps=cfg.R_steps,
-            W=cfg.W, omega0=cfg.omega0, n=cfg.n,
-            z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
-            outputs=("phase", "N", "M"), mode=cfg.mode, tol=cfg.tol,
-        )
+    prefix = "R" if cfg.model == "time-local" else "C"
     return SweepSpec(
-        model="memory-kernel",
-        start=cfg.C_min, stop=cfg.C_max, steps=cfg.C_steps,
-        gamma0=cfg.gamma0, omega0=cfg.omega0, n=cfg.n,
+        model=cfg.model,
+        start=getattr(cfg, f"{prefix}_min"), stop=getattr(cfg, f"{prefix}_max"),
+        steps=getattr(cfg, f"{prefix}_steps"),
+        W=cfg.W, gamma0=cfg.gamma0, omega0=cfg.omega0, n=cfg.n,
         z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
         outputs=("phase", "N", "M"), mode=cfg.mode, tol=cfg.tol,
     )
@@ -380,6 +374,10 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
         raise ConfigError("tol must be > 0")
     if cfg.samples < 2:
         raise ConfigError("samples must be >= 2")
+    if cfg.t_end < 0.0:
+        raise ConfigError(f"t_end={cfg.t_end} must be >= 0 (0 means n quasi-periods)")
+    if cfg.n < 1:
+        raise ConfigError(f"n={cfg.n} must be >= 1")
     return cfg, frozenset(explicit)
 
 

@@ -133,7 +133,6 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
     connection: dict = {}
     overlaps: dict = {}
     weights: dict = {}
-    used = 0
     for br in branches:
         w_end = math.sqrt(abs(br.eps[0] * br.eps[-1]))
         weights[br.label] = w_end
@@ -156,9 +155,6 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
         total += w * endpoint * np.exp(-1j * conn)
         connection[br.label] = float(conn[-1])
         overlaps[br.label] = complex(endpoint[-1])
-        used += 1
-    if used == 0:
-        raise PhaseUndefinedError("all branch weights below the 1e-14 floor")
     if abs(total[-1]) < 1e-12:
         raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
     series = np.unwrap(np.angle(total))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
 from .errors import ConfigError, NumericalError
-from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array,
+from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array, bloch_dot,
                      bloch_trace_distance, density_from_bloch)
 
 DELTA_FLOOR = 1e-13
@@ -105,7 +105,7 @@ def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
         ddiff -= model.bloch_dot_series(rho2, times)
     dist = bloch_trace_distance(diff, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = np.where(dist > 0.0, np.sum(diff * ddiff, axis=-1) / (4.0 * dist), 0.0)
+        sig = np.where(dist > 0.0, bloch_dot(diff, ddiff) / (4.0 * dist), 0.0)
     return dist, sig, bloch
 
 
@@ -256,9 +256,9 @@ def default_state_grid(n_theta: int = 12, n_phi: int = 24,
     return states
 
 
-def default_pair_grid(**kwargs) -> list[tuple[DensityMatrix, DensityMatrix]]:
-    """All unordered pairs of distinct grid states (can be large)."""
-    states = default_state_grid(**kwargs)
+def default_pair_grid() -> list[tuple[DensityMatrix, DensityMatrix]]:
+    """All unordered pairs of distinct default grid states (can be large)."""
+    states = default_state_grid()
     return [(states[i], states[j]) for i in range(len(states))
             for j in range(i + 1, len(states))]
 

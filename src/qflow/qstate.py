@@ -1,8 +1,8 @@
 """Qubit state representations, conversions, eigendecomposition, trace distance.
 
 Each qubit-geometry formula is written once here, vectorised over samples:
-:func:`bloch_array`, :func:`eigenvalues`, :func:`eigenbasis` and
-:func:`bloch_trace_distance`.
+:func:`bloch_array`, :func:`bloch_dot`, :func:`eigenvalues`,
+:func:`eigenbasis` and :func:`bloch_trace_distance`.
 
 Conventions (see CONVENTIONS.md for the full story):
 
@@ -207,15 +207,17 @@ class SpectralDecomposition:
         return _eigenvectors(self.theta_t, self.phase, self.mode)[1]
 
 
-def _norm_sq(b: np.ndarray):
-    """x^2 + y^2 + z^2 of Bloch arrays (..., 3), summed in ``np.sum``'s order.
+def bloch_dot(a: np.ndarray, b: np.ndarray):
+    """a_x b_x + a_y b_y + a_z b_z of Bloch arrays (..., 3), bit for bit ``np.sum``'s.
 
-    Three elementwise passes instead of a reduction over the size-3 axis,
-    which numpy runs as a slow strided loop; a (3,) input gives a scalar.
+    Elementwise passes instead of a reduction over the size-3 axis, which
+    numpy runs as a slow strided loop; (3,) inputs give a scalar.  ``np.sum``
+    adds from +0.0, so three products of -0.0 sum to +0.0 here too.
     """
-    s = b[..., 0] * b[..., 0]
-    s += b[..., 1] * b[..., 1]
-    s += b[..., 2] * b[..., 2]
+    s = a[..., 0] * b[..., 0]
+    s += 0.0
+    s += a[..., 1] * b[..., 1]
+    s += a[..., 2] * b[..., 2]
     return s
 
 
@@ -234,7 +236,8 @@ def eigenvalues(bloch) -> tuple[np.ndarray, np.ndarray]:
 
     Also for a non-positive matrix (|r| > 1): eps_minus is the minimum eigenvalue.
     """
-    r = np.sqrt(_norm_sq(np.asarray(bloch, dtype=float)))
+    b = np.asarray(bloch, dtype=float)
+    r = np.sqrt(bloch_dot(b, b))
     return 0.5 * (1.0 + r), 0.5 * (1.0 - r)
 
 
@@ -338,4 +341,5 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 def bloch_trace_distance(r1, r2) -> np.ndarray:
     """Trace distance |r1 - r2| / 2 between Bloch arrays (..., 3), broadcast."""
-    return 0.5 * np.sqrt(_norm_sq(np.subtract(r1, r2, dtype=float)))
+    diff = np.subtract(r1, r2, dtype=float)
+    return 0.5 * np.sqrt(bloch_dot(diff, diff))

@@ -12,7 +12,6 @@ maxima and the evidence for them are in the docstring of that test.
 import math
 
 import numpy as np
-import pytest
 
 from qflow.analysis import critical_point, figure_preset, run_sweep
 from qflow.channels import (

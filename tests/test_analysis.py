@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
-from qflow import channels
+from qflow import analysis, channels
 from qflow.analysis import (
     PRESET_NAMES,
     SweepSpec,
@@ -19,7 +20,7 @@ from qflow.analysis import (
     run_sweep,
 )
 from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
-from qflow.errors import BracketError, ConfigError, DegenerateStateError
+from qflow.errors import BracketError, ConfigError, DegenerateStateError, NumericalError
 from qflow.geomphase import gp_pure
 from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
@@ -112,6 +113,21 @@ class TestCriticalPoint:
         with pytest.raises(ConfigError):
             critical_point(T, spec, p, 0.5, 0.1)
 
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_too_few_steps_rejected(self, steps):
+        # the scales and dM/dR are centered differences at interior grid points
+        spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
+        p = TimeLocalParams(0.6, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="steps >= 3"):
+            critical_point(T, spec, p, 0.4, 1.0, steps=steps)
+
+    @pytest.mark.parametrize("horizon", [0.0, -T])
+    def test_non_positive_horizon_rejected(self, horizon):
+        spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
+        p = TimeLocalParams(0.6, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="T > 0"):
+            critical_point(horizon, spec, p, 0.4, 1.0, steps=31)
+
 
 class TestCriticalPointStudy:
     def test_table_distances(self, monkeypatch, capsys):
@@ -184,6 +200,46 @@ class TestSweeps:
         for before, after in zip(clean.rows, capped.rows):
             assert math.isfinite(before[4]) and math.isnan(after[4])
             assert after[:4] == before[:4]
+
+    def test_columns_name_their_cells(self, monkeypatch):
+        # call order per row: flows(s1), phase(s1), flows(s2), phase(s2); the
+        # first phase call (row 0, s1) and the fourth ledger (row 1, s2) fail
+        spec = SweepSpec(start=1.0, stop=2.0, steps=2, W=1.0, z_list=(0.5, 1.0),
+                         outputs=("phase", "N", "M", "D", "A"))
+        s1, s2 = "z=0.5;vt=0.785398", "z=1;vt=0.785398"
+        expected = ("R",) + tuple(
+            name for label in (s1, s2)
+            for name in (f"phase_raw[{label}]", f"phase_mod[{label}]", f"phase_pi[{label}]",
+                         f"N[{label}]", f"M[{label}]", f"D[{label}]", f"A[{label}]"))
+        clean = run_sweep(spec)
+
+        def fail_on(fn, bad_call, what):
+            calls = itertools.count()
+
+            def wrapped(*args, **kwargs):
+                if next(calls) == bad_call:
+                    raise NumericalError(f"forced {what}")
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "gp_mixed_auto",
+                            fail_on(analysis.gp_mixed_auto, 0, "phase"))
+        monkeypatch.setattr(analysis, "flows", fail_on(analysis.flows, 3, "ledger"))
+        broken = run_sweep(spec)
+
+        assert clean.columns == broken.columns == expected
+        assert all(len(row) == len(expected) for row in clean.rows + broken.rows)
+        assert clean.errors == ()
+        assert broken.errors == ((0, s1, "forced phase"), (1, s2, "forced ledger"))
+        blanked = {0: {f"phase_{k}[{s1}]" for k in ("raw", "mod", "pi")},
+                   1: {f"{out}[{s2}]" for out in ("N", "M", "D")}}
+        for i, (before, after) in enumerate(zip(clean.rows, broken.rows)):
+            for name, b, a in zip(expected, before, after):
+                assert math.isfinite(b)
+                if name in blanked[i]:
+                    assert math.isnan(a)
+                else:
+                    assert a == b
 
     def test_unconverged_phases_are_counted(self):
         # no rung of the ladder can meet tol = 1e-15: every phase cell counts

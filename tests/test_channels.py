@@ -15,8 +15,6 @@ from qflow.channels import (
     Trajectory,
     abs_c_squared,
     amplitude,
-    amplitude_derivative,
-    d_abs_c_squared_dt,
     decay_rates,
     first_amplitude_zero,
     lorentzian_density,
@@ -73,7 +71,7 @@ class TestAmplitude:
         assert float(gamma_t) == pytest.approx(0.0, abs=1e-14)
         assert float(delta_t) == pytest.approx(0.5 * p.omega0, abs=1e-14)
         # cdot(0) = -i omega0 / 2
-        assert complex(amplitude_derivative(0.0, p)) == pytest.approx(-0.5j, abs=1e-14)
+        assert complex(TimeLocalModel(p).rates(0.0)[1]) == pytest.approx(-0.5j, abs=1e-14)
 
     def test_zero_coupling_keeps_unit_modulus(self):
         p = TimeLocalParams(0.0, 1.7, 1.0)
@@ -121,9 +119,9 @@ class TestAmplitude:
         t = np.linspace(0.0, 3.0 * T_PERIOD, 4001)
         for R in (0.1, 0.3, 0.5):
             p = TimeLocalParams(R, 1.0, 1.0)
-            assert np.all(np.asarray(d_abs_c_squared_dt(t, p)) <= 1e-15)
+            assert np.all(np.asarray(TimeLocalModel(p).rates(t)[0]) <= 1e-15)
         p = TimeLocalParams(2.0, 1.0, 1.0)
-        dx = np.asarray(d_abs_c_squared_dt(t, p))
+        dx = np.asarray(TimeLocalModel(p).rates(t)[0])
         assert np.any(dx > 1e-6) and np.any(dx < -1e-6)
 
     def test_derivative_matches_finite_difference(self):
@@ -131,7 +129,7 @@ class TestAmplitude:
         h = 1e-6
         for t in (0.3, 1.2, 2.9):
             fd = (float(abs_c_squared(t + h, p)) - float(abs_c_squared(t - h, p))) / (2 * h)
-            assert float(d_abs_c_squared_dt(t, p)) == pytest.approx(fd, abs=1e-8)
+            assert float(TimeLocalModel(p).rates(t)[0]) == pytest.approx(fd, abs=1e-8)
 
     @settings(max_examples=200, deadline=None)
     @given(W=st.floats(0.01, 20.0), R=st.floats(0.02, 5.0), u=st.floats(0.0, 1.0))
@@ -159,7 +157,7 @@ class TestAmplitude:
         p = TimeLocalParams(0.45, 1.0, 1.0)
         t = np.linspace(0.0, T_PERIOD, 201)
         gamma_t, delta_t = decay_rates(t, p)
-        ratio = amplitude_derivative(t, p) / amplitude(t, p)
+        ratio = TimeLocalModel(p).rates(t)[1] / amplitude(t, p)
         assert np.max(np.abs(gamma_t + ratio.real)) < 1e-12
         assert np.max(np.abs(delta_t + ratio.imag)) < 1e-12
 

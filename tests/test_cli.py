@@ -21,11 +21,6 @@ def read_csv(path):
     return meta, columns, rows
 
 
-def run(args, capsys=None):
-    code = main(args)
-    return code
-
-
 class TestSimulate:
     def test_first_row_matches_initial_state(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -188,6 +183,13 @@ class TestCritical:
         assert code == 3
         assert "no sign change" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["1", "2"])
+    def test_too_few_steps_exit_2(self, tmp_path, capsys, steps):
+        code = main(["critical", "--W", "0.6", "--R-min", "0.4", "--R-max", "1.0",
+                     "--R-steps", steps, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "steps >= 3" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_config_file_merging_flags_win(self, tmp_path):
@@ -208,6 +210,31 @@ class TestConfigHandling:
     def test_invalid_z_exit_2(self, tmp_path, capsys):
         assert main(["gp", "--z", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "flows", "gp", "sweep", "critical"])
+    def test_negative_horizon_exit_2(self, tmp_path, capsys, command):
+        code = main([command, "--t-end", "-1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "t_end=-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "flows", "gp", "sweep", "critical"])
+    def test_no_quasi_periods_exit_2(self, tmp_path, capsys, command):
+        code = main([command, "--n", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "n=0 must be >= 1" in capsys.readouterr().err
+
+    def test_zero_horizon_means_n_quasi_periods(self, tmp_path):
+        out = tmp_path / "flows.csv"
+        assert main(["flows", "--t-end", "0", "--n", "2", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows[-1][0] == 4.0 * math.pi
+
+    def test_unknown_model_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "foo"}))
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "unknown model 'foo'" in capsys.readouterr().err
 
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["sweep", "--figure", "fig99", "--out", str(tmp_path / "x.csv")]) == 2

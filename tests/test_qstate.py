@@ -12,6 +12,7 @@ from qflow.qstate import (
     DensityMatrix,
     InitialStateSpec,
     PolarBloch,
+    bloch_dot,
     bloch_trace_distance,
     density_from_bloch,
     eigendecompose,
@@ -277,11 +278,20 @@ class TestSquaredNormOrder:
             for out, ref in zip(eigenvalues(arr), summed_eigenvalues(arr)):
                 assert_bitwise(out, ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=BLOCH_SHAPES)
+    def test_bloch_dot_matches_summed_form(self, data, shape):
+        a = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
+        b = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
+        for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
+            assert_bitwise(bloch_dot(x, y), np.sum(x * y, axis=-1))
+
     def test_non_contiguous_components(self, rng):
         wide = rng.normal(size=(40, 7, 6))
         b1, b2 = wide[..., ::2], wide[::-1, :, 1::2]  # strided Bloch axis, reversed rows
         assert not b1.flags.c_contiguous and not b2.flags.c_contiguous
         assert_bitwise(bloch_trace_distance(b1, b2), summed_trace_distance(b1, b2))
+        assert_bitwise(bloch_dot(b1, b2), np.sum(b1 * b2, axis=-1))
         for out, ref in zip(eigenvalues(b1), summed_eigenvalues(b1)):
             assert_bitwise(out, ref)
 
