@@ -310,7 +310,8 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--degrees", action="store_true", default=None,
                     help="interpret vartheta0/varphi0 as degrees")
     sp.add_argument("--t-end", dest="t_end", type=float, default=None,
-                    help="explicit horizon; 0 means n quasi-periods (default 0)")
+                    help="explicit horizon; 0 means n quasi-periods (default 0, "
+                         "the only value sweep takes)")
     sp.add_argument("--samples", type=int, default=None,
                     help=f"simulate sample count (default {d.samples})")
 
@@ -376,6 +377,8 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
         raise ConfigError("samples must be >= 2")
     if cfg.t_end < 0.0:
         raise ConfigError(f"t_end={cfg.t_end} must be >= 0 (0 means n quasi-periods)")
+    if cfg.command == "sweep" and cfg.t_end != 0.0:
+        raise ConfigError(f"t_end={cfg.t_end}: a sweep's horizon is n quasi-periods; set n")
     if cfg.n < 1:
         raise ConfigError(f"n={cfg.n} must be >= 1")
     return cfg, frozenset(explicit)

@@ -322,16 +322,6 @@ def kappa2(lam: float, T: float) -> float:
     return T / lam**2 + (math.exp(-lam * T) - 1.0) / lam**3 - T * T / (2.0 * lam)
 
 
-def phi0_closed_candidate(r0: float, theta0: float) -> float:
-    """Candidate closed form arctan(r0 tan(-pi (1 + cos theta0))).
-
-    Kept only for side-by-side comparison with the numerically computed
-    zeroth-order phase; it differs from the latter by a branch offset and
-    is not used in any pipeline.
-    """
-    return math.atan(r0 * math.tan(-math.pi * (1.0 + math.cos(theta0))))
-
-
 @dataclass(frozen=True)
 class PerturbativeTerms:
     """First-order phase expansion in W^2 for the time-local model."""
@@ -351,8 +341,7 @@ def gp_perturbative(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1,
     """Weak-coupling expansion of the mixed-state phase.
 
     The zeroth order phi0 is computed numerically from the W = 0
-    trajectory (the closed-form candidate is unreliable, see
-    :func:`phi0_closed_candidate`).  The first-order term follows from
+    trajectory.  The first-order term follows from
     differentiating the two-branch Arg with respect to W^2: with
     Delta = -n pi cos(theta0) and Q = cos^2 Delta + r0^2 sin^2 Delta,
 

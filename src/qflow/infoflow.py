@@ -15,6 +15,10 @@ starts from the grid's own values.  All brackets of a ledger are bisected
 together, one vectorised sigma evaluation per round, and the accumulation
 evaluates D only at the new boundary knots, reusing the grid values.  The
 ledger's meta records the bracket count and the bisection rounds.
+
+The BLP scan scores state pairs without evolving them: both models map
+rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by its
+invariants (p00 - p00', coh - coh') and the shared factors P and Q.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array, b
 DELTA_FLOOR = 1e-13
 SIGMA_NOISE_REL = 1e-9
 BISECT_REL_TOL = 1e-10
-PAIR_BLOCK_SAMPLES = 1 << 14  # pair-samples per scoring chunk: 384 KiB per Bloch block
+PAIR_BLOCK_SAMPLES = 1 << 14  # pair-samples per scoring chunk: 128 KiB per D block
 
 
 @dataclass(frozen=True)
@@ -263,6 +267,17 @@ def default_pair_grid() -> list[tuple[DensityMatrix, DensityMatrix]]:
             for j in range(i + 1, len(states))]
 
 
+def _pair_distance(dp00, dcoh, p_sq, q_sq) -> np.ndarray:
+    """D = sqrt(dp00^2 P^2 + |dcoh|^2 |Q|^2) of pairs (rows) at samples (columns).
+
+    It is half the norm of the pair's Bloch difference (2 Re(dcoh Q), -2 Im(dcoh Q),
+    2 dp00 P); dp00 from the populations keeps the digits that z - z' rounds away.
+    """
+    dist = np.multiply.outer(dp00 * dp00, p_sq)
+    dist += np.multiply.outer(dcoh.real * dcoh.real + dcoh.imag * dcoh.imag, q_sq)
+    return np.sqrt(dist, out=dist)
+
+
 def blp_measure(model, grid=None, t_end: float | None = None,
                 times: np.ndarray | None = None) -> BlpResult:
     """Maximise total backflow over a grid of initial-state pairs.
@@ -273,47 +288,32 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     boundaries.  With the pair (rho1, steady state) this reduces to
     flows(rho1, ...).N because the steady state is dynamically invariant.
 
-    Each distinct state is evolved once: state objects are deduplicated by
-    identity, then equal matrices by value.  Pairs are scored in chunks of
-    ``PAIR_BLOCK_SAMPLES // n_samples`` pairs, sized to stay in L2 cache,
-    through the one trace-distance formula :func:`bloch_trace_distance`.
-    A non-finite state gives a NaN score, which wins the argmax, so the
-    re-evaluation raises :class:`NumericalError`.
+    Pairs are scored by :func:`_pair_distance` in chunks sized for L2 cache.
+    A NaN score (only non-finite factors give one) wins, and re-evaluating raises.
     """
     if t_end is None:
         raise ConfigError("blp_measure requires an explicit t_end")
-    if grid is None:
-        grid = default_pair_grid()
-    grid = list(grid)
+    grid = default_pair_grid() if grid is None else list(grid)
     if not grid:
         raise ConfigError("blp_measure requires a non-empty pair grid")
     if times is None:
         times = sample_times(model, t_end)
     times = np.asarray(times, dtype=float)
 
-    # Evolve each distinct state once: the grid's state objects are told
-    # apart by identity, their matrices by value.
     objs = {id(s): s for s in chain.from_iterable(grid)}
-    keys: dict[bytes, int] = {}
-    row: dict[int, int] = {}
-    blochs: list[np.ndarray] = []
-    for obj_id, s in objs.items():
-        key = s.matrix.tobytes()
-        if key not in keys:
-            keys[key] = len(blochs)
-            blochs.append(model.bloch_series(s, times))
-        row[obj_id] = keys[key]
+    row = {obj_id: k for k, obj_id in enumerate(objs)}
     pair_idx = np.fromiter(map(row.__getitem__, map(id, chain.from_iterable(grid))),
                            np.intp, 2 * len(grid)).reshape(-1, 2)
-    stack = np.stack(blochs)  # (n_states, n_times, 3)
+    mats = np.array([s.matrix for s in objs.values()])
+    p00, coh = mats[:, 0, 0].real, mats[:, 0, 1]
+    P, Q = model.factors(times)
+    p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
 
-    # Score a chunk of pairs at a time, small enough that the gathered
-    # blocks and their temporaries stay in a core's L2 cache.
     chunk = max(1, PAIR_BLOCK_SAMPLES // times.size)
     scores = np.empty(len(grid), dtype=float)
     for lo in range(0, len(grid), chunk):
-        sel = pair_idx[lo:lo + chunk]
-        dist = bloch_trace_distance(stack.take(sel[:, 0], axis=0), stack.take(sel[:, 1], axis=0))
+        i, j = pair_idx[lo:lo + chunk].T
+        dist = _pair_distance(p00[i] - p00[j], coh[i] - coh[j], p_sq, q_sq)
         inc = np.diff(dist, axis=-1)
         np.maximum(inc, 0.0, out=inc)  # NaN stays NaN and wins the argmax
         np.sum(inc, axis=-1, out=scores[lo:lo + chunk])

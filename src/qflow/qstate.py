@@ -131,13 +131,13 @@ class InitialStateSpec:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """2x2 Hermitian unit-trace matrix.
+    """2x2 finite Hermitian unit-trace matrix.
 
-    Hermiticity and unit trace are enforced at construction.  Positivity is
-    deliberately *not* enforced: the exponential-memory model can produce
-    negative eigenvalues, and that violation is a reportable result, so it
-    is exposed via :meth:`min_eigenvalue` / :meth:`is_positive` instead of
-    being clamped or rejected.
+    Finiteness, Hermiticity and unit trace are enforced at construction.
+    Positivity is deliberately *not* enforced: the exponential-memory model
+    can produce negative eigenvalues, and that violation is a reportable
+    result, so it is exposed via :meth:`min_eigenvalue` / :meth:`is_positive`
+    instead of being clamped or rejected.
     """
 
     matrix: np.ndarray
@@ -146,6 +146,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise UnphysicalStateError(f"density matrix must be 2x2, got {m.shape}")
+        if not np.all(np.isfinite(m)):  # NaN would pass every comparison below
+            raise UnphysicalStateError("density matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise UnphysicalStateError("density matrix is not Hermitian to 1e-12")
         if abs(m[0, 0].real + m[1, 1].real - 1.0) > TRACE_TOL:

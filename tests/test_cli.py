@@ -223,6 +223,19 @@ class TestConfigHandling:
         assert code == 2
         assert "n=0 must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sweep_rejects_a_horizon(self, tmp_path, capsys, source):
+        out = ["--R-steps", "3", "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv = ["sweep", "--t-end", "3", *out]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"t_end": 3.0}))
+            argv = ["sweep", "--config", str(cfg), *out]
+        assert main(argv) == 2
+        assert "t_end=3.0: a sweep's horizon is n quasi-periods" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_zero_horizon_means_n_quasi_periods(self, tmp_path):
         out = tmp_path / "flows.csv"
         assert main(["flows", "--t-end", "0", "--n", "2", "--out", str(out)]) == 0

@@ -27,7 +27,8 @@ from qflow.infoflow import (
     sigma,
     weak_coupling_flows,
 )
-from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
+from qflow.qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_distance,
+                          density_from_bloch, initial_state)
 
 T = 2.0 * math.pi
 EQUATOR = InitialStateSpec(1.0, math.pi / 4, math.pi / 3)
@@ -293,7 +294,22 @@ class TestClosedFormBoundaries:
 
 
 def pairwise_scores(model, grid, times):
-    """Reference scorer: one pair at a time, the sum of positive np.diff increments."""
+    """Reference scorer: one pair at a time from its invariants, summing positive increments."""
+    P, Q = model.factors(times)
+    p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
+    scores = []
+    for s1, s2 in grid:
+        dp00 = s1.matrix[0, 0].real - s2.matrix[0, 0].real
+        dcoh = s1.matrix[0, 1] - s2.matrix[0, 1]
+        dcoh_sq = dcoh.real * dcoh.real + dcoh.imag * dcoh.imag
+        dist = np.sqrt(dp00 * dp00 * p_sq + dcoh_sq * q_sq)
+        inc = np.diff(dist)
+        scores.append(np.sum(np.where(inc > 0.0, inc, 0.0)))
+    return np.array(scores)
+
+
+def bloch_pairwise_scores(model, grid, times):
+    """Oracle scorer: evolve both states of each pair and take the Bloch trace distance."""
     scores = []
     for s1, s2 in grid:
         dist = bloch_trace_distance(model.bloch_series(s1, times), model.bloch_series(s2, times))
@@ -330,6 +346,29 @@ BLP_POOL = default_state_grid(2, 3, (0.5, 1.0))
 BLP_POOL += [DensityMatrix(s.matrix) for s in BLP_POOL[:4]]  # equal, distinct objects
 
 
+BLOCH_BALL = st.builds(PolarBloch, st.floats(0.0, 1.0), st.floats(0.0, math.pi),
+                       st.floats(0.0, 2.0 * math.pi))
+
+
+class TestPairDistance:
+    @settings(max_examples=60, deadline=None)
+    @given(b1=BLOCH_BALL, b2=BLOCH_BALL, memory=st.booleans(),
+           ratio=st.sampled_from([0.1, 0.4, 0.6, 2.0, 10.0]))
+    def test_matches_the_evolved_bloch_distance(self, b1, b2, memory, ratio):
+        # R = ratio on both sides of 1/2; C = ratio / 2 on both sides of 1/4
+        model = (MemoryKernelModel(MemoryKernelParams(ratio / 2.0, 1.0, 1.0)) if memory
+                 else tl_model(1.0, 1.0 / ratio))
+        rho1, rho2 = (density_from_bloch(b.to_bloch()) for b in (b1, b2))
+        times = sample_times(model, T)
+        P, Q = model.factors(times)
+        dist = infoflow._pair_distance(rho1.matrix[0, 0].real - rho2.matrix[0, 0].real,
+                                       rho1.matrix[0, 1] - rho2.matrix[0, 1],
+                                       P * P, Q.real * Q.real + Q.imag * Q.imag)
+        evolved = bloch_trace_distance(model.bloch_series(rho1, times),
+                                       model.bloch_series(rho2, times))
+        assert np.max(np.abs(dist - evolved)) <= 1e-15
+
+
 class TestBlp:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), size=st.sampled_from([1, 2, BLP_CHUNK - 1, BLP_CHUNK, BLP_CHUNK + 1]),
@@ -352,7 +391,7 @@ class TestBlp:
         result = blp_measure(tl_model(1.0, 0.5), grid, t_end=T, times=BLP_TIMES)
         assert result.argmax_index == at
 
-    def test_equal_states_are_evolved_once(self):
+    def test_no_state_is_evolved_before_the_ledger(self):
         model = tl_model(1.0, 0.5)
         a, b, c = BLP_POOL[0], BLP_POOL[-4], BLP_POOL[5]
         grid = [(a, c), (b, c), (c, b), (a, b), (a, a)]
@@ -360,13 +399,26 @@ class TestBlp:
         real_pair_flows = infoflow.pair_flows
 
         def ledger(*args, **kwargs):
-            before_ledger.append(spy.call_count)
+            before_ledger.append((states.call_count, factors.call_count))
             return real_pair_flows(*args, **kwargs)
 
-        with mock.patch.object(model, "states", wraps=model.states) as spy, \
+        with mock.patch.object(model, "factors", wraps=model.factors) as factors, \
+                mock.patch.object(model, "states", wraps=model.states) as states, \
                 mock.patch.object(infoflow, "pair_flows", side_effect=ledger):
             blp_measure(model, grid, t_end=T, times=BLP_TIMES)
-        assert before_ledger == [2]  # one evolution per distinct matrix, a and c
+        assert before_ledger == [(0, 1)]  # scoring reads the factors once, evolves nothing
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), memory=st.booleans(), ratio=st.sampled_from([0.3, 0.7, 2.0]))
+    def test_value_matches_the_bloch_form_pick(self, data, memory, ratio):
+        model = (MemoryKernelModel(MemoryKernelParams(ratio / 2.0, 1.0, 1.0)) if memory
+                 else tl_model(1.0, 1.0 / ratio))
+        index = st.integers(0, len(BLP_POOL) - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=40))
+        grid = [(BLP_POOL[i], BLP_POOL[j]) for i, j in pairs]
+        result = blp_measure(model, grid, t_end=T, times=BLP_TIMES)
+        oracle = grid[int(np.argmax(bloch_pairwise_scores(model, grid, BLP_TIMES)))]
+        assert abs(result.value - pair_flows(*oracle, model, T, BLP_TIMES).N_total) <= 1e-12
 
     def test_non_finite_states_raise(self):
         model = NanAfter(TimeLocalParams(1.0, 0.5, 1.0))

@@ -64,6 +64,13 @@ class TestDensityMatrix:
         with pytest.raises(UnphysicalStateError):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(UnphysicalStateError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), bad, dtype=complex))
+        with pytest.raises(UnphysicalStateError, match="non-finite"):
+            DensityMatrix(np.array([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 0.0]]))
+
     def test_negative_eigenvalue_is_flagged_not_rejected(self):
         # Hermitian, unit trace, |r| > 1: must construct, must flag.
         rho = DensityMatrix(np.array([[-0.1, 0.0], [0.0, 1.1]], dtype=complex))
