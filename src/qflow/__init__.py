@@ -53,6 +53,7 @@ from .geomphase import (
 from .infoflow import (
     BlpResult,
     FlowLedger,
+    PairGrid,
     blp_measure,
     default_pair_grid,
     flows,

@@ -17,14 +17,20 @@ evaluates D only at the new boundary knots, reusing the grid values.  The
 ledger's meta records the bracket count and the bisection rounds.
 
 The BLP scan scores state pairs without evolving them: both models map
-rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by its
-invariants (p00 - p00', coh - coh') and the shared factors P and Q.
+rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
+squares of its invariants, x = (p00 - p00')^2 and y = |coh - coh'|^2, and the
+shared factors P and Q.  A pair grid is a state list plus two index arrays
+(:class:`PairGrid`), and each distinct (x, y) key is scored once, so the
+scoring cost follows the number of distinct keys, not of pairs.  Grids with
+symmetry gain: the default grid's 372,816 pairs have 59,843 distinct keys,
+since rotating both states about z changes neither square.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -89,6 +95,7 @@ class BlpResult:
     n_pairs: int
     t_end: float
     n_samples: int
+    n_distinct: int  # distinct (x, y) pair keys scored
 
 
 def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
@@ -260,21 +267,67 @@ def default_state_grid(n_theta: int = 12, n_phi: int = 24,
     return states
 
 
-def default_pair_grid() -> list[tuple[DensityMatrix, DensityMatrix]]:
-    """All unordered pairs of distinct default grid states (can be large)."""
-    states = default_state_grid()
-    return [(states[i], states[j]) for i in range(len(states))
-            for j in range(i + 1, len(states))]
+class PairGrid(Sequence):
+    """A sequence of (rho1, rho2) pairs held as a state list and two index arrays.
 
-
-def _pair_distance(dp00, dcoh, p_sq, q_sq) -> np.ndarray:
-    """D = sqrt(dp00^2 P^2 + |dcoh|^2 |Q|^2) of pairs (rows) at samples (columns).
-
-    It is half the norm of the pair's Bloch difference (2 Re(dcoh Q), -2 Im(dcoh Q),
-    2 dp00 P); dp00 from the populations keeps the digits that z - z' rounds away.
+    Pair k is ``(states[first[k]], states[second[k]])``; length, indexing
+    and iteration behave as on the equivalent list of tuples, and a slice
+    is a PairGrid over the same states.
     """
-    dist = np.multiply.outer(dp00 * dp00, p_sq)
-    dist += np.multiply.outer(dcoh.real * dcoh.real + dcoh.imag * dcoh.imag, q_sq)
+
+    def __init__(self, states, first, second):
+        self.states = tuple(states)
+        self.first = np.asarray(first, dtype=np.intp)
+        self.second = np.asarray(second, dtype=np.intp)
+        if self.first.ndim != 1 or self.first.shape != self.second.shape:
+            raise ConfigError(f"pair index arrays must be 1-D of equal length, got "
+                              f"shapes {self.first.shape} and {self.second.shape}")
+        if self.first.size and (min(self.first.min(), self.second.min()) < 0
+                                or max(self.first.max(), self.second.max()) >= len(self.states)):
+            raise ConfigError(f"pair indices must lie in [0, {len(self.states)})")
+
+    @classmethod
+    def of(cls, pairs) -> PairGrid:
+        """``pairs`` itself if it is a PairGrid, else one over its distinct state objects."""
+        if isinstance(pairs, PairGrid):
+            return pairs
+        pairs = list(pairs)
+        if any(len(pair) != 2 for pair in pairs):
+            raise ConfigError("every entry of a pair grid must be a (rho1, rho2) pair")
+        objs = {id(s): s for s in chain.from_iterable(pairs)}
+        row = {obj_id: k for k, obj_id in enumerate(objs)}
+        idx = np.fromiter(map(row.__getitem__, map(id, chain.from_iterable(pairs))),
+                          np.intp, 2 * len(pairs)).reshape(-1, 2)
+        return cls(objs.values(), idx[:, 0], idx[:, 1])
+
+    def __len__(self) -> int:
+        return self.first.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return PairGrid(self.states, self.first[k], self.second[k])
+        return self.states[self.first[k]], self.states[self.second[k]]
+
+    def __iter__(self):
+        pick = self.states.__getitem__
+        return zip(map(pick, self.first.tolist()), map(pick, self.second.tolist()))
+
+
+def default_pair_grid() -> PairGrid:
+    """All unordered pairs (i < j, row-major) of distinct default grid states."""
+    states = default_state_grid()
+    return PairGrid(states, *np.triu_indices(len(states), 1))
+
+
+def _pair_distance(x, y, p_sq, q_sq) -> np.ndarray:
+    """D = sqrt(x P^2 + y |Q|^2) of pair keys (rows) at samples (columns).
+
+    With x = dp00^2 and y = |dcoh|^2 it is half the norm of the pair's Bloch
+    difference (2 Re(dcoh Q), -2 Im(dcoh Q), 2 dp00 P); dp00 from the
+    populations keeps the digits that z - z' rounds away.
+    """
+    dist = np.multiply.outer(x, p_sq)
+    dist += np.multiply.outer(y, q_sq)
     return np.sqrt(dist, out=dist)
 
 
@@ -288,38 +341,57 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     boundaries.  With the pair (rho1, steady state) this reduces to
     flows(rho1, ...).N because the steady state is dynamically invariant.
 
-    Pairs are scored by :func:`_pair_distance` in chunks sized for L2 cache.
-    A NaN score (only non-finite factors give one) wins, and re-evaluating raises.
+    ``grid`` is a :class:`PairGrid` (the default grid is one) or any
+    sequence of pairs, which is indexed by state identity first.  A pair's
+    score depends only on its key x + iy (x = dp00^2, y = |dcoh|^2), so each
+    distinct key is scored once by :func:`_pair_distance`, in chunks sized
+    for L2 cache, and the best pair is the first in grid order whose key
+    scores highest.  Keys are compared as exact floats, so every score
+    equals the pair's own.  The cost follows the distinct keys
+    (``n_distinct``): a grid closed under rotations about z repeats keys,
+    one without repeats pays a sort for nothing.  A NaN score (only
+    non-finite factors give one) wins, and re-evaluating raises.
     """
     if t_end is None:
         raise ConfigError("blp_measure requires an explicit t_end")
-    grid = default_pair_grid() if grid is None else list(grid)
-    if not grid:
+    grid = default_pair_grid() if grid is None else PairGrid.of(grid)
+    if not len(grid):
         raise ConfigError("blp_measure requires a non-empty pair grid")
     if times is None:
         times = sample_times(model, t_end)
     times = np.asarray(times, dtype=float)
 
-    objs = {id(s): s for s in chain.from_iterable(grid)}
-    row = {obj_id: k for k, obj_id in enumerate(objs)}
-    pair_idx = np.fromiter(map(row.__getitem__, map(id, chain.from_iterable(grid))),
-                           np.intp, 2 * len(grid)).reshape(-1, 2)
-    mats = np.array([s.matrix for s in objs.values()])
+    mats = np.array([s.matrix for s in grid.states])
     p00, coh = mats[:, 0, 0].real, mats[:, 0, 1]
+    dp00 = p00[grid.first] - p00[grid.second]
+    dcoh = coh[grid.first] - coh[grid.second]
+    # finite states give finite or infinite keys, never NaN, so a sort
+    # orders every key; np.unique's hash table costs four sorts on keys that
+    # rarely repeat
+    keys = np.empty(len(grid), dtype=complex)
+    keys.real = dp00 * dp00
+    keys.imag = dcoh.real * dcoh.real + dcoh.imag * dcoh.imag
+    del dp00, dcoh
+    ordered = np.sort(keys)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered
     P, Q = model.factors(times)
     p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
 
     chunk = max(1, PAIR_BLOCK_SAMPLES // times.size)
-    scores = np.empty(len(grid), dtype=float)
-    for lo in range(0, len(grid), chunk):
-        i, j = pair_idx[lo:lo + chunk].T
-        dist = _pair_distance(p00[i] - p00[j], coh[i] - coh[j], p_sq, q_sq)
+    distinct_scores = np.empty(distinct.size, dtype=float)
+    for lo in range(0, distinct.size, chunk):
+        block = distinct[lo:lo + chunk]
+        dist = _pair_distance(block.real, block.imag, p_sq, q_sq)
         inc = np.diff(dist, axis=-1)
         np.maximum(inc, 0.0, out=inc)  # NaN stays NaN and wins the argmax
-        np.sum(inc, axis=-1, out=scores[lo:lo + chunk])
+        np.sum(inc, axis=-1, out=distinct_scores[lo:lo + chunk])
 
-    best = int(np.argmax(scores))  # ties resolve to the lowest grid index
-    ledger = pair_flows(grid[best][0], grid[best][1], model, t_end, times)
+    # the best pair is the first in grid order whose key scores highest
+    top = distinct_scores[np.argmax(distinct_scores)]  # a NaN score wins
+    winners = distinct[(distinct_scores == top) | np.isnan(distinct_scores)]
+    best = int(np.argmax(np.isin(keys, winners)))
+    ledger = pair_flows(*grid[best], model, t_end, times)
     return BlpResult(
         value=ledger.N_total,
         argmax_pair=grid[best],
@@ -327,6 +399,7 @@ def blp_measure(model, grid=None, t_end: float | None = None,
         n_pairs=len(grid),
         t_end=float(t_end),
         n_samples=int(times.size),
+        n_distinct=int(distinct.size),
     )
 
 

@@ -19,8 +19,10 @@ from qflow.errors import ConfigError, NumericalError
 from qflow.infoflow import (
     BISECT_REL_TOL,
     PAIR_BLOCK_SAMPLES,
+    PairGrid,
     _bisect_all,
     blp_measure,
+    default_pair_grid,
     default_state_grid,
     flows,
     pair_flows,
@@ -293,16 +295,23 @@ class TestClosedFormBoundaries:
         assert_boundaries_match(flows(rho0, TimeLocalModel(p), T), p, 0.0, 10.0)
 
 
+def pair_invariants(grid):
+    """(dp00^2, |dcoh|^2) of each pair, one pair at a time."""
+    out = []
+    for s1, s2 in grid:
+        dp00 = s1.matrix[0, 0].real - s2.matrix[0, 0].real
+        dcoh = s1.matrix[0, 1] - s2.matrix[0, 1]
+        out.append((dp00 * dp00, dcoh.real * dcoh.real + dcoh.imag * dcoh.imag))
+    return out
+
+
 def pairwise_scores(model, grid, times):
     """Reference scorer: one pair at a time from its invariants, summing positive increments."""
     P, Q = model.factors(times)
     p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
     scores = []
-    for s1, s2 in grid:
-        dp00 = s1.matrix[0, 0].real - s2.matrix[0, 0].real
-        dcoh = s1.matrix[0, 1] - s2.matrix[0, 1]
-        dcoh_sq = dcoh.real * dcoh.real + dcoh.imag * dcoh.imag
-        dist = np.sqrt(dp00 * dp00 * p_sq + dcoh_sq * q_sq)
+    for dp00_sq, dcoh_sq in pair_invariants(grid):
+        dist = np.sqrt(dp00_sq * p_sq + dcoh_sq * q_sq)
         inc = np.diff(dist)
         scores.append(np.sum(np.where(inc > 0.0, inc, 0.0)))
     return np.array(scores)
@@ -325,6 +334,7 @@ def assert_blp_matches_pairwise(model, grid, times):
     assert result.argmax_pair == grid[best]
     assert result.value == pair_flows(*grid[best], model, times[-1], times).N_total
     assert result.n_pairs == len(grid)
+    assert result.n_distinct == len(set(pair_invariants(grid)))
     return result
 
 
@@ -344,6 +354,12 @@ BLP_TIMES = np.linspace(0.0, T, 201)
 BLP_CHUNK = PAIR_BLOCK_SAMPLES // BLP_TIMES.size
 BLP_POOL = default_state_grid(2, 3, (0.5, 1.0))
 BLP_POOL += [DensityMatrix(s.matrix) for s in BLP_POOL[:4]]  # equal, distinct objects
+WIDE_POOL = default_state_grid(3, 8, (0.5, 1.0))  # 1128 pairs, 248 distinct keys
+
+
+def all_pairs(states):
+    return [(states[i], states[j]) for i in range(len(states))
+            for j in range(i + 1, len(states))]
 
 
 BLOCH_BALL = st.builds(PolarBloch, st.floats(0.0, 1.0), st.floats(0.0, math.pi),
@@ -361,12 +377,49 @@ class TestPairDistance:
         rho1, rho2 = (density_from_bloch(b.to_bloch()) for b in (b1, b2))
         times = sample_times(model, T)
         P, Q = model.factors(times)
-        dist = infoflow._pair_distance(rho1.matrix[0, 0].real - rho2.matrix[0, 0].real,
-                                       rho1.matrix[0, 1] - rho2.matrix[0, 1],
-                                       P * P, Q.real * Q.real + Q.imag * Q.imag)
+        (x, y), = pair_invariants([(rho1, rho2)])
+        dist = infoflow._pair_distance(x, y, P * P, Q.real * Q.real + Q.imag * Q.imag)
         evolved = bloch_trace_distance(model.bloch_series(rho1, times),
                                        model.bloch_series(rho2, times))
         assert np.max(np.abs(dist - evolved)) <= 1e-15
+
+
+class TestPairGrid:
+    def test_default_grid_is_the_nested_pair_list(self):
+        def packed(pairs):
+            return b"".join(a.matrix.tobytes() + b.matrix.tobytes() for a, b in pairs)
+
+        grid = default_pair_grid()
+        old = all_pairs(default_state_grid())
+        assert len(grid) == len(old) == 372_816
+        assert packed(grid) == packed(old)
+
+    def test_of_keeps_a_grid_and_indexes_a_list(self):
+        a, b, c = BLP_POOL[0], BLP_POOL[-4], BLP_POOL[5]  # b equals a, distinct object
+        pairs = [(a, c), (b, c), (c, b), (a, a), (c, a)]
+        grid = PairGrid.of(pairs)
+        assert PairGrid.of(grid) is grid
+        assert len(grid) == len(pairs)
+        assert grid.states == (a, c, b)
+        assert list(grid) == pairs  # the same objects, in order
+        assert [grid[k] for k in range(-len(pairs), len(pairs))] == pairs + pairs
+        assert isinstance(grid[1:4], PairGrid) and list(grid[1:4]) == pairs[1:4]
+        with pytest.raises(IndexError):
+            grid[len(pairs)]
+
+    def test_index_arrays_of_unequal_length_raise(self):
+        with pytest.raises(ConfigError, match="equal length"):
+            PairGrid(BLP_POOL, [0, 1], [2])
+
+    def test_an_entry_that_is_not_a_pair_raises(self):
+        a, b, c = BLP_POOL[:3]
+        with pytest.raises(ConfigError, match="pair"):
+            PairGrid.of([(a, b, c), (b,)])
+
+    @pytest.mark.parametrize("bad", [-1, len(BLP_POOL)])
+    def test_index_outside_the_states_raises(self, bad):
+        with pytest.raises(ConfigError, match=rf"\[0, {len(BLP_POOL)}\)"):
+            PairGrid(BLP_POOL, [0, 1], [2, bad])
 
 
 class TestBlp:
@@ -390,6 +443,20 @@ class TestBlp:
         grid = [(a, a)] * at + [(a, c)]  # self pairs score 0
         result = blp_measure(tl_model(1.0, 0.5), grid, t_end=T, times=BLP_TIMES)
         assert result.argmax_index == at
+
+    @pytest.mark.parametrize("ratio", [0.25, 2.0])
+    def test_chunk_edges_over_distinct_keys(self, ratio):
+        result = assert_blp_matches_pairwise(tl_model(1.0, 1.0 / ratio), all_pairs(WIDE_POOL),
+                                             BLP_TIMES)
+        assert result.n_distinct > 2 * BLP_CHUNK
+
+    def test_each_distinct_key_is_scored_once(self):
+        grid = all_pairs(WIDE_POOL) + all_pairs(BLP_POOL)
+        with mock.patch.object(infoflow, "_pair_distance",
+                               wraps=infoflow._pair_distance) as scorer:
+            result = blp_measure(tl_model(1.0, 0.5), grid, t_end=T, times=BLP_TIMES)
+        assert sum(call.args[0].size for call in scorer.call_args_list) == result.n_distinct
+        assert result.n_distinct == len(set(pair_invariants(grid))) < len(grid)
 
     def test_no_state_is_evolved_before_the_ledger(self):
         model = tl_model(1.0, 0.5)
@@ -422,9 +489,7 @@ class TestBlp:
 
     def test_non_finite_states_raise(self):
         model = NanAfter(TimeLocalParams(1.0, 0.5, 1.0))
-        states = default_state_grid(2, 3, (1.0,))
-        grid = [(states[i], states[j]) for i in range(len(states))
-                for j in range(i + 1, len(states))]
+        grid = all_pairs(default_state_grid(2, 3, (1.0,)))
         with pytest.raises(NumericalError, match="not finite at t = 4.021"):
             blp_measure(model, grid, t_end=T, times=BLP_TIMES)
 
@@ -436,29 +501,20 @@ class TestBlp:
         assert result.value == ledger.N_total  # bitwise: same engine, same grid
 
     def test_markovian_grid_is_zero(self):
-        states = default_state_grid(3, 6, (1.0,))
-        grid = [(states[i], states[j]) for i in range(len(states))
-                for j in range(i + 1, len(states))]
+        grid = all_pairs(default_state_grid(3, 6, (1.0,)))
         result = blp_measure(tl_model(1.0, 4.0), grid, t_end=T)  # R = 0.25
         assert result.value == 0.0
 
     def test_non_markovian_grid_is_positive(self):
-        states = default_state_grid(3, 6, (1.0,))
-        grid = [(states[i], states[j]) for i in range(len(states))
-                for j in range(i + 1, len(states))]
+        grid = all_pairs(default_state_grid(3, 6, (1.0,)))
         result = blp_measure(tl_model(1.0, 1.0), grid, t_end=T)  # R = 1
         assert result.value > 0.01
         assert result.n_pairs == len(grid)
 
     def test_grid_refinement_convergence(self):
-        def pairs(n_theta, n_phi):
-            states = default_state_grid(n_theta, n_phi, (1.0,))
-            return [(states[i], states[j]) for i in range(len(states))
-                    for j in range(i + 1, len(states))]
-
         model = tl_model(1.0, 1.0)
-        coarse = blp_measure(model, pairs(6, 12), t_end=T)
-        fine = blp_measure(model, pairs(12, 24), t_end=T)
+        coarse = blp_measure(model, all_pairs(default_state_grid(6, 12, (1.0,))), t_end=T)
+        fine = blp_measure(model, all_pairs(default_state_grid(12, 24, (1.0,))), t_end=T)
         assert abs(fine.value - coarse.value) / fine.value < 0.05
 
     def test_requires_pairs_and_horizon(self):
