@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PoleError, StepSizeError
-from .qstate import DensityMatrix, bloch_array, eigenvalues
+from .qstate import SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, bloch_array, eigenvalues
 
 POLE_TOL = 1e-12
 ORACLE_CONVERGENCE_TOL = 1e-8
@@ -402,22 +402,20 @@ def sample_times(model, t_end: float) -> np.ndarray:
 # ODE oracles (fixed-step RK4)
 # ---------------------------------------------------------------------------
 
-_NUMBER_OP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_NUMBER_OP = SIGMA_PLUS @ SIGMA_MINUS  # diag(1, 0)
 
 
 def master_equation_rhs(rho: np.ndarray, gamma_t: float, delta_t: float) -> np.ndarray:
     """Right-hand side of the time-local master equation (matrix form)."""
     comm = _NUMBER_OP @ rho - rho @ _NUMBER_OP
-    sandwich = _SM @ rho @ _SP
+    sandwich = SIGMA_MINUS @ rho @ SIGMA_PLUS
     anti = _NUMBER_OP @ rho + rho @ _NUMBER_OP
     return -1j * delta_t * comm + gamma_t * (2.0 * sandwich - anti)
 
 
 def _dissipator(rho: np.ndarray, gamma0: float) -> np.ndarray:
     """Liouvillian of the memory-kernel model (interaction picture)."""
-    sandwich = _SM @ rho @ _SP
+    sandwich = SIGMA_MINUS @ rho @ SIGMA_PLUS
     anti = _NUMBER_OP @ rho + rho @ _NUMBER_OP
     return 0.5 * gamma0 * (2.0 * sandwich - anti)
 
@@ -446,13 +444,15 @@ def _rk4_path(make_rhs, y0: np.ndarray, t_end: float, n_steps: int) -> np.ndarra
 
 
 def _converged_rk4(make_rhs, y0: np.ndarray, t_end: float, dt: float | None,
-                   scale_dt: float, explicit_dt: bool):
+                   scale_dt: float):
     """Run RK4 with step doubling until two successive refinements agree.
 
     Returns (path, times) at the final resolution.  With an explicit dt only
     one halving is attempted and failure raises StepSizeError (coarse step
-    rejected); otherwise halving continues until convergence.
+    rejected); with dt None it starts from scale_dt and halving continues
+    until convergence.
     """
+    explicit_dt = dt is not None
     if dt is None:
         dt = scale_dt
     if dt <= 0.0:
@@ -502,8 +502,8 @@ def ode_oracle_time_local_path(
         return rhs
 
     path, times = _converged_rk4(
-        make_rhs, np.asarray(rho0.matrix, dtype=complex), t_end,
-        dt, _default_oracle_dt(p.timescale()), explicit_dt=dt is not None,
+        make_rhs, np.asarray(rho0.matrix, dtype=complex), t_end, dt,
+        _default_oracle_dt(p.timescale()),
     )
     return Trajectory(times, path, "time-local-oracle", {"omega0": p.omega0})
 
@@ -531,9 +531,7 @@ def ode_oracle_memory_kernel_path(
         return rhs
 
     y0 = np.stack([np.asarray(rho0.matrix, dtype=complex), np.zeros((2, 2), complex)])
-    path, times = _converged_rk4(
-        make_rhs, y0, t_end, dt, _default_oracle_dt(p.timescale()), explicit_dt=dt is not None
-    )
+    path, times = _converged_rk4(make_rhs, y0, t_end, dt, _default_oracle_dt(p.timescale()))
     rot = np.exp(-1j * p.omega0 * times)
     states = path[:, 0, :, :].copy()
     states[:, 0, 1] *= rot

@@ -1,7 +1,7 @@
 """Command-line interface: simulate | flows | gp | sweep | critical.
 
 Output is CSV (default) or JSON with a ``# key=value`` metadata preamble
-echoing the effective configuration.  Numbers are written with 17
+echoing the settings the subcommand read.  Numbers are written with 17
 significant digits so reading a file back reproduces the doubles exactly.
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -38,7 +38,8 @@ class RunConfig:
 
     Every field has a default; a config file may override defaults and
     explicit flags override the file.  Unknown keys in a config file are
-    rejected.
+    rejected, and so is any setting the subcommand does not read
+    (:func:`_settings_read`).
     """
 
     command: str = ""
@@ -68,7 +69,61 @@ class RunConfig:
     samples: int = 2001
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+
+# The settings each subcommand reads.  Three entries stand for a model's
+# fields: "coupling" (W or gamma0), "rate" (lam or gamma) and "axis" (the
+# R_* or C_* range).  A ratio sweep and critical read no rate, because the
+# ratio sets it (lambda = W / R, gamma = gamma0 / C).  critical always runs
+# the time-local model; sweep --figure takes its model, coupling and states
+# from the preset.  Every subcommand also reads format and writes to out.
+_STATE = ("z", "vartheta0", "varphi0", "degrees")
+_READS = {
+    "simulate": ("model", "coupling", "rate", "omega0", *_STATE, "t_end", "n", "samples"),
+    "flows": ("model", "coupling", "rate", "omega0", *_STATE, "t_end", "n"),
+    "gp": ("model", "coupling", "rate", "omega0", *_STATE, "t_end", "n", "mode", "tol"),
+    "sweep": ("figure", "model", "coupling", "omega0", *_STATE, "n", "axis", "mode", "tol"),
+    "sweep --figure": ("figure", "n", "axis", "mode", "tol"),
+    "critical": ("coupling", "omega0", *_STATE, "t_end", "n", "axis"),
+}
+_MODEL_FIELDS = {
+    "time-local": {"coupling": ("W",), "rate": ("lam",), "axis": ("R_min", "R_max", "R_steps")},
+    "memory-kernel": {
+        "coupling": ("gamma0",), "rate": ("gamma",), "axis": ("C_min", "C_max", "C_steps"),
+    },
+}
+
+
+def _settings_read(cfg: RunConfig) -> tuple[str, ...]:
+    """The settings ``cfg.command`` reads under cfg's model or preset, in field order."""
+    if cfg.command == "sweep" and cfg.figure:
+        key, model = "sweep --figure", figure_preset(cfg.figure).model
+    elif cfg.command == "critical":
+        key, model = "critical", "time-local"
+    else:
+        key, model = cfg.command, cfg.model
+    if model not in _MODEL_FIELDS:
+        raise ConfigError(f"unknown model {model!r}")
+    names = {"format"}
+    for entry in _READS[key]:
+        names.update(_MODEL_FIELDS[model].get(entry, (entry,)))
+    return tuple(name for name in _SETTINGS if name in names)
+
+
+def _reject_unread(cfg: RunConfig, given: dict) -> None:
+    """Raise ConfigError naming every given setting that ``cfg.command`` does not read."""
+    reads = _settings_read(cfg)
+    # out is where the result goes, not a setting: every subcommand takes it
+    unread = [name for name in _SETTINGS if name in given and name not in (*reads, "out")]
+    if not unread:
+        return
+    context = cfg.command
+    if "figure" in reads and cfg.figure:
+        context += f" --figure {cfg.figure}"
+    if "model" in reads:
+        context += f" --model {cfg.model}"
+    values = ", ".join(f"{name}={given[name]}" for name in unread)
+    raise ConfigError(f"{context} does not read {', '.join(unread)} (given {values})")
 
 
 def _fmt(x) -> str:
@@ -99,10 +154,8 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 def _base_meta(cfg: RunConfig) -> dict:
     meta = {"artifact_version": __version__, "command": cfg.command}
-    for f in fields(RunConfig):
-        if f.name in ("command", "out"):  # destination path is not a setting
-            continue
-        meta[f.name] = _fmt(getattr(cfg, f.name))
+    for name in _settings_read(cfg):
+        meta[name] = _fmt(getattr(cfg, name))
     return meta
 
 
@@ -197,33 +250,25 @@ def cmd_gp(cfg: RunConfig) -> None:
     _emit(cfg, _base_meta(cfg), columns, rows)
 
 
-def _sweep_spec(cfg: RunConfig, explicit: frozenset = frozenset()) -> SweepSpec:
+def _sweep_spec(cfg: RunConfig) -> SweepSpec:
     if cfg.figure:
         spec = figure_preset(cfg.figure)
-        overrides = {"mode": cfg.mode, "tol": cfg.tol}
-        prefix = spec.param
-        if f"{prefix}_min" in explicit:
-            overrides["start"] = getattr(cfg, f"{prefix}_min")
-        if f"{prefix}_max" in explicit:
-            overrides["stop"] = getattr(cfg, f"{prefix}_max")
-        if f"{prefix}_steps" in explicit:
-            overrides["steps"] = getattr(cfg, f"{prefix}_steps")
-        if "n" in explicit:
-            overrides["n"] = cfg.n
-        return replace(spec, **overrides)
-    prefix = "R" if cfg.model == "time-local" else "C"
-    return SweepSpec(
-        model=cfg.model,
+    else:
+        spec = SweepSpec(
+            model=cfg.model, W=cfg.W, gamma0=cfg.gamma0, omega0=cfg.omega0,
+            z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
+            outputs=("phase", "N", "M"),
+        )
+    prefix = spec.param
+    return replace(
+        spec,
         start=getattr(cfg, f"{prefix}_min"), stop=getattr(cfg, f"{prefix}_max"),
-        steps=getattr(cfg, f"{prefix}_steps"),
-        W=cfg.W, gamma0=cfg.gamma0, omega0=cfg.omega0, n=cfg.n,
-        z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
-        outputs=("phase", "N", "M"), mode=cfg.mode, tol=cfg.tol,
+        steps=getattr(cfg, f"{prefix}_steps"), n=cfg.n, mode=cfg.mode, tol=cfg.tol,
     )
 
 
-def cmd_sweep(cfg: RunConfig, explicit: frozenset = frozenset()) -> None:
-    result = run_sweep(_sweep_spec(cfg, explicit))
+def cmd_sweep(cfg: RunConfig) -> None:
+    result = run_sweep(_sweep_spec(cfg))
     meta = _base_meta(cfg)
     for k, v in result.meta.items():
         meta[f"sweep_{k}"] = str(v)
@@ -310,8 +355,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--degrees", action="store_true", default=None,
                     help="interpret vartheta0/varphi0 as degrees")
     sp.add_argument("--t-end", dest="t_end", type=float, default=None,
-                    help="explicit horizon; 0 means n quasi-periods (default 0, "
-                         "the only value sweep takes)")
+                    help="explicit horizon; 0 means n quasi-periods (default 0)")
     sp.add_argument("--samples", type=int, default=None,
                     help=f"simulate sample count (default {d.samples})")
 
@@ -345,23 +389,27 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
-    base = {"command": args.command}
-    if args.config:
-        base.update(_load_config_file(args.config))
-    explicit = set()
-    for name in _FIELD_NAMES - {"command"}:
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    given = _load_config_file(args.config) if args.config else {}
+    for name in _SETTINGS:
         flag = getattr(args, name, None)
         if flag is not None:
-            base[name] = flag
-            explicit.add(name)
-    cfg = RunConfig(**{k: v for k, v in base.items() if k in _FIELD_NAMES})
+            given[name] = flag
+    cfg = RunConfig(command=args.command, **given)
+    _reject_unread(cfg, given)
+    if cfg.command == "sweep" and cfg.figure:
+        # the preset gives the defaults of the settings sweep --figure reads
+        spec = figure_preset(cfg.figure)
+        axis = spec.param
+        preset = {f"{axis}_min": spec.start, f"{axis}_max": spec.stop, f"{axis}_steps": spec.steps,
+                  "n": spec.n, "mode": spec.mode, "tol": spec.tol}
+        cfg = replace(cfg, **{k: v for k, v in preset.items() if k not in given})
     if cfg.degrees:
         cfg = replace(
             cfg,
@@ -377,22 +425,16 @@ def _merge_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
         raise ConfigError("samples must be >= 2")
     if cfg.t_end < 0.0:
         raise ConfigError(f"t_end={cfg.t_end} must be >= 0 (0 means n quasi-periods)")
-    if cfg.command == "sweep" and cfg.t_end != 0.0:
-        raise ConfigError(f"t_end={cfg.t_end}: a sweep's horizon is n quasi-periods; set n")
     if cfg.n < 1:
         raise ConfigError(f"n={cfg.n} must be >= 1")
-    return cfg, frozenset(explicit)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, explicit = _merge_config(args)
-        if cfg.command == "sweep":
-            cmd_sweep(cfg, explicit)
-        else:
-            _COMMANDS[cfg.command](cfg)
+        _COMMANDS[args.command](_merge_config(args))
     except ConfigError as exc:
         print(f"qflow: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,16 @@
 import json
 import math
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qflow.cli import main
+from qflow.cli import RunConfig, main
 from qflow.qstate import InitialStateSpec, initial_state
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -233,7 +238,7 @@ class TestConfigHandling:
             cfg.write_text(json.dumps({"t_end": 3.0}))
             argv = ["sweep", "--config", str(cfg), *out]
         assert main(argv) == 2
-        assert "t_end=3.0: a sweep's horizon is n quasi-periods" in capsys.readouterr().err
+        assert "sweep --model time-local does not read t_end (given t_end=3.0)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_zero_horizon_means_n_quasi_periods(self, tmp_path):
@@ -267,6 +272,150 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             main(["--version"])
         assert "qflow" in capsys.readouterr().out
+
+    def test_config_file_cannot_pick_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "flows"}))
+        assert main(["gp", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "unknown config keys: ['command']" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_preset_range_from_config_file(self, tmp_path):
+        # the preset supplies the defaults of its axis, and a file value wins like a flag
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"R_steps": 2}))
+        out = tmp_path / "nm.csv"
+        assert main(["sweep", "--figure", "appendix-nm", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        assert [r[0] for r in rows] == [0.3, 1.2]
+        assert (meta["R_min"], meta["R_max"], meta["R_steps"]) == (
+            "0.29999999999999999", "1.2", "2")
+
+
+SETTINGS = [f.name for f in fields(RunConfig) if f.name != "command"]
+STATE = {"z", "vartheta0", "varphi0", "degrees"}
+CRITICAL_ARGV = ["critical", "--W", "0.6", "--vartheta0", "1.0471975511965976", "--z", "1",
+                 "--R-min", "0.4", "--R-max", "1.0", "--R-steps", "31"]
+
+# case: (a cheap run, the settings it reads besides format); out is not a setting
+READS = {
+    "simulate": (["simulate", "--samples", "3"],
+                 {"model", "W", "lam", "omega0", *STATE, "t_end", "n", "samples"}),
+    "simulate-mk": (["simulate", "--model", "memory-kernel", "--samples", "3"],
+                    {"model", "gamma0", "gamma", "omega0", *STATE, "t_end", "n", "samples"}),
+    "flows": (["flows"], {"model", "W", "lam", "omega0", *STATE, "t_end", "n"}),
+    "flows-mk": (["flows", "--model", "memory-kernel"],
+                 {"model", "gamma0", "gamma", "omega0", *STATE, "t_end", "n"}),
+    "gp": (["gp"], {"model", "W", "lam", "omega0", *STATE, "t_end", "n", "mode", "tol"}),
+    "gp-mk": (["gp", "--model", "memory-kernel"],
+              {"model", "gamma0", "gamma", "omega0", *STATE, "t_end", "n", "mode", "tol"}),
+    "sweep": (["sweep", "--R-steps", "2"],
+              {"figure", "model", "W", "omega0", *STATE, "n", "R_min", "R_max", "R_steps",
+               "mode", "tol"}),
+    "sweep-mk": (["sweep", "--model", "memory-kernel", "--C-steps", "2"],
+                 {"figure", "model", "gamma0", "omega0", *STATE, "n", "C_min", "C_max",
+                  "C_steps", "mode", "tol"}),
+    "sweep-fig1": (["sweep", "--figure", "fig1", "--R-steps", "2"],
+                   {"figure", "n", "R_min", "R_max", "R_steps", "mode", "tol"}),
+    "sweep-fig9": (["sweep", "--figure", "fig9", "--C-steps", "2"],
+                   {"figure", "n", "C_min", "C_max", "C_steps", "mode", "tol"}),
+    "critical": (CRITICAL_ARGV,
+                 {"W", "omega0", *STATE, "t_end", "n", "R_min", "R_max", "R_steps"}),
+}
+
+# a valid value of every setting: (flag arguments, config file value)
+VALUES = {
+    "model": (["--model", "time-local"], "time-local"),
+    "W": (["--W", "0.5"], 0.5),
+    "lam": (["--lambda", "2"], 2.0),
+    "omega0": (["--omega0", "1.5"], 1.5),
+    "gamma0": (["--gamma0", "5"], 5.0),
+    "gamma": (["--gamma", "2"], 2.0),
+    "z": (["--z", "0.5"], 0.5),
+    "vartheta0": (["--vartheta0", "0.3"], 0.3),
+    "varphi0": (["--varphi0", "0.2"], 0.2),
+    "n": (["--n", "2"], 2),
+    "R_min": (["--R-min", "0.2"], 0.2),
+    "R_max": (["--R-max", "2"], 2.0),
+    "R_steps": (["--R-steps", "3"], 3),
+    "C_min": (["--C-min", "0.02"], 0.02),
+    "C_max": (["--C-max", "0.2"], 0.2),
+    "C_steps": (["--C-steps", "3"], 3),
+    "figure": (["--figure", "fig1"], "fig1"),
+    "mode": (["--mode", "spectral"], "spectral"),
+    "format": (["--format", "json"], "json"),
+    "tol": (["--tol", "1e-5"], 1e-5),
+    "degrees": (["--degrees"], True),
+    "t_end": (["--t-end", "3"], 3.0),
+    "samples": (["--samples", "11"], 11),
+}
+
+UNREAD = [
+    (case, name)
+    for case, (_, reads) in READS.items()
+    for name in SETTINGS
+    if name not in reads | {"format", "out"}
+]
+
+
+class TestSettingsRead:
+    def test_every_setting_has_a_value(self):
+        assert set(VALUES) == set(SETTINGS) - {"out"}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("case,name", UNREAD)
+    def test_unread_setting_exit_2(self, tmp_path, capsys, case, name, source):
+        argv, _ = READS[case]
+        flag, value = VALUES[name]
+        out = tmp_path / "x.csv"
+        if source == "flag":
+            extra = flag
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({name: value}))
+            extra = ["--config", str(cfg)]
+        assert main([*argv, *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qflow: configuration error: {argv[0]}")
+        assert f" does not read {name} (given {name}=" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(READS))
+    def test_preamble_echoes_what_was_read(self, tmp_path, case):
+        argv, reads = READS[case]
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert list(meta)[:2] == ["artifact_version", "command"]
+        assert {k for k in meta if k in SETTINGS} == reads | {"format"}
+
+    def test_critical_reads_no_model(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["critical", "--model", "memory-kernel", "--gamma0", "5",
+                     "--out", str(out)]) == 2
+        assert ("critical does not read model, gamma0 (given model=memory-kernel, gamma0=5.0)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_preset_sweep_reads_no_state(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--figure", "fig9", "--W", "3", "--z", "0.1", "--lambda", "7",
+                     "--out", str(out)]) == 2
+        assert ("sweep --figure fig9 does not read W, lam, z (given W=3.0, lam=7.0, z=0.1)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qflow ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
 
 
 class TestDeterminism:

@@ -504,6 +504,7 @@ class TestBlp:
         grid = all_pairs(default_state_grid(3, 6, (1.0,)))
         result = blp_measure(tl_model(1.0, 4.0), grid, t_end=T)  # R = 0.25
         assert result.value == 0.0
+        assert result.argmax_index == 0  # every pair ties
 
     def test_non_markovian_grid_is_positive(self):
         grid = all_pairs(default_state_grid(3, 6, (1.0,)))
