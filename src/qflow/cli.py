@@ -95,14 +95,14 @@ _MODEL_FIELDS = {
 
 
 def _settings_read(cfg: RunConfig) -> tuple[str, ...]:
-    """The settings ``cfg.command`` reads under cfg's model or preset, in field order."""
-    if cfg.command == "sweep" and cfg.figure:
-        key, model = "sweep --figure", figure_preset(cfg.figure).model
-    elif cfg.command == "critical":
-        key, model = "critical", "time-local"
-    else:
-        key, model = cfg.command, cfg.model
-    if model not in _MODEL_FIELDS:
+    """The settings ``cfg.command`` reads under cfg's model or preset, in field order.
+
+    For ``sweep --figure`` cfg.model must already be the preset's model
+    (:func:`_merge_config` sets it).
+    """
+    key = "sweep --figure" if cfg.command == "sweep" and cfg.figure else cfg.command
+    model = "time-local" if cfg.command == "critical" else cfg.model
+    if not isinstance(model, str) or model not in _MODEL_FIELDS:
         raise ConfigError(f"unknown model {model!r}")
     names = {"format"}
     for entry in _READS[key]:
@@ -250,6 +250,12 @@ def cmd_gp(cfg: RunConfig) -> None:
     _emit(cfg, _base_meta(cfg), columns, rows)
 
 
+def _sweep_fields(axis: str) -> dict[str, str]:
+    """The SweepSpec fields a sweep takes from RunConfig, and their RunConfig names."""
+    return {"start": f"{axis}_min", "stop": f"{axis}_max", "steps": f"{axis}_steps",
+            "n": "n", "mode": "mode", "tol": "tol"}
+
+
 def _sweep_spec(cfg: RunConfig) -> SweepSpec:
     if cfg.figure:
         spec = figure_preset(cfg.figure)
@@ -259,12 +265,7 @@ def _sweep_spec(cfg: RunConfig) -> SweepSpec:
             z_list=(cfg.z,), vartheta0_list=(cfg.vartheta0,), varphi0=cfg.varphi0,
             outputs=("phase", "N", "M"),
         )
-    prefix = spec.param
-    return replace(
-        spec,
-        start=getattr(cfg, f"{prefix}_min"), stop=getattr(cfg, f"{prefix}_max"),
-        steps=getattr(cfg, f"{prefix}_steps"), n=cfg.n, mode=cfg.mode, tol=cfg.tol,
-    )
+    return replace(spec, **{f: getattr(cfg, name) for f, name in _sweep_fields(spec.param).items()})
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
@@ -402,14 +403,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             given[name] = flag
     cfg = RunConfig(command=args.command, **given)
-    _reject_unread(cfg, given)
     if cfg.command == "sweep" and cfg.figure:
-        # the preset gives the defaults of the settings sweep --figure reads
+        # the preset gives the model and the defaults of the settings sweep --figure reads
         spec = figure_preset(cfg.figure)
-        axis = spec.param
-        preset = {f"{axis}_min": spec.start, f"{axis}_max": spec.stop, f"{axis}_steps": spec.steps,
-                  "n": spec.n, "mode": spec.mode, "tol": spec.tol}
-        cfg = replace(cfg, **{k: v for k, v in preset.items() if k not in given})
+        defaults = {name: getattr(spec, f) for f, name in _sweep_fields(spec.param).items()
+                    if name not in given}
+        cfg = replace(cfg, model=spec.model, **defaults)
+    _reject_unread(cfg, given)
     if cfg.degrees:
         cfg = replace(
             cfg,

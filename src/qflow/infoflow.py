@@ -389,12 +389,8 @@ def blp_measure(model, grid=None, t_end: float | None = None,
 
     # the best pair is the first in grid order whose key scores highest
     top = distinct_scores[np.argmax(distinct_scores)]  # a NaN score wins
-    if top == 0.0:
-        # scores are sums of max(inc, 0) and a NaN would be top: every pair ties
-        best = 0
-    else:
-        winners = distinct[(distinct_scores == top) | np.isnan(distinct_scores)]
-        best = int(np.argmax(np.isin(keys, winners)))
+    winners = distinct[(distinct_scores == top) | np.isnan(distinct_scores)]
+    best = int(np.argmax(np.isin(keys, winners)))
     ledger = pair_flows(*grid[best], model, t_end, times)
     return BlpResult(
         value=ledger.N_total,

@@ -254,6 +254,16 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown model 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [["time-local"], {}])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unhashable_model_in_config_exit_2(self, tmp_path, capsys, command, model):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["sweep", "--figure", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
 
