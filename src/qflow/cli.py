@@ -382,6 +382,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON values a config file may give a RunConfig field, by the field's type
+_CONFIG_TYPES = {
+    "str": ((str,), "a string"),
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -393,6 +402,15 @@ def _load_config_file(path: str) -> dict:
     unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for f in fields(RunConfig):
+        # model is checked against the model names (_settings_read)
+        if f.name not in data or f.name == "model":
+            continue
+        value = data[f.name]
+        types, kind = _CONFIG_TYPES[f.type]
+        # bool is a subclass of int, but true is no number
+        if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
+            raise ConfigError(f"config key {f.name} needs {kind}, got {value!r}")
     return data
 
 

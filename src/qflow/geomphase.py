@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -37,7 +37,14 @@ from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
 from .errors import ConfigError, DegenerateStateError, NumericalError
 from .infoflow import FlowLedger
-from .qstate import DEGENERACY_EPS, DensityMatrix, InitialStateSpec, eigenbasis, initial_state
+from .qstate import (
+    DEGENERACY_EPS,
+    DensityMatrix,
+    InitialStateSpec,
+    bloch_array,
+    eigenbasis,
+    initial_state,
+)
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
@@ -90,37 +97,64 @@ class PhaseResult:
     step_change: float
     converged: bool
     mode: str
+    # the branch curves behind the phase, which the next rung of a doubling
+    # ladder reuses at its even samples; empty on gp_mixed_auto's result
+    branches: tuple[BranchData, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def phase_figure(self) -> float:
         return figure_value(self.phase)
 
 
-def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, BranchData]:
+def branch_data(traj: Trajectory, mode: str = "literal",
+                coarse: tuple[BranchData, ...] | None = None) -> tuple[BranchData, BranchData]:
     """Eigen-branch curves of a sampled trajectory by :func:`qflow.qstate.eigenbasis`.
 
     ``"spectral"`` reads the eigenbasis off the matrices; ``"literal"`` uses
     the fixed azimuth omega0 t + phi0 recorded in the trajectory metadata.
     A sample with a NaN state raises :class:`NumericalError`.
+
+    ``coarse``, the branches of ``traj``'s even samples, limits the work to
+    the odd samples, which are interleaved with them.  The eigenbasis is
+    elementwise in the samples, so the curves equal those of the whole
+    trajectory bit for bit.
     """
+    times, states = traj.times, traj.states
+    if coarse is not None:
+        if len(coarse) != 2 or any(2 * br.eps.size - 1 != times.size for br in coarse):
+            raise ConfigError(f"coarse branches do not fit a {times.size}-sample trajectory")
+        times, states = times[1::2], states[1::2]
     azimuth = None
     if mode == "literal":
         try:
             omega0 = traj.meta["omega0"]
         except KeyError:
             raise ConfigError("literal mode requires omega0 in the trajectory metadata")
-        azimuth = omega0 * traj.times + traj.meta.get("phi0", 0.0)
-    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(traj.bloch(), mode, azimuth)
+        azimuth = omega0 * times + traj.meta.get("phi0", 0.0)
+    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch_array(states), mode, azimuth)
     gap = eps_plus - eps_minus  # |r|
     k_min = int(np.argmin(gap))  # the first NaN, if there is one
     if not gap[k_min] >= DEGENERACY_EPS:
         if np.isnan(gap[k_min]):
             k_bad = int(np.flatnonzero(~np.isfinite(gap))[0])
-            raise NumericalError(f"state is not finite at t = {traj.times[k_bad]:.6g}")
+            raise NumericalError(f"state is not finite at t = {times[k_bad]:.6g}")
         raise DegenerateStateError(
-            f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {traj.times[k_min]:.6g}"
+            f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {times[k_min]:.6g}"
         )
-    return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
+    if coarse is None:
+        return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
+    return _interleave(coarse[0], eps_plus, v_plus), _interleave(coarse[1], eps_minus, v_minus)
+
+
+def _interleave(coarse: BranchData, eps: np.ndarray, vectors: np.ndarray) -> BranchData:
+    """The branch with ``coarse`` at the even samples and (eps, vectors) at the odd ones."""
+    fine_eps = np.empty(2 * coarse.eps.size - 1)
+    fine_eps[::2] = coarse.eps
+    fine_eps[1::2] = eps
+    fine_vectors = np.empty((fine_eps.size, 2), dtype=complex)
+    fine_vectors[::2] = coarse.vectors
+    fine_vectors[1::2] = vectors
+    return BranchData(coarse.label, fine_eps, fine_vectors)
 
 
 def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
@@ -157,8 +191,7 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
         overlaps[br.label] = complex(endpoint[-1])
     if abs(total[-1]) < 1e-12:
         raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
-    series = np.unwrap(np.angle(total))
-    raw = float(series[-1] - series[0])
+    raw = _unwrapped_change(np.angle(total))
     return raw, principal_value(raw), {
         "connection": connection,
         "overlaps": overlaps,
@@ -166,27 +199,57 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
     }
 
 
+def _unwrapped_change(p: np.ndarray) -> float:
+    """``np.unwrap(p)[-1] - p[0]`` of a 1-D series, bit for bit.
+
+    np.unwrap corrects only the increments with |dp| >= pi (and NaN ones) and
+    adds +0.0 elsewhere, which changes no partial sum of its cumsum.  So the
+    corrections of those increments alone, by numpy's mod and +-pi boundary
+    rule and summed in the same order, give the same endpoint.
+    """
+    if p.size < 2:
+        return float(p[-1] - p[0])
+    d = np.diff(p)
+    jumps = d[~(np.abs(d) < math.pi)]
+    period, low = 2.0 * math.pi, -math.pi
+    dmod = np.mod(jumps - low, period) + low
+    dmod[(dmod == low) & (jumps > 0)] = math.pi
+    correction = np.cumsum(dmod - jumps)[-1] if jumps.size else 0.0
+    return float(p[-1] + correction - p[0])
+
+
 def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
-             tol: float = 1e-6) -> PhaseResult:
+             tol: float = 1e-6, coarse: PhaseResult | None = None) -> PhaseResult:
     """Mixed-state geometric phase of a sampled trajectory.
 
     The trajectory must span [0, T] and stay away from the Bloch-ball
-    center.  Convergence is judged by recomputing on every second sample;
+    center.  Convergence is judged against the phase on every second sample;
     use :func:`gp_mixed_auto` to double the sampling until the criterion
     holds.
+
+    ``coarse`` is this function's result, in the same mode, on the even
+    samples of ``traj`` (the previous rung of a doubling ladder).  Its branch
+    curves are reused at those samples and its phase is the half-grid phase,
+    so only the odd samples are decomposed and the phase is assembled once;
+    both equal what recomputing them gives, bit for bit.
     """
     times = traj.times
     if T is not None and abs(times[-1] - T) > 1e-9 * max(abs(T), 1.0):
         raise ConfigError(f"trajectory spans [0, {times[-1]}], expected T = {T}")
-    branches = branch_data(traj, mode)
+    if coarse is not None and coarse.mode != mode:
+        raise ConfigError(f"coarse result is in {coarse.mode} mode, not {mode}")
+    branches = branch_data(traj, mode, None if coarse is None else coarse.branches)
     raw, principal, details = assemble_phase(times, branches)
 
     step_change = math.nan
     if times.size >= 5 and (times.size - 1) % 2 == 0:
-        half = tuple(
-            BranchData(b.label, b.eps[::2], b.vectors[::2]) for b in branches
-        )
-        raw_half, _, _ = assemble_phase(times[::2], half)
+        if coarse is None:
+            half = tuple(
+                BranchData(b.label, b.eps[::2], b.vectors[::2]) for b in branches
+            )
+            raw_half, _, _ = assemble_phase(times[::2], half)
+        else:
+            raw_half = coarse.phase_raw
         step_change = circle_distance(raw, raw_half)
     return PhaseResult(
         phase=principal,
@@ -198,6 +261,7 @@ def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
         step_change=step_change,
         converged=bool(step_change < tol) if math.isfinite(step_change) else False,
         mode=mode,
+        branches=branches,
     )
 
 
@@ -209,10 +273,18 @@ def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
     the previous rung's states at the even samples.  The states are
     elementwise in t and ``linspace(0, T, 2 m + 1)[::2]`` is
     ``linspace(0, T, m + 1)`` bit for bit, so every rung is the trajectory
-    that ``model.trajectory`` would build on its grid.
+    that ``model.trajectory`` would build on its grid.  From the second rung
+    on, gp_mixed also takes the previous rung's result as ``coarse``: it
+    decomposes only the midpoints and reads the half-grid phase instead of
+    assembling it again.  The returned result carries no branch curves.
+
+    The grids depend only on T and the model, so the states of one sweep
+    row share the model's propagator evaluation per grid (see
+    ``channels.GRID_MEMO_SLOTS``).
     """
     periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
     traj = model.trajectory(rho0, np.linspace(0.0, T, LADDER_INTERVALS * periods + 1))
+    result = None
     for doubling in range(MAX_DOUBLINGS + 1):
         if doubling:
             fine = np.linspace(0.0, T, 2 * len(traj) - 1)
@@ -220,16 +292,16 @@ def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
             states[::2] = traj.states
             states[1::2] = model.states(rho0, fine[1::2])
             traj = Trajectory(fine, states, traj.model, traj.meta)
-        result = gp_mixed(traj, mode=mode, T=T, tol=tol)
+        result = gp_mixed(traj, mode=mode, T=T, tol=tol, coarse=result)
         if result.converged:
-            return result
+            return replace(result, branches=())
     warnings.warn(
         f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {result.step_change:.3e})",
         RuntimeWarning,
         stacklevel=2,
     )
-    return result
+    return replace(result, branches=())
 
 
 def gp_closed(theta0: float) -> float:

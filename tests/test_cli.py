@@ -264,6 +264,31 @@ class TestConfigHandling:
         assert "unknown model" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key,value,kind", [
+        ("gp", "W", "abc", "a number"),
+        ("simulate", "samples", 3.5, "an integer"),
+        ("gp", "n", True, "an integer"),
+        ("gp", "tol", False, "a number"),
+        ("gp", "mode", 1, "a string"),
+        ("gp", "degrees", 1, "true or false"),
+    ])
+    def test_config_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, command, key,
+                                                   value, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key {key} needs {kind}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_integer_for_a_float_setting(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"W": 0, "lam": 2}))
+        out = tmp_path / "x.csv"
+        assert main(["gp", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert (meta["W"], meta["lam"]) == ("0", "2")
+
     def test_unknown_preset_exit_2(self, tmp_path):
         assert main(["sweep", "--figure", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -22,6 +22,7 @@ from qflow.geomphase import (
     PhaseUndefinedError,
     WEIGHT_FLOOR,
     _pure_integrand_factory,
+    _unwrapped_change,
     assemble_phase,
     branch_data,
     circle_distance,
@@ -298,6 +299,48 @@ class TestLadderOracle:
         assert same_values(result.connection, rebuilt.connection)
         assert same_values(result.overlaps, rebuilt.overlaps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(**PHASE_CASES)
+    def test_coarse_rung_equals_recomputing(self, memory, mode, coupling, ratio, z, vt, vp,
+                                            periods):
+        model, rho0 = phase_case(memory, coupling, ratio, z, vt, vp)
+        horizon = periods * T
+        fine = model.trajectory(rho0, np.linspace(0.0, horizon, 801))
+        coarse = Trajectory(fine.times[::2], fine.states[::2], fine.model, fine.meta)
+        try:
+            alone = gp_mixed(fine, mode=mode, T=horizon)
+        except NumericalError:
+            assume(False)
+        shared = gp_mixed(fine, mode=mode, T=horizon, coarse=gp_mixed(coarse, mode=mode))
+        for name in ("phase", "phase_raw", "step_change", "converged", "n_samples"):
+            assert getattr(shared, name) == getattr(alone, name)
+        for name in ("connection", "overlaps", "weights"):
+            assert same_values(getattr(shared, name), getattr(alone, name))
+        for a, b in zip(shared.branches, alone.branches):
+            assert np.array_equal(a.eps, b.eps) and np.array_equal(a.vectors, b.vectors)
+
+    def test_coarse_rung_must_fit(self):
+        model, rho0 = phase_case(False, 0.3, 0.5, 0.8, 0.6, 0.2)
+        fine = model.trajectory(rho0, np.linspace(0.0, T, 801))
+        coarse = Trajectory(fine.times[::2], fine.states[::2], fine.model, fine.meta)
+        with pytest.raises(ConfigError, match="spectral mode"):
+            gp_mixed(fine, coarse=gp_mixed(coarse, mode="spectral"))
+        with pytest.raises(ConfigError, match="do not fit a 801-sample"):
+            gp_mixed(fine, coarse=gp_mixed(fine))
+        with pytest.raises(ConfigError, match="do not fit"):  # gp_mixed_auto keeps no curves
+            gp_mixed(fine, coarse=gp_mixed_auto(model, rho0, T))
+
+    def test_nan_midpoint_raises_like_recomputing(self):
+        model, rho0 = phase_case(False, 0.3, 0.5, 0.8, 0.6, 0.2)
+        fine = model.trajectory(rho0, np.linspace(0.0, T, 801))
+        states = fine.states.copy()
+        states[301] = np.nan
+        broken = Trajectory(fine.times, states, fine.model, fine.meta)
+        coarse = gp_mixed(Trajectory(fine.times[::2], fine.states[::2], fine.model, fine.meta))
+        for kwargs in ({}, {"coarse": coarse}):
+            with pytest.raises(NumericalError, match=f"not finite at t = {fine.times[301]:.6g}"):
+                gp_mixed(broken, **kwargs)
+
     @settings(max_examples=60, deadline=None)
     @given(**PHASE_CASES)
     def test_assemble_phase_equals_stacked_sums(self, memory, mode, coupling, ratio,
@@ -318,6 +361,39 @@ class TestLadderOracle:
         assert raw == ref_raw
         assert same_values(details["connection"], ref_connection)
         assert same_values(details["overlaps"], ref_overlaps)
+
+
+class TestUnwrappedChange:
+    """The endpoint of np.unwrap, from the increments it corrects only."""
+
+    EDGES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 0.5 * math.pi,
+             3.0 * math.pi, math.nan)
+
+    @staticmethod
+    def assert_bit_equal(p):
+        p = np.asarray(p, dtype=float)
+        want = np.unwrap(p)[-1] - p[0]
+        got = _unwrapped_change(p)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(EDGES) | st.floats(-20.0, 20.0), min_size=1,
+                    max_size=12))
+    def test_equals_numpy(self, p):
+        self.assert_bit_equal(p)
+
+    @pytest.mark.parametrize("p", [
+        [0.3], [math.nan], [-0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, math.nan],
+        [0.0, math.pi], [0.0, -math.pi], [math.pi, -math.pi], [-math.pi, math.pi],
+        [0.0, 2.0 * math.pi], [0.0, -2.0 * math.pi, 0.0], [1.0, 1.0 + math.pi, 1.0],
+    ])
+    def test_edges(self, p):
+        self.assert_bit_equal(p)
+
+    def test_phase_series(self, rng):
+        # wrapped angles of a long rotation, as assemble_phase meets them
+        theta = np.cumsum(rng.uniform(-1.0, 3.5, 2001))
+        self.assert_bit_equal(np.angle(np.exp(1j * theta)))
 
 
 class TestPhaseIntegrandProperty:
