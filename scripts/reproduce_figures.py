@@ -4,8 +4,8 @@
 Usage:  python scripts/reproduce_figures.py [outdir]
 
 Each preset becomes one CSV (metadata preamble + table).  fig7 takes the
-longest (a 2D sweep over R and the initial polar angle): about 11 s of the
-22 s the whole set takes on a 2-core x86-64 host.  Point failures (for
+longest (a 2D sweep over R and the initial polar angle): about 3.4 s of the
+9 s the whole set takes on a 2-core x86-64 host.  Point failures (for
 example the phase of population states that cross the Bloch-ball center)
 are recorded in the metadata, not fatal.
 """

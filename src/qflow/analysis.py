@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +30,8 @@ from .channels import (
     TimeLocalModel,
     TimeLocalParams,
 )
-from .errors import BracketError, ConfigError, NumericalError
-from .geomphase import figure_value, gp_mixed_auto, phase_integrand
+from .errors import BracketError, ConfigError, NumericalError, require_finite
+from .geomphase import figure_value, gp_flow_form, gp_mixed_auto, phase_integrand
 from .infoflow import flows
 from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
@@ -60,6 +61,13 @@ class SweepSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        require_finite("SweepSpec", start=self.start, stop=self.stop, W=self.W,
+                       gamma0=self.gamma0, omega0=self.omega0, varphi0=self.varphi0,
+                       tol=self.tol,
+                       **{f"z_list[{i}]": z for i, z in enumerate(self.z_list)},
+                       **{f"vartheta0_list[{i}]": v for i, v in enumerate(self.vartheta0_list)})
+        if not self.tol > 0.0:
+            raise ConfigError(f"phase tolerance tol={self.tol} must be > 0")
         if self.steps < 2:
             raise ConfigError("sweep resolution must be >= 2")
         if self.model not in ("time-local", "memory-kernel"):
@@ -91,6 +99,19 @@ class SweepSpec:
                 out.append((f"z={z:g};vt={vt:g}", InitialStateSpec(z, vt, self.varphi0)))
         return out
 
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """The swept ratio, then per state one cell per output (three for a phase).
+
+        Computed once per spec, so every result of the spec shares the names.
+        """
+        names = [self.param]
+        for label, _ in self.states():
+            for out in self.outputs:
+                names += ([f"{k}[{label}]" for k in ("phase_raw", "phase_mod", "phase_pi")]
+                          if out == "phase" else [f"{out}[{label}]"])
+        return tuple(names)
+
     def params_at(self, value: float):
         """Parameters at one swept value: the fixed W (gamma0) at ratio ``value``."""
         if self.model == "time-local":
@@ -114,14 +135,17 @@ class SweepResult:
 
 
 def _row_at(spec: SweepSpec, value: float):
-    """(column, value) cells at one swept value, notes, and the unconverged phase count.
+    """The cells of ``spec.columns`` at one swept value, notes, and the unconverged phase count.
 
     The ledger outputs (N, M, D), each phase and A fail on their own: a
     :class:`NumericalError` blanks only its own cells (NaN) and adds a note.
+    This is the one place that picks the phase route: ``literal`` mode takes
+    the closed form :func:`gp_flow_form`, ``spectral`` the doubling ladder
+    :func:`gp_mixed_auto`.
     """
     model = spec.model_at(value)
     T = spec.horizon()
-    row: list[tuple[str, float]] = [(spec.param, float(value))]
+    row = [float(value)]
     notes: list[tuple[str, str]] = []
     unconverged = 0
     for label, state in spec.states():
@@ -133,11 +157,10 @@ def _row_at(spec: SweepSpec, value: float):
             except NumericalError as exc:
                 notes.append((label, str(exc)))
         for out in spec.outputs:
-            names = ([f"{k}[{label}]" for k in ("phase_raw", "phase_mod", "phase_pi")]
-                     if out == "phase" else [f"{out}[{label}]"])
             try:
                 if out == "phase":
-                    r = gp_mixed_auto(model, rho0, T, mode=spec.mode, tol=spec.tol)
+                    r = (gp_flow_form(model, rho0, T, spec.tol) if spec.mode == "literal"
+                         else gp_mixed_auto(model, rho0, T, mode=spec.mode, tol=spec.tol))
                     unconverged += not r.converged
                     values = [r.phase_raw, r.phase, figure_value(r.phase) / math.pi]
                 elif out == "A":
@@ -151,9 +174,9 @@ def _row_at(spec: SweepSpec, value: float):
                 else:
                     values = [float(ledger.D[-1])]
             except NumericalError as exc:
-                values = [math.nan] * len(names)
+                values = [math.nan] * (3 if out == "phase" else 1)
                 notes.append((label, str(exc)))
-            row.extend(zip(names, values))
+            row.extend(values)
     return row, notes, unconverged
 
 
@@ -161,11 +184,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep row by row.
 
     ``meta["unconverged_phases"]`` counts the phase cells (one per row and
-    state) whose doubling ladder ended without meeting ``spec.tol``.
+    state) whose grid doublings ended without meeting ``spec.tol``.
     """
     results = [_row_at(spec, v) for v in spec.values()]
 
-    rows = tuple(tuple(v for _, v in r) for r, _, _ in results)
+    rows = tuple(tuple(r) for r, _, _ in results)
     errors = tuple(
         (i, label, msg) for i, (_, notes, _) in enumerate(results) for label, msg in notes
     )
@@ -179,8 +202,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     }
     if spec.crosses_quarter():
         meta["crosses_validity_boundary"] = "C range crosses 1/4"
-    columns = tuple(name for name, _ in results[0][0])
-    return SweepResult(spec, columns, rows, errors, meta)
+    return SweepResult(spec, spec.columns, rows, errors, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PoleError, StepSizeError
+from .errors import ConfigError, NumericalError, PoleError, StepSizeError, require_finite
 from .qstate import SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, bloch_array, eigenvalues
 
 POLE_TOL = 1e-12
@@ -50,9 +50,9 @@ SAMPLES_PER_FEATURE = 40
 MAX_SAMPLES = 200001
 _SINHC_SERIES_CUTOFF = 1e-6
 # A model keeps (P, Q) and (Pdot, Qdot) of this many recently used grids: the
-# grids of one sweep row, that is the phase ladder's rung 0 and its
-# MAX_DOUBLINGS = 7 midpoint grids plus the flow grid, once for the factors
-# and once for the rates.  Grids below MIN_SAMPLES points bypass the memo:
+# grids of one sweep row, that is the phase's 1 + MAX_DOUBLINGS = 8 grids
+# (gp_flow_form's whole grids, or the ladder's rung 0 and midpoint grids)
+# plus the flow grid, once for the factors and once for the rates.  Grids below MIN_SAMPLES points bypass the memo:
 # the library samples none that short, so they are bisection probes and
 # single times, which do not recur and would only pay for the lookup.
 GRID_MEMO_SLOTS = 10
@@ -67,6 +67,7 @@ class TimeLocalParams:
     omega0: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("TimeLocalParams", W=self.W, lam=self.lam, omega0=self.omega0)
         if self.W < 0.0:
             raise ConfigError(f"coupling W={self.W} must be >= 0")
         if self.lam <= 0.0:
@@ -110,6 +111,8 @@ class MemoryKernelParams:
     omega0: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("MemoryKernelParams", gamma0=self.gamma0, gamma=self.gamma,
+                       omega0=self.omega0)
         if self.gamma0 < 0.0:
             raise ConfigError(f"dissipation rate gamma0={self.gamma0} must be >= 0")
         if self.gamma <= 0.0:

@@ -26,7 +26,7 @@ from .channels import (
     TimeLocalParams,
     decay_rates,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_finite
 from .geomphase import figure_value, gp_mixed_auto
 from .infoflow import flows
 from .qstate import InitialStateSpec, eigenvalues, initial_state
@@ -428,6 +428,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                     if name not in given}
         cfg = replace(cfg, model=spec.model, **defaults)
     _reject_unread(cfg, given)
+    require_finite("setting", **{f.name: getattr(cfg, f.name) for f in fields(RunConfig)
+                                 if f.type == "float"})
     if cfg.degrees:
         cfg = replace(
             cfg,

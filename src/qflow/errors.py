@@ -8,6 +8,8 @@ to exit code 2.
 
 from __future__ import annotations
 
+import math
+
 
 class QflowError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +41,14 @@ class StepSizeError(NumericalError):
 
 class BracketError(NumericalError):
     """Root bracketing failed: no sign change in the scanned range."""
+
+
+def require_finite(where: str, **values: float) -> None:
+    """Raise :class:`ConfigError` naming the first of ``values`` that is NaN or infinite.
+
+    NaN passes every range check (``nan < 0`` is False), so settings are
+    checked for finiteness before their ranges.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} {name}={value} must be finite")

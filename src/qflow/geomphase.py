@@ -14,18 +14,29 @@ accumulated (unwrapped) value and as the principal value in (-pi, pi]; a
 
 Four routes to the same physics live here:
 
-* :func:`gp_mixed`       - the general discrete formula on a trajectory
+* :func:`gp_mixed`       - the general discrete formula on a trajectory, which
+                           :func:`gp_mixed_auto` refines by doubling the grid
 * :func:`gp_pure`        - adaptive quadrature of the pure-state closed form
-* :func:`gp_flow_form`   - the same integral driven through the flow ledger
+* :func:`gp_flow_form`   - the literal-mode formula in closed form from the
+                           factors (P, Q), for every z and both models
 * :func:`gp_perturbative`- first order in W^2 for the time-local model
 
-The flow form and ``analysis.integrand_A_from_model`` share
-:func:`phase_integrand`; :func:`gp_pure` keeps its own integrand in |c|^2 as
-the independent reference the other routes are checked against.
+In ``literal`` mode the branch vectors carry the azimuth omega0 t + phi0, so
+with cos(theta) = r_z / |r| and I(t) = int_0^t cos(theta) the connections are
+omega0 (t + I) / 2 (psi+) and omega0 (t - I) / 2 (psi-), and the endpoint
+overlaps are s0 s_t + c0 c_t e^{i omega0 t} and c0 c_t + s0 s_t e^{i omega0 t}
+(s, c = sin, cos(theta / 2)).  The psi+ connection is the integral of
+:func:`phase_integrand`, the paper's relation between the phase and the trace
+distance D to the ground state, which ``analysis.integrand_A_from_model``
+also evaluates; :func:`gp_pure` keeps its own integrand in |c|^2 as the
+independent reference the other routes are checked against.  Sweeps take
+literal phases from :func:`gp_flow_form` and spectral ones from
+:func:`gp_mixed_auto`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -36,7 +47,6 @@ from scipy.integrate import quad, simpson
 from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
 from .errors import ConfigError, DegenerateStateError, NumericalError
-from .infoflow import FlowLedger
 from .qstate import (
     DEGENERACY_EPS,
     DensityMatrix,
@@ -98,7 +108,8 @@ class PhaseResult:
     converged: bool
     mode: str
     # the branch curves behind the phase, which the next rung of a doubling
-    # ladder reuses at its even samples; empty on gp_mixed_auto's result
+    # ladder reuses at its even samples; empty on gp_mixed_auto's and
+    # gp_flow_form's results
     branches: tuple[BranchData, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -295,13 +306,18 @@ def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
         result = gp_mixed(traj, mode=mode, T=T, tol=tol, coarse=result)
         if result.converged:
             return replace(result, branches=())
+    _warn_unconverged(result, tol)
+    return replace(result, branches=())
+
+
+def _warn_unconverged(result: PhaseResult, tol: float) -> None:
+    """Warn, at the caller of the phase route, that its last doubling missed ``tol``."""
     warnings.warn(
         f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {result.step_change:.3e})",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
-    return replace(result, branches=())
 
 
 def gp_closed(theta0: float) -> float:
@@ -364,24 +380,134 @@ def phase_integrand(d, r_z, omega0: float):
     return omega0 * (0.5 + r_z / (2.0 * np.sqrt(radicand)))
 
 
-def gp_flow_form(spec: InitialStateSpec, p: TimeLocalParams, n: int,
-                 ledger: FlowLedger) -> float:
-    """Pure-state phase driven through the flow ledger; must match :func:`gp_pure`.
+def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> PhaseResult:
+    """Literal-mode mixed-state phase in closed form from the factors (P, Q).
 
-    :func:`phase_integrand` of D(0) + N(t) - M(t) and the closed-form r_z(t).
-    A negative radicand means a ledger of another trajectory, or the identity
-    residual of a right one, hence a :class:`NumericalError`.
+    The literal branches are psi+ = (sin(theta/2), cos(theta/2) e^{i phi}) and
+    psi- = (-cos(theta/2), sin(theta/2) e^{i phi}) with phi = omega0 t + phi0,
+    cos(theta) = r_z / |r|, r_z = 2 p00 P - 1 and |r|^2 = r_z^2 + 4 |coh|^2 |Q|^2.
+    So the branch sum needs one ``factors`` call and no eigenvectors:
+
+    * connections omega0 (t +- I(t)) / 2 for psi+-, with I = int_0^t r_z / |r|
+      (the psi+ one is the integral of :func:`phase_integrand`, whose
+      radicand 4 D^2 - 2 r_z - 1 is |r|^2);
+    * endpoint overlaps s0 s_t + c0 c_t e^{i omega0 t} (psi+) and
+      c0 c_t + s0 s_t e^{i omega0 t} (psi-), with s, c = sin, cos(theta/2);
+    * weights sqrt|eps(0) eps(t)|, eps+- = (1 +- |r|) / 2.
+
+    I(T) is Simpson's rule on gp_mixed_auto's rung-0 grid, read through the
+    model's grid memo; a trapezoid path of the partial sums gives the
+    unwrapped ``phase_raw``.  The step test is the same integral on every
+    second sample, with the step before it (every fourth sample) divided by
+    Simpson's ratio 16: the grid doubles while ``step_change``, the larger
+    of the two, exceeds ``tol`` (at most MAX_DOUBLINGS times, then a
+    RuntimeWarning and ``converged`` False).  A ``tol`` within a few ulps of
+    omega0 T is below the rounding of the connections, so it is never met.
+    The cell fails where the literal ladder's rung does: a non-finite state
+    (:class:`NumericalError`), |r| < DEGENERACY_EPS or a successive overlap
+    below OVERLAP_FLOOR (:class:`DegenerateStateError`), a vanishing branch
+    sum (:class:`PhaseUndefinedError`).
     """
-    T = 2.0 * math.pi * n / p.omega0
-    times = ledger.times
-    if abs(times[-1] - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(f"ledger spans [0, {times[-1]}], expected T = {T}")
-    polar = spec.to_polar()
-    a = 1.0 + polar.r * math.cos(polar.theta)
-    x = np.asarray(channels.abs_c_squared(times, p))
-    r_z = a * x - 1.0
-    d_eff = ledger.D[0] + ledger.N - ledger.M
-    return -float(simpson(phase_integrand(d_eff, r_z, p.omega0), x=times))
+    if not T > 0.0:
+        raise ConfigError(f"phase horizon T={T} must be > 0")
+    if not tol > 0.0:
+        raise ConfigError(f"phase tolerance tol={tol} must be > 0")
+    p00, coh = rho0.matrix[0, 0].real, abs(rho0.matrix[0, 1])
+    periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
+    size = LADDER_INTERVALS * periods + 1
+    for _ in range(MAX_DOUBLINGS + 1):
+        result = _closed_form_rung(model, p00, coh, np.linspace(0.0, T, size), tol)
+        if result.converged:
+            return result
+        size = 2 * size - 1
+    _warn_unconverged(result, tol)
+    return result
+
+
+def _closed_form_rung(model, p00: float, coh: float, times: np.ndarray,
+                      tol: float) -> PhaseResult:
+    """One rung of :func:`gp_flow_form` on a uniform grid of odd size."""
+    omega0, h = model.omega0, times[1] - times[0]
+    pop, coh_factor = model._on_grid("factors", times)
+    r_z = 2.0 * p00 * pop - 1.0
+    transverse = 2.0 * coh * np.abs(coh_factor)
+    r = np.sqrt(r_z * r_z + transverse * transverse)
+    finite = np.isfinite(r)
+    if not finite.all():
+        raise NumericalError(f"state is not finite at t = {times[np.argmin(finite)]:.6g}")
+    k_min = int(np.argmin(r))
+    if r[k_min] < DEGENERACY_EPS:
+        raise DegenerateStateError(
+            f"eigenbasis undefined: |r| = {r[k_min]:.3e} at t = {times[k_min]:.6g}"
+        )
+    # cos^2(theta/2) = (r + r_z) / 2r and sin^2 = (r - r_z) / 2r, the smaller
+    # of the two numerators as transverse^2 / (r + |r_z|) so it keeps its digits
+    big = r + np.abs(r_z)
+    small = transverse * transverse / big
+    north = r_z >= 0.0
+    c = np.sqrt(np.where(north, big, small) / (2.0 * r))
+    s = np.sqrt(np.where(north, small, big) / (2.0 * r))
+    # |<psi(t_k)|psi(t_k+1)>| is the same for both branches; the step test
+    # reads every second sample, which must keep the floor too, as on the ladder
+    for stride in (1, 2):
+        a, b = s[:-stride:stride] * s[stride::stride], c[:-stride:stride] * c[stride::stride]
+        step_sq = a * a + b * b + 2.0 * a * b * math.cos(omega0 * stride * h)
+        k_bad = stride * int(np.argmin(step_sq))
+        if step_sq[k_bad // stride] < OVERLAP_FLOOR * OVERLAP_FLOOR:
+            raise DegenerateStateError(
+                "eigenbasis discontinuity (near degeneracy crossing) between "
+                f"t = {times[k_bad]:.6g} and t = {times[k_bad + stride]:.6g}"
+            )
+
+    cos_theta = r_z / r
+    rotation = np.exp(1j * omega0 * times)
+    branches = {  # label: (sign of I in the connection, eps, endpoint overlap series)
+        "plus": (1.0, 0.5 * (1.0 + r), s[0] * s + c[0] * c * rotation),
+        "minus": (-1.0, 0.5 * (1.0 - r), c[0] * c + s[0] * s * rotation),
+    }
+    weights = {lb: math.sqrt(abs(eps[0] * eps[-1])) for lb, (_, eps, _) in branches.items()}
+    kept = {lb: br for lb, br in branches.items() if weights[lb] >= WEIGHT_FLOOR}
+
+    running = np.concatenate([[0.0], np.cumsum(0.5 * h * (cos_theta[:-1] + cos_theta[1:]))])
+    partial = sum(np.sqrt(np.abs(eps[0] * eps)) * overlap
+                  * np.exp(-0.5j * omega0 * (times + sign * running))
+                  for sign, eps, overlap in kept.values())
+    raw_path = _unwrapped_change(np.angle(partial))
+
+    def connection(label: str, integral: float) -> float:
+        return 0.5 * omega0 * (times[-1] + kept[label][0] * integral)
+
+    def end_phase(integral: float) -> float:
+        total = sum(weights[lb] * overlap[-1] * cmath.exp(-1j * connection(lb, integral))
+                    for lb, (_, _, overlap) in kept.items())
+        if abs(total) < 1e-12:
+            raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
+        return cmath.phase(total)
+
+    integral = simpson(cos_theta, dx=h)
+    phase = end_phase(integral)
+    raw = raw_path + math.remainder(phase - raw_path, 2.0 * math.pi)
+    # the step test, and the step before it at a sixteenth (Simpson's h^4): an
+    # unresolved spike in r_z / |r| near the ball center can make two coarse
+    # grids agree by chance, but not three in Simpson's ratio
+    half, quarter = (end_phase(simpson(cos_theta[::k], dx=k * h)) for k in (2, 4))
+    step_change = max(circle_distance(phase, half), circle_distance(half, quarter) / 16.0)
+    # the connections carry rounding of about ulp(omega0 T), so a step change
+    # below a few of those is noise and a tol below them is never met
+    resolvable = tol > 4.0 * math.ulp(omega0 * times[-1])
+    return PhaseResult(
+        phase=principal_value(raw),
+        phase_raw=raw,
+        connection={lb: connection(lb, integral) if lb in kept else math.nan
+                    for lb in branches},
+        overlaps={lb: complex(branches[lb][2][-1]) if lb in kept
+                  else complex(math.nan, math.nan) for lb in branches},
+        weights=weights,
+        n_samples=int(times.size),
+        step_change=step_change,
+        converged=bool(resolvable and step_change < tol),
+        mode="literal",
+    )
 
 
 def kappa1(lam: float, T: float) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStateError, UnphysicalStateError
+from .errors import ConfigError, DegenerateStateError, UnphysicalStateError, require_finite
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -110,6 +110,8 @@ class InitialStateSpec:
     varphi0: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite("InitialStateSpec", z=self.z, vartheta0=self.vartheta0,
+                       varphi0=self.varphi0)
         if not 0.0 <= self.z <= 1.0:
             raise UnphysicalStateError(f"mixing weight z={self.z} outside [0, 1]")
 

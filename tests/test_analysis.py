@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
@@ -19,12 +21,20 @@ from qflow.analysis import (
     integrand_A_from_model,
     run_sweep,
 )
-from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
+from qflow.channels import MemoryKernelParams, TimeLocalModel, TimeLocalParams, abs_c_squared
 from qflow.errors import BracketError, ConfigError, DegenerateStateError, NumericalError
 from qflow.geomphase import gp_pure
 from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
+# valid values of every float setting of the library's parameter classes
+VALID_SETTINGS = {
+    TimeLocalParams: dict(W=0.1, lam=1.0, omega0=1.0),
+    MemoryKernelParams: dict(gamma0=0.1, gamma=1.0, omega0=1.0),
+    InitialStateSpec: dict(z=0.5, vartheta0=0.3, varphi0=0.2),
+    SweepSpec: dict(start=0.1, stop=1.0, W=0.1, gamma0=0.1, omega0=1.0, varphi0=0.2,
+                    tol=1e-6, z_list=(0.5, 1.0), vartheta0_list=(0.3,)),
+}
 
 
 class TestIntegrandA:
@@ -222,8 +232,9 @@ class TestSweeps:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(analysis, "gp_mixed_auto",
-                            fail_on(analysis.gp_mixed_auto, 0, "phase"))
+        # a literal row takes its phases from gp_flow_form
+        monkeypatch.setattr(analysis, "gp_flow_form",
+                            fail_on(analysis.gp_flow_form, 0, "phase"))
         monkeypatch.setattr(analysis, "flows", fail_on(analysis.flows, 3, "ledger"))
         broken = run_sweep(spec)
 
@@ -264,6 +275,25 @@ class TestSweeps:
             SweepSpec(start=0.5, stop=0.2)
         with pytest.raises(ConfigError):
             SweepSpec(outputs=("phase", "bogus"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_settings_rejected(self, data):
+        # NaN passes every range check, so each float setting is checked first
+        cls = data.draw(st.sampled_from(list(VALID_SETTINGS)))
+        kwargs = dict(VALID_SETTINGS[cls])
+        cls(**kwargs)
+        name = data.draw(st.sampled_from(sorted(kwargs)))
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        old = kwargs[name]
+        kwargs[name] = old[:-1] + (bad,) if isinstance(old, tuple) else bad
+        with pytest.raises(ConfigError, match=f"{cls.__name__} {name}.*={bad} must be finite"):
+            cls(**kwargs)
+
+    def test_sweep_tolerance_must_be_positive(self):
+        for tol in (0.0, -1e-6):
+            with pytest.raises(ConfigError, match="tol"):
+                SweepSpec(tol=tol)
 
     def test_mirror_symmetry_is_exact(self):
         # vartheta0 <-> pi - vartheta0 maps a state to the same polar angle at a

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import shlex
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.cli import RunConfig, main
 from qflow.qstate import InitialStateSpec, initial_state
@@ -392,6 +397,35 @@ UNREAD = [
     for name in SETTINGS
     if name not in reads | {"format", "out"}
 ]
+
+
+FLOAT_SETTINGS = [f.name for f in fields(RunConfig) if f.type == "float"]
+# a run that reads each float setting
+READER = {name: next(case for case in ("gp", "gp-mk", "sweep", "sweep-mk")
+                     if name in READS[case][1]) for name in FLOAT_SETTINGS}
+
+
+class TestNonFiniteSettings:
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(FLOAT_SETTINGS),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]),
+           source=st.sampled_from(["flag", "config"]))
+    def test_rejected(self, name, value, source):
+        argv, _ = READS[READER[name]]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "x.csv"
+            if source == "flag":
+                extra = [f"{VALUES[name][0][0]}={value}"]
+            else:  # json writes NaN, Infinity and -Infinity, and reads them back
+                cfg = Path(tmp) / "run.json"
+                cfg.write_text(json.dumps({name: value}))
+                extra = ["--config", str(cfg)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, *extra, "--out", str(out)])
+            assert code == 2
+            assert f"configuration error: setting {name}={value} must be finite" in err.getvalue()
+            assert not out.exists()
 
 
 class TestSettingsRead:
