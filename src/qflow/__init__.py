@@ -47,6 +47,7 @@ from .geomphase import (
     gp_mixed_auto,
     gp_perturbative,
     gp_pure,
+    gp_route,
     kappa1,
     kappa2,
 )

@@ -31,7 +31,7 @@ from .channels import (
     TimeLocalParams,
 )
 from .errors import BracketError, ConfigError, NumericalError, require_finite
-from .geomphase import figure_value, gp_flow_form, gp_mixed_auto, phase_integrand
+from .geomphase import figure_value, gp_route, phase_integrand
 from .infoflow import flows
 from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
@@ -70,6 +70,10 @@ class SweepSpec:
             raise ConfigError(f"phase tolerance tol={self.tol} must be > 0")
         if self.steps < 2:
             raise ConfigError("sweep resolution must be >= 2")
+        if self.n < 1:
+            raise ConfigError(f"n={self.n} must be >= 1")
+        if not all(0.0 <= z <= 1.0 for z in self.z_list):
+            raise ConfigError(f"z_list={self.z_list} has a z outside [0, 1]")
         if self.model not in ("time-local", "memory-kernel"):
             raise ConfigError(f"unknown model {self.model!r}")
         if self.start <= 0.0 or self.stop <= self.start:
@@ -139,9 +143,8 @@ def _row_at(spec: SweepSpec, value: float):
 
     The ledger outputs (N, M, D), each phase and A fail on their own: a
     :class:`NumericalError` blanks only its own cells (NaN) and adds a note.
-    This is the one place that picks the phase route: ``literal`` mode takes
-    the closed form :func:`gp_flow_form`, ``spectral`` the doubling ladder
-    :func:`gp_mixed_auto`.
+    A phase cell is :func:`gp_route`'s result in ``spec.mode``, the value
+    ``qflow gp`` writes for the same state and parameters.
     """
     model = spec.model_at(value)
     T = spec.horizon()
@@ -159,8 +162,7 @@ def _row_at(spec: SweepSpec, value: float):
         for out in spec.outputs:
             try:
                 if out == "phase":
-                    r = (gp_flow_form(model, rho0, T, spec.tol) if spec.mode == "literal"
-                         else gp_mixed_auto(model, rho0, T, mode=spec.mode, tol=spec.tol))
+                    r = gp_route(model, rho0, T, mode=spec.mode, tol=spec.tol)
                     unconverged += not r.converged
                     values = [r.phase_raw, r.phase, figure_value(r.phase) / math.pi]
                 elif out == "A":

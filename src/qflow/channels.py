@@ -50,9 +50,9 @@ SAMPLES_PER_FEATURE = 40
 MAX_SAMPLES = 200001
 _SINHC_SERIES_CUTOFF = 1e-6
 # A model keeps (P, Q) and (Pdot, Qdot) of this many recently used grids: the
-# grids of one sweep row, that is the phase's 1 + MAX_DOUBLINGS = 8 grids
-# (gp_flow_form's whole grids, or the ladder's rung 0 and midpoint grids)
-# plus the flow grid, once for the factors and once for the rates.  Grids below MIN_SAMPLES points bypass the memo:
+# grids of one sweep row, that is the phase ladder's 1 + MAX_DOUBLINGS = 8
+# grids (read by gp_flow_form and gp_mixed_auto alike) plus the flow grid,
+# once for the factors and once for the rates.  Grids below MIN_SAMPLES points bypass the memo:
 # the library samples none that short, so they are bisection probes and
 # single times, which do not recur and would only pay for the lookup.
 GRID_MEMO_SLOTS = 10

@@ -27,7 +27,7 @@ from .channels import (
     decay_rates,
 )
 from .errors import ConfigError, NumericalError, require_finite
-from .geomphase import figure_value, gp_mixed_auto
+from .geomphase import figure_value, gp_route
 from .infoflow import flows
 from .qstate import InitialStateSpec, eigenvalues, initial_state
 
@@ -231,7 +231,7 @@ def cmd_flows(cfg: RunConfig) -> None:
 def cmd_gp(cfg: RunConfig) -> None:
     model = _build_model(cfg)
     rho0 = initial_state(_state_spec(cfg))
-    result = gp_mixed_auto(model, rho0, _horizon(cfg), mode=cfg.mode, tol=cfg.tol)
+    result = gp_route(model, rho0, _horizon(cfg), mode=cfg.mode, tol=cfg.tol)
     columns = [
         "phase_raw", "phase_mod", "phase_pi",
         "conn_plus", "conn_minus", "weight_plus", "weight_minus",

@@ -15,7 +15,7 @@ accumulated (unwrapped) value and as the principal value in (-pi, pi]; a
 Four routes to the same physics live here:
 
 * :func:`gp_mixed`       - the general discrete formula on a trajectory, which
-                           :func:`gp_mixed_auto` refines by doubling the grid
+                           :func:`gp_mixed_auto` evaluates on ever finer grids
 * :func:`gp_pure`        - adaptive quadrature of the pure-state closed form
 * :func:`gp_flow_form`   - the literal-mode formula in closed form from the
                            factors (P, Q), for every z and both models
@@ -29,17 +29,20 @@ overlaps are s0 s_t + c0 c_t e^{i omega0 t} and c0 c_t + s0 s_t e^{i omega0 t}
 :func:`phase_integrand`, the paper's relation between the phase and the trace
 distance D to the ground state, which ``analysis.integrand_A_from_model``
 also evaluates; :func:`gp_pure` keeps its own integrand in |c|^2 as the
-independent reference the other routes are checked against.  Sweeps take
-literal phases from :func:`gp_flow_form` and spectral ones from
-:func:`gp_mixed_auto`.
+independent reference the other routes are checked against.
+:func:`gp_route` picks the route from the mode, for sweeps and ``qflow gp``
+alike: :func:`gp_flow_form` in literal mode, :func:`gp_mixed_auto` in
+spectral mode.  Both double their grid on one ladder
+(:func:`_doubling_ladder`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -58,7 +61,7 @@ from .qstate import (
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
-# gp_mixed_auto's ladder: 2000 intervals per quasi-period, doubled at most 7 times
+# the doubling ladder: 2000 intervals per quasi-period, doubled at most 7 times
 LADDER_INTERVALS = 2000
 MAX_DOUBLINGS = 7
 
@@ -77,7 +80,9 @@ def principal_value(phase: float) -> float:
 
 def figure_value(phase: float) -> float:
     """Representative in [0, 2 pi), the branch used for plotted datasets."""
-    return principal_value(phase) % (2.0 * math.pi)
+    value = principal_value(phase) % (2.0 * math.pi)
+    # a tiny negative phase rounds up to 2 pi, which is 0 on the circle
+    return 0.0 if value == 2.0 * math.pi else value
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -107,34 +112,20 @@ class PhaseResult:
     step_change: float
     converged: bool
     mode: str
-    # the branch curves behind the phase, which the next rung of a doubling
-    # ladder reuses at its even samples; empty on gp_mixed_auto's and
-    # gp_flow_form's results
-    branches: tuple[BranchData, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def phase_figure(self) -> float:
         return figure_value(self.phase)
 
 
-def branch_data(traj: Trajectory, mode: str = "literal",
-                coarse: tuple[BranchData, ...] | None = None) -> tuple[BranchData, BranchData]:
+def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, BranchData]:
     """Eigen-branch curves of a sampled trajectory by :func:`qflow.qstate.eigenbasis`.
 
     ``"spectral"`` reads the eigenbasis off the matrices; ``"literal"`` uses
     the fixed azimuth omega0 t + phi0 recorded in the trajectory metadata.
     A sample with a NaN state raises :class:`NumericalError`.
-
-    ``coarse``, the branches of ``traj``'s even samples, limits the work to
-    the odd samples, which are interleaved with them.  The eigenbasis is
-    elementwise in the samples, so the curves equal those of the whole
-    trajectory bit for bit.
     """
-    times, states = traj.times, traj.states
-    if coarse is not None:
-        if len(coarse) != 2 or any(2 * br.eps.size - 1 != times.size for br in coarse):
-            raise ConfigError(f"coarse branches do not fit a {times.size}-sample trajectory")
-        times, states = times[1::2], states[1::2]
+    times = traj.times
     azimuth = None
     if mode == "literal":
         try:
@@ -142,7 +133,8 @@ def branch_data(traj: Trajectory, mode: str = "literal",
         except KeyError:
             raise ConfigError("literal mode requires omega0 in the trajectory metadata")
         azimuth = omega0 * times + traj.meta.get("phi0", 0.0)
-    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch_array(states), mode, azimuth)
+    bloch = bloch_array(traj.states)
+    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch, mode, azimuth)
     gap = eps_plus - eps_minus  # |r|
     k_min = int(np.argmin(gap))  # the first NaN, if there is one
     if not gap[k_min] >= DEGENERACY_EPS:
@@ -152,20 +144,7 @@ def branch_data(traj: Trajectory, mode: str = "literal",
         raise DegenerateStateError(
             f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {times[k_min]:.6g}"
         )
-    if coarse is None:
-        return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
-    return _interleave(coarse[0], eps_plus, v_plus), _interleave(coarse[1], eps_minus, v_minus)
-
-
-def _interleave(coarse: BranchData, eps: np.ndarray, vectors: np.ndarray) -> BranchData:
-    """The branch with ``coarse`` at the even samples and (eps, vectors) at the odd ones."""
-    fine_eps = np.empty(2 * coarse.eps.size - 1)
-    fine_eps[::2] = coarse.eps
-    fine_eps[1::2] = eps
-    fine_vectors = np.empty((fine_eps.size, 2), dtype=complex)
-    fine_vectors[::2] = coarse.vectors
-    fine_vectors[1::2] = vectors
-    return BranchData(coarse.label, fine_eps, fine_vectors)
+    return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
 
 
 def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
@@ -230,37 +209,24 @@ def _unwrapped_change(p: np.ndarray) -> float:
 
 
 def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
-             tol: float = 1e-6, coarse: PhaseResult | None = None) -> PhaseResult:
+             tol: float = 1e-6) -> PhaseResult:
     """Mixed-state geometric phase of a sampled trajectory.
 
     The trajectory must span [0, T] and stay away from the Bloch-ball
     center.  Convergence is judged against the phase on every second sample;
     use :func:`gp_mixed_auto` to double the sampling until the criterion
     holds.
-
-    ``coarse`` is this function's result, in the same mode, on the even
-    samples of ``traj`` (the previous rung of a doubling ladder).  Its branch
-    curves are reused at those samples and its phase is the half-grid phase,
-    so only the odd samples are decomposed and the phase is assembled once;
-    both equal what recomputing them gives, bit for bit.
     """
     times = traj.times
     if T is not None and abs(times[-1] - T) > 1e-9 * max(abs(T), 1.0):
         raise ConfigError(f"trajectory spans [0, {times[-1]}], expected T = {T}")
-    if coarse is not None and coarse.mode != mode:
-        raise ConfigError(f"coarse result is in {coarse.mode} mode, not {mode}")
-    branches = branch_data(traj, mode, None if coarse is None else coarse.branches)
+    branches = branch_data(traj, mode)
     raw, principal, details = assemble_phase(times, branches)
 
     step_change = math.nan
     if times.size >= 5 and (times.size - 1) % 2 == 0:
-        if coarse is None:
-            half = tuple(
-                BranchData(b.label, b.eps[::2], b.vectors[::2]) for b in branches
-            )
-            raw_half, _, _ = assemble_phase(times[::2], half)
-        else:
-            raw_half = coarse.phase_raw
+        half = tuple(BranchData(b.label, b.eps[::2], b.vectors[::2]) for b in branches)
+        raw_half, _, _ = assemble_phase(times[::2], half)
         step_change = circle_distance(raw, raw_half)
     return PhaseResult(
         phase=principal,
@@ -272,52 +238,59 @@ def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
         step_change=step_change,
         converged=bool(step_change < tol) if math.isfinite(step_change) else False,
         mode=mode,
-        branches=branches,
     )
 
 
-def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
-                  tol: float = 1e-6) -> PhaseResult:
-    """Evaluate gp_mixed with sampling doubled until the step test passes.
+def gp_route(model, rho0: DensityMatrix, T: float, mode: str = "literal",
+             tol: float = 1e-6) -> PhaseResult:
+    """Mixed-state phase of ``rho0`` over [0, T] by the route of ``mode``.
 
-    Each doubling evaluates the model only at the new midpoints and keeps
-    the previous rung's states at the even samples.  The states are
-    elementwise in t and ``linspace(0, T, 2 m + 1)[::2]`` is
-    ``linspace(0, T, m + 1)`` bit for bit, so every rung is the trajectory
-    that ``model.trajectory`` would build on its grid.  From the second rung
-    on, gp_mixed also takes the previous rung's result as ``coarse``: it
-    decomposes only the midpoints and reads the half-grid phase instead of
-    assembling it again.  The returned result carries no branch curves.
-
-    The grids depend only on T and the model, so the states of one sweep
-    row share the model's propagator evaluation per grid (see
-    ``channels.GRID_MEMO_SLOTS``).
+    ``literal`` takes the closed form :func:`gp_flow_form`; any other mode
+    the sampled ladder :func:`gp_mixed_auto` (an unknown one raises
+    :class:`ConfigError` there).  Sweeps and ``qflow gp`` both call this.
     """
-    periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
-    traj = model.trajectory(rho0, np.linspace(0.0, T, LADDER_INTERVALS * periods + 1))
-    result = None
-    for doubling in range(MAX_DOUBLINGS + 1):
-        if doubling:
-            fine = np.linspace(0.0, T, 2 * len(traj) - 1)
-            states = np.empty((fine.size, 2, 2), dtype=complex)
-            states[::2] = traj.states
-            states[1::2] = model.states(rho0, fine[1::2])
-            traj = Trajectory(fine, states, traj.model, traj.meta)
-        result = gp_mixed(traj, mode=mode, T=T, tol=tol, coarse=result)
+    if mode == "literal":
+        return gp_flow_form(model, rho0, T, tol)
+    return gp_mixed_auto(model, rho0, T, mode=mode, tol=tol)
+
+
+def _doubling_ladder(T: float, omega0: float, tol: float, rung) -> PhaseResult:
+    """``rung(times)`` on ever finer uniform grids of [0, T] until it converges.
+
+    Rung 0 has LADDER_INTERVALS intervals per quasi-period; each doubling
+    halves the step, at most MAX_DOUBLINGS times.  A last rung that misses
+    ``tol`` is returned after a RuntimeWarning issued at the phase route's
+    caller, the first frame outside this module.
+    """
+    periods = max(1, int(round(T * omega0 / (2.0 * math.pi))))
+    size = LADDER_INTERVALS * periods + 1
+    for _ in range(MAX_DOUBLINGS + 1):
+        result = rung(np.linspace(0.0, T, size))
         if result.converged:
-            return replace(result, branches=())
-    _warn_unconverged(result, tol)
-    return replace(result, branches=())
-
-
-def _warn_unconverged(result: PhaseResult, tol: float) -> None:
-    """Warn, at the caller of the phase route, that its last doubling missed ``tol``."""
+            return result
+        size = 2 * size - 1
+    level, frame = 1, sys._getframe()
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
     warnings.warn(
         f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {result.step_change:.3e})",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
+    return result
+
+
+def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
+                  tol: float = 1e-6) -> PhaseResult:
+    """:func:`gp_mixed` on the doubling ladder's grids until the step test passes.
+
+    Every rung is ``model.trajectory`` on its grid.  The grids depend only on
+    T and the model, so the states of one sweep row share the model's
+    propagator evaluation per grid (see ``channels.GRID_MEMO_SLOTS``).
+    """
+    return _doubling_ladder(T, model.omega0, tol, lambda times: gp_mixed(
+        model.trajectory(rho0, times), mode=mode, T=T, tol=tol))
 
 
 def gp_closed(theta0: float) -> float:
@@ -395,8 +368,8 @@ def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> Pha
       c0 c_t + s0 s_t e^{i omega0 t} (psi-), with s, c = sin, cos(theta/2);
     * weights sqrt|eps(0) eps(t)|, eps+- = (1 +- |r|) / 2.
 
-    I(T) is Simpson's rule on gp_mixed_auto's rung-0 grid, read through the
-    model's grid memo; a trapezoid path of the partial sums gives the
+    I(T) is Simpson's rule on each grid of the doubling ladder, read through
+    the model's grid memo; a trapezoid path of the partial sums gives the
     unwrapped ``phase_raw``.  The step test is the same integral on every
     second sample, with the step before it (every fourth sample) divided by
     Simpson's ratio 16: the grid doubles while ``step_change``, the larger
@@ -413,15 +386,8 @@ def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> Pha
     if not tol > 0.0:
         raise ConfigError(f"phase tolerance tol={tol} must be > 0")
     p00, coh = rho0.matrix[0, 0].real, abs(rho0.matrix[0, 1])
-    periods = max(1, int(round(T * model.omega0 / (2.0 * math.pi))))
-    size = LADDER_INTERVALS * periods + 1
-    for _ in range(MAX_DOUBLINGS + 1):
-        result = _closed_form_rung(model, p00, coh, np.linspace(0.0, T, size), tol)
-        if result.converged:
-            return result
-        size = 2 * size - 1
-    _warn_unconverged(result, tol)
-    return result
+    return _doubling_ladder(T, model.omega0, tol,
+                            lambda times: _closed_form_rung(model, p00, coh, times, tol))
 
 
 def _closed_form_rung(model, p00: float, coh: float, times: np.ndarray,

@@ -232,9 +232,7 @@ class TestSweeps:
                 return fn(*args, **kwargs)
             return wrapped
 
-        # a literal row takes its phases from gp_flow_form
-        monkeypatch.setattr(analysis, "gp_flow_form",
-                            fail_on(analysis.gp_flow_form, 0, "phase"))
+        monkeypatch.setattr(analysis, "gp_route", fail_on(analysis.gp_route, 0, "phase"))
         monkeypatch.setattr(analysis, "flows", fail_on(analysis.flows, 3, "ledger"))
         broken = run_sweep(spec)
 
@@ -256,9 +254,11 @@ class TestSweeps:
         # no rung of the ladder can meet tol = 1e-15: every phase cell counts
         spec = SweepSpec(start=1.0, stop=2.0, steps=2, W=10.0, z_list=(1.0,),
                          outputs=("phase",), tol=1e-15)
-        with pytest.warns(RuntimeWarning, match="not converged"):
+        with pytest.warns(RuntimeWarning, match="not converged") as rec:
             res = run_sweep(spec)
         assert res.meta["unconverged_phases"] == len(res.rows) * len(spec.states()) == 2
+        # each warning points at the sweep row that called the phase route
+        assert {w.filename for w in rec} == {analysis.__file__}
         assert all(math.isfinite(v) for row in res.rows for v in row)
 
     def test_memory_kernel_sweep_and_quarter_stamp(self):
@@ -294,6 +294,16 @@ class TestSweeps:
         for tol in (0.0, -1e-6):
             with pytest.raises(ConfigError, match="tol"):
                 SweepSpec(tol=tol)
+
+    # each would otherwise fail inside the first row: n = 0 as a zero horizon,
+    # z = 1.5 as an unphysical initial state
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n": 0}, "n=0"), ({"n": -2}, "n=-2"),
+        ({"z_list": (0.5, 1.5)}, "outside"), ({"z_list": (-0.1,)}, "outside"),
+    ])
+    def test_horizon_and_mixing_weights_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(**kwargs)
 
     def test_mirror_symmetry_is_exact(self):
         # vartheta0 <-> pi - vartheta0 maps a state to the same polar angle at a

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow.analysis import SweepSpec, run_sweep
 from qflow.cli import RunConfig, main
+from qflow.geomphase import figure_value, gp_mixed_auto
 from qflow.qstate import InitialStateSpec, initial_state
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -140,6 +142,30 @@ class TestGp:
                      "--vartheta0", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "gp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,ratio", [("time-local", 0.7), ("memory-kernel", 0.15)])
+    def test_same_phase_as_a_sweep_cell(self, tmp_path, model, ratio):
+        # literal: the sweep's cell at the same ratio; spectral: the sampled ladder
+        spec = SweepSpec(model=model, start=ratio, stop=2.0 * ratio, steps=2, W=1.0,
+                         z_list=(0.5,), vartheta0_list=(0.6,), varphi0=0.3,
+                         outputs=("phase",))
+        p = spec.params_at(ratio)
+        flags = (["--W", repr(p.W), "--lambda", repr(p.lam)] if model == "time-local"
+                 else ["--gamma0", repr(p.gamma0), "--gamma", repr(p.gamma)])
+        args = ["gp", "--model", model, *flags, "--z", "0.5", "--vartheta0", "0.6",
+                "--varphi0", "0.3"]
+        phases = ("phase_raw", "phase_mod", "phase_pi")
+        out = tmp_path / "gp.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        assert [rows[0][cols.index(k)] for k in phases] == list(run_sweep(spec).rows[0][1:])
+        assert main([*args, "--mode", "spectral", "--out", str(out)]) == 0
+        _, cols, rows = read_csv(out)
+        ladder = gp_mixed_auto(spec.model_at(ratio), initial_state(spec.states()[0][1]),
+                               spec.horizon(), mode="spectral")
+        assert [rows[0][cols.index(k)] for k in (*phases, "n_samples", "step_change")] == [
+            ladder.phase_raw, ladder.phase, figure_value(ladder.phase) / math.pi,
+            ladder.n_samples, ladder.step_change]
 
 
 class TestSweep:

@@ -54,6 +54,6 @@ def test_traced_spans_and_clean_uninstall():
     assert ("geomphase.gp_mixed", "geomphase.gp_mixed_auto") in nested
     assert ("geomphase.branch_data", "geomphase.gp_mixed") in nested
     assert ("geomphase.assemble_phase", "geomphase.gp_mixed") in nested
-    # some phase doubles its grid, so the rungs that reuse the coarse rung are traced too
+    # some spectral phase doubles its grid, so the ladder's later rungs are traced too
     rungs = sum(1 for s in spans if s[0] == "geomphase.gp_mixed")
     assert rungs > sum(1 for s in spans if s[0] == "geomphase.gp_mixed_auto")
