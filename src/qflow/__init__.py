@@ -48,6 +48,7 @@ from .geomphase import (
     gp_perturbative,
     gp_pure,
     gp_route,
+    gp_row,
     kappa1,
     kappa2,
 )
@@ -59,6 +60,7 @@ from .infoflow import (
     default_pair_grid,
     flows,
     pair_flows,
+    row_flows,
     sigma,
     weak_coupling_flows,
 )

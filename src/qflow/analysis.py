@@ -31,8 +31,8 @@ from .channels import (
     TimeLocalParams,
 )
 from .errors import BracketError, ConfigError, NumericalError, require_finite
-from .geomphase import figure_value, gp_route, phase_integrand
-from .infoflow import flows
+from .geomphase import figure_value, gp_row, phase_integrand
+from .infoflow import flows, row_flows
 from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 FD_STEP = 5e-5
@@ -141,30 +141,36 @@ class SweepResult:
 def _row_at(spec: SweepSpec, value: float):
     """The cells of ``spec.columns`` at one swept value, notes, and the unconverged phase count.
 
-    The ledger outputs (N, M, D), each phase and A fail on their own: a
-    :class:`NumericalError` blanks only its own cells (NaN) and adds a note.
-    A phase cell is :func:`gp_route`'s result in ``spec.mode``, the value
-    ``qflow gp`` writes for the same state and parameters.
+    The row's states share one model, so their ledgers come from one
+    :func:`row_flows` call and their phases from one :func:`gp_row` call,
+    each entry equal to the one-state call's.  The ledger outputs (N, M, D),
+    each phase and A fail on their own: a :class:`NumericalError` blanks
+    only its own cells (NaN) and adds a note, a state's ledger note before
+    its output notes.  A phase cell is the value ``qflow gp`` writes for the
+    same state, parameters and mode.
     """
     model = spec.model_at(value)
     T = spec.horizon()
+    labels, rho0s = zip(*((label, initial_state(state)) for label, state in spec.states()))
+    ledgers = phases = [None] * len(rho0s)
+    if {"N", "M", "D"} & set(spec.outputs):
+        ledgers = row_flows(rho0s, model, T)
+    if "phase" in spec.outputs:
+        phases = gp_row(model, rho0s, T, mode=spec.mode, tol=spec.tol)
     row = [float(value)]
     notes: list[tuple[str, str]] = []
     unconverged = 0
-    for label, state in spec.states():
-        rho0 = initial_state(state)
-        ledger = None
-        if {"N", "M", "D"} & set(spec.outputs):
-            try:
-                ledger = flows(rho0, model, T)
-            except NumericalError as exc:
-                notes.append((label, str(exc)))
+    for label, rho0, ledger, phase in zip(labels, rho0s, ledgers, phases):
+        if isinstance(ledger, NumericalError):
+            notes.append((label, str(ledger)))
+            ledger = None
         for out in spec.outputs:
             try:
                 if out == "phase":
-                    r = gp_route(model, rho0, T, mode=spec.mode, tol=spec.tol)
-                    unconverged += not r.converged
-                    values = [r.phase_raw, r.phase, figure_value(r.phase) / math.pi]
+                    if isinstance(phase, NumericalError):
+                        raise phase
+                    unconverged += not phase.converged
+                    values = [phase.phase_raw, phase.phase, figure_value(phase.phase) / math.pi]
                 elif out == "A":
                     values = [integrand_A_from_model(T, model, rho0)]
                 elif ledger is None:

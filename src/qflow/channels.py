@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +48,6 @@ MIN_SAMPLES = 801
 SAMPLES_PER_FEATURE = 40
 MAX_SAMPLES = 200001
 _SINHC_SERIES_CUTOFF = 1e-6
-# A model keeps (P, Q) and (Pdot, Qdot) of this many recently used grids: the
-# grids of one sweep row, that is the phase ladder's 1 + MAX_DOUBLINGS = 8
-# grids (read by gp_flow_form and gp_mixed_auto alike) plus the flow grid,
-# once for the factors and once for the rates.  Grids below MIN_SAMPLES points bypass the memo:
-# the library samples none that short, so they are bisection probes and
-# single times, which do not recur and would only pay for the lookup.
-GRID_MEMO_SLOTS = 10
 
 
 @dataclass(frozen=True)
@@ -300,43 +292,16 @@ class _DampingModel:
     each subclass's ``__dict__`` by one assignment, because
     ``perfbench/tracer.py`` wraps them per model class there.
 
-    The factors and rates do not depend on the initial state, so
-    ``states`` and ``state_dot`` read them through :meth:`_on_grid`: the
-    states of one sweep row, which share the row's model, evaluate the
-    kernel once per grid.
+    The factors and rates do not depend on the initial state, so callers
+    that evaluate many states on one grid (a sweep row's ledgers and
+    literal phases) call ``factors`` and ``rates`` once and take each
+    state's arithmetic from them.
     """
 
     tag = ""
 
     def __init__(self, params):
         self.params = params
-        self._grid_memo: dict = {}
-        self._grid_memo_lock = threading.Lock()
-
-    def _on_grid(self, kind: str, times) -> tuple:
-        """``factors(times)`` or ``rates(times)`` (``kind``), through the grid memo.
-
-        The key is the grid's shape and bytes, so only a bitwise-equal grid
-        hits (a grid starting at -0.0 is not one starting at 0.0).  The
-        stored arrays are read-only, since every caller shares them; beyond
-        GRID_MEMO_SLOTS grids the least recently used one is dropped.  A lock
-        keeps the model safe to share across threads.
-        """
-        t = np.asarray(times, dtype=float)
-        if t.size < MIN_SAMPLES:
-            return getattr(self, kind)(t)
-        key = (kind, t.shape, t.tobytes())
-        memo = self._grid_memo
-        with self._grid_memo_lock:
-            values = memo.pop(key, None)
-            if values is None:
-                values = getattr(self, kind)(t)
-                for v in values:
-                    v.setflags(write=False)
-                if len(memo) >= GRID_MEMO_SLOTS:
-                    del memo[next(iter(memo))]
-            memo[key] = values  # last in insertion order: most recently used
-        return values
 
     @property
     def omega0(self) -> float:
@@ -351,14 +316,11 @@ class _DampingModel:
     def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
         return bloch_array(self.states(rho0, times))
 
-    def bloch_dot_series(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return bloch_array(self.state_dot(rho0, times))
-
     def states(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _assemble(rho0, *self._on_grid("factors", times), 1.0)
+        return _assemble(rho0, *self.factors(times), 1.0)
 
     def state_dot(self, rho0: DensityMatrix, times) -> np.ndarray:
-        return _assemble(rho0, *self._on_grid("rates", times), 0.0)
+        return _assemble(rho0, *self.rates(times), 0.0)
 
     def trajectory(self, rho0: DensityMatrix, times) -> Trajectory:
         meta = {"omega0": self.params.omega0, "phi0": float(np.angle(rho0.matrix[1, 0]))}

@@ -52,3 +52,11 @@ def require_finite(where: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"{where} {name}={value} must be finite")
+
+
+def sole_result(results: list):
+    """The one entry of a one-state row: its result, or the error stored in its place, raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -30,10 +30,11 @@ overlaps are s0 s_t + c0 c_t e^{i omega0 t} and c0 c_t + s0 s_t e^{i omega0 t}
 distance D to the ground state, which ``analysis.integrand_A_from_model``
 also evaluates; :func:`gp_pure` keeps its own integrand in |c|^2 as the
 independent reference the other routes are checked against.
-:func:`gp_route` picks the route from the mode, for sweeps and ``qflow gp``
-alike: :func:`gp_flow_form` in literal mode, :func:`gp_mixed_auto` in
-spectral mode.  Both double their grid on one ladder
-(:func:`_doubling_ladder`).
+:func:`gp_row` picks the route from the mode for the states of one model:
+:func:`gp_flow_form` in literal mode, all states on one stack of rungs,
+:func:`gp_mixed_auto` state by state in spectral mode.  Both double their
+grid on one ladder (:func:`_doubling_ladder`).  Sweep rows call
+:func:`gp_row`, ``qflow gp`` its one-state case :func:`gp_route`.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad, simpson
 
 from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
-from .errors import ConfigError, DegenerateStateError, NumericalError
+from .errors import ConfigError, DegenerateStateError, NumericalError, sole_result
 from .qstate import (
     DEGENERACY_EPS,
     DensityMatrix,
@@ -245,52 +246,107 @@ def gp_route(model, rho0: DensityMatrix, T: float, mode: str = "literal",
              tol: float = 1e-6) -> PhaseResult:
     """Mixed-state phase of ``rho0`` over [0, T] by the route of ``mode``.
 
-    ``literal`` takes the closed form :func:`gp_flow_form`; any other mode
-    the sampled ladder :func:`gp_mixed_auto` (an unknown one raises
-    :class:`ConfigError` there).  Sweeps and ``qflow gp`` both call this.
+    The one-state case of :func:`gp_row`; ``qflow gp`` calls this.
+    """
+    return sole_result(gp_row(model, [rho0], T, mode, tol))
+
+
+def gp_row(model, rho0s, T: float, mode: str = "literal", tol: float = 1e-6) -> list:
+    """Mixed-state phases of the states ``rho0s`` of one model, by the route of ``mode``.
+
+    ``literal`` takes the closed form, every state on one stack of ladder
+    rungs (:func:`gp_flow_form`'s row); any other mode the sampled ladder
+    :func:`gp_mixed_auto`, state by state (an unknown mode raises
+    :class:`ConfigError` there).  Each entry is the state's
+    :class:`PhaseResult` or the :class:`NumericalError` its phase raised,
+    the same as the one-state call's.  This is the one place that reads
+    ``mode``; sweep rows call it.
     """
     if mode == "literal":
-        return gp_flow_form(model, rho0, T, tol)
-    return gp_mixed_auto(model, rho0, T, mode=mode, tol=tol)
+        return _flow_form_row(model, rho0s, T, tol)
+    out: list = []
+    for rho0 in rho0s:
+        try:
+            out.append(gp_mixed_auto(model, rho0, T, mode=mode, tol=tol))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
 
 
-def _doubling_ladder(T: float, omega0: float, tol: float, rung) -> PhaseResult:
-    """``rung(times)`` on ever finer uniform grids of [0, T] until it converges.
+def _doubling_ladder(T: float, omega0: float, tol: float, rung, count: int) -> list:
+    """``rung(times, live)`` on ever finer uniform grids of [0, T] for ``count`` states.
 
-    Rung 0 has LADDER_INTERVALS intervals per quasi-period; each doubling
-    halves the step, at most MAX_DOUBLINGS times.  A last rung that misses
-    ``tol`` is returned after a RuntimeWarning issued at the phase route's
-    caller, the first frame outside this module.
+    ``rung`` returns, for each state index in ``live``, its
+    :class:`PhaseResult` on ``times`` or the :class:`NumericalError` its
+    rung raised.  Rung 0 has LADDER_INTERVALS intervals per quasi-period;
+    each doubling halves the step, at most MAX_DOUBLINGS times.  A state
+    leaves at its first converged rung or its first error.  A state whose
+    last rung misses ``tol`` keeps that rung after a RuntimeWarning issued
+    at the phase route's caller, the first frame outside this module.
     """
     periods = max(1, int(round(T * omega0 / (2.0 * math.pi))))
     size = LADDER_INTERVALS * periods + 1
+    results: list = [None] * count
+    live = list(range(count))
     for _ in range(MAX_DOUBLINGS + 1):
-        result = rung(np.linspace(0.0, T, size))
-        if result.converged:
-            return result
+        for k, result in zip(live, rung(np.linspace(0.0, T, size), live)):
+            results[k] = result
+        live = [k for k in live
+                if isinstance(results[k], PhaseResult) and not results[k].converged]
+        if not live:
+            return results
         size = 2 * size - 1
     level, frame = 1, sys._getframe()
     while frame.f_globals.get("__name__") == __name__:
         level, frame = level + 1, frame.f_back
-    warnings.warn(
-        f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
-        f"(last change {result.step_change:.3e})",
-        RuntimeWarning,
-        stacklevel=level,
-    )
-    return result
+    for k in live:
+        warnings.warn(
+            f"phase not converged to {tol} after {MAX_DOUBLINGS} doublings "
+            f"(last change {results[k].step_change:.3e})",
+            RuntimeWarning,
+            stacklevel=level,
+        )
+    return results
 
 
 def gp_mixed_auto(model, rho0: DensityMatrix, T: float, mode: str = "literal",
                   tol: float = 1e-6) -> PhaseResult:
     """:func:`gp_mixed` on the doubling ladder's grids until the step test passes.
 
-    Every rung is ``model.trajectory`` on its grid.  The grids depend only on
-    T and the model, so the states of one sweep row share the model's
-    propagator evaluation per grid (see ``channels.GRID_MEMO_SLOTS``).
+    Every rung is ``model.trajectory`` on its grid.  gp_mixed's step change
+    (against every second sample) is an error estimate only where the phase
+    converges as h^2 and each change is about a quarter of the one before
+    it (on every fourth sample).  So the reported ``step_change`` is the
+    larger of the change and a quarter of the change before, and a rung
+    converges when that is below ``tol`` and the change has at least halved
+    (or sits at the rounding of the transport sum, n ulps of omega0 T).  Two
+    coarse grids near the Bloch-ball center can agree by chance, or change
+    by ever more while they miss a crossing, and neither passes.  The change
+    before a rung is the previous rung's, since the ladder's grids nest;
+    rung 0 evaluates it on every second sample when its own test passes,
+    and fails where that coarser grid raises.
     """
-    return _doubling_ladder(T, model.omega0, tol, lambda times: gp_mixed(
-        model.trajectory(rho0, times), mode=mode, T=T, tol=tol))
+    before = math.nan  # the previous rung's own step change
+
+    def rung(times: np.ndarray) -> PhaseResult:
+        nonlocal before
+        result = gp_mixed(model.trajectory(rho0, times), mode=mode, T=T, tol=tol)
+        own = result.step_change
+        if result.converged and math.isnan(before):  # rung 0
+            try:
+                before = gp_mixed(model.trajectory(rho0, times[::2]), mode=mode, T=T,
+                                  tol=tol).step_change
+            except NumericalError:  # every fourth sample does not resolve the path
+                before = math.inf
+        if not math.isnan(before):
+            step = max(own, before / 4.0)
+            shrinks = own <= before / 2.0 or own < times.size * math.ulp(model.omega0 * T)
+            result = replace(result, step_change=step, converged=bool(step < tol and shrinks))
+        before = own
+        return result
+
+    return sole_result(_doubling_ladder(T, model.omega0, tol,
+                                        lambda times, live: [rung(times)], 1))
 
 
 def gp_closed(theta0: float) -> float:
@@ -368,112 +424,179 @@ def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> Pha
       c0 c_t + s0 s_t e^{i omega0 t} (psi-), with s, c = sin, cos(theta/2);
     * weights sqrt|eps(0) eps(t)|, eps+- = (1 +- |r|) / 2.
 
-    I(T) is Simpson's rule on each grid of the doubling ladder, read through
-    the model's grid memo; a trapezoid path of the partial sums gives the
-    unwrapped ``phase_raw``.  The step test is the same integral on every
-    second sample, with the step before it (every fourth sample) divided by
-    Simpson's ratio 16: the grid doubles while ``step_change``, the larger
-    of the two, exceeds ``tol`` (at most MAX_DOUBLINGS times, then a
-    RuntimeWarning and ``converged`` False).  A ``tol`` within a few ulps of
-    omega0 T is below the rounding of the connections, so it is never met.
-    The cell fails where the literal ladder's rung does: a non-finite state
-    (:class:`NumericalError`), |r| < DEGENERACY_EPS or a successive overlap
-    below OVERLAP_FLOOR (:class:`DegenerateStateError`), a vanishing branch
-    sum (:class:`PhaseUndefinedError`).
+    I(T) is Simpson's rule on each grid of the doubling ladder; a trapezoid
+    path of the partial sums gives the unwrapped ``phase_raw``.  The step
+    test is the same integral on every second sample, with the step before
+    it (every fourth sample) divided by Simpson's ratio 16: the grid doubles
+    while ``step_change``, the larger of the two, exceeds ``tol`` (at most
+    MAX_DOUBLINGS times, then a RuntimeWarning and ``converged`` False).  A
+    ``tol`` within a few ulps of omega0 T is below the rounding of the
+    connections, so it is never met.  The cell fails where the literal
+    ladder's rung does: a non-finite state (:class:`NumericalError`),
+    |r| < DEGENERACY_EPS or a successive overlap below OVERLAP_FLOOR
+    (:class:`DegenerateStateError`), a vanishing branch sum
+    (:class:`PhaseUndefinedError`).  A sweep row runs its states on one
+    stack of rungs (:func:`gp_row`); this is its one-state case.
+    """
+    return sole_result(_flow_form_row(model, [rho0], T, tol))
+
+
+def _flow_form_row(model, rho0s, T: float, tol: float) -> list:
+    """:func:`gp_flow_form` of every state in ``rho0s``, on one stack of ladder rungs.
+
+    A state enters only through (p00, |coh|); each rung makes one
+    ``factors`` call for the states that are still on the ladder.
     """
     if not T > 0.0:
         raise ConfigError(f"phase horizon T={T} must be > 0")
     if not tol > 0.0:
         raise ConfigError(f"phase tolerance tol={tol} must be > 0")
-    p00, coh = rho0.matrix[0, 0].real, abs(rho0.matrix[0, 1])
-    return _doubling_ladder(T, model.omega0, tol,
-                            lambda times: _closed_form_rung(model, p00, coh, times, tol))
+    p00 = np.array([rho0.matrix[0, 0].real for rho0 in rho0s])
+    coh = np.array([abs(rho0.matrix[0, 1]) for rho0 in rho0s])
+    return _doubling_ladder(T, model.omega0, tol, lambda times, live: _closed_form_rung(
+        model, p00[live], coh[live], times, tol), len(rho0s))
 
 
-def _closed_form_rung(model, p00: float, coh: float, times: np.ndarray,
-                      tol: float) -> PhaseResult:
-    """One rung of :func:`gp_flow_form` on a uniform grid of odd size."""
+def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray,
+                      tol: float) -> list:
+    """One rung of :func:`gp_flow_form` for the states (p00, |coh|) on a uniform grid of odd size.
+
+    The arithmetic runs on (states, samples) arrays, elementwise and row by
+    row as for one state.  The checks run on the whole stack in the
+    one-state rung's order; a state gets the error of the first check it
+    fails in place of its result and leaves the stack, so every entry equals
+    the one-state rung's.
+    """
     omega0, h = model.omega0, times[1] - times[0]
-    pop, coh_factor = model._on_grid("factors", times)
-    r_z = 2.0 * p00 * pop - 1.0
-    transverse = 2.0 * coh * np.abs(coh_factor)
+    pop, coh_factor = model.factors(times)
+    r_z = 2.0 * p00[:, None] * pop - 1.0
+    transverse = 2.0 * coh[:, None] * np.abs(coh_factor)
     r = np.sqrt(r_z * r_z + transverse * transverse)
+    rows = np.arange(p00.size)
     finite = np.isfinite(r)
-    if not finite.all():
-        raise NumericalError(f"state is not finite at t = {times[np.argmin(finite)]:.6g}")
-    k_min = int(np.argmin(r))
-    if r[k_min] < DEGENERACY_EPS:
-        raise DegenerateStateError(
-            f"eigenbasis undefined: |r| = {r[k_min]:.3e} at t = {times[k_min]:.6g}"
-        )
-    # cos^2(theta/2) = (r + r_z) / 2r and sin^2 = (r - r_z) / 2r, the smaller
-    # of the two numerators as transverse^2 / (r + |r_z|) so it keeps its digits
-    big = r + np.abs(r_z)
-    small = transverse * transverse / big
-    north = r_z >= 0.0
-    c = np.sqrt(np.where(north, big, small) / (2.0 * r))
-    s = np.sqrt(np.where(north, small, big) / (2.0 * r))
-    # |<psi(t_k)|psi(t_k+1)>| is the same for both branches; the step test
-    # reads every second sample, which must keep the floor too, as on the ladder
-    for stride in (1, 2):
-        a, b = s[:-stride:stride] * s[stride::stride], c[:-stride:stride] * c[stride::stride]
-        step_sq = a * a + b * b + 2.0 * a * b * math.cos(omega0 * stride * h)
-        k_bad = stride * int(np.argmin(step_sq))
-        if step_sq[k_bad // stride] < OVERLAP_FLOOR * OVERLAP_FLOOR:
-            raise DegenerateStateError(
-                "eigenbasis discontinuity (near degeneracy crossing) between "
-                f"t = {times[k_bad]:.6g} and t = {times[k_bad + stride]:.6g}"
-            )
+    k_min = np.argmin(r, axis=1)
+    checks = [  # (rows that fail, their error), in the one-state rung's order
+        (~finite.all(axis=1), lambda i: NumericalError(
+            f"state is not finite at t = {times[np.argmin(finite[i])]:.6g}")),
+        (r[rows, k_min] < DEGENERACY_EPS, lambda i: DegenerateStateError(
+            f"eigenbasis undefined: |r| = {r[i, k_min[i]]:.3e} at t = {times[k_min[i]]:.6g}")),
+    ]
+    # a row that failed a check goes on as NaN or inf, and is dropped below
+    with np.errstate(all="ignore"):
+        # cos^2(theta/2) = (r + r_z) / 2r and sin^2 = (r - r_z) / 2r, the smaller
+        # of the two numerators as transverse^2 / (r + |r_z|) so it keeps its digits
+        big = r + np.abs(r_z)
+        small = transverse * transverse / big
+        del transverse  # the stack holds states x samples: free what is done with
+        north, two_r = r_z >= 0.0, 2.0 * r
+        c = np.where(north, big, small)
+        c /= two_r
+        s = np.where(north, small, big)
+        s /= two_r
+        del big, small, north, two_r
+        np.sqrt(c, out=c)
+        np.sqrt(s, out=s)
+        # |<psi(t_k)|psi(t_k+1)>| is the same for both branches; the step test
+        # reads every second sample, which must keep the floor too, as on the ladder
+        for stride in (1, 2):
+            a = s[:, :-stride:stride] * s[:, stride::stride]
+            b = c[:, :-stride:stride] * c[:, stride::stride]
+            step_sq = a * a + b * b + 2.0 * a * b * math.cos(omega0 * stride * h)
+            k_bad = stride * np.argmin(step_sq, axis=1)
+            checks.append((
+                step_sq[rows, k_bad // stride] < OVERLAP_FLOOR * OVERLAP_FLOOR,
+                lambda i, k_bad=k_bad, stride=stride: DegenerateStateError(
+                    "eigenbasis discontinuity (near degeneracy crossing) between "
+                    f"t = {times[k_bad[i]]:.6g} and t = {times[k_bad[i] + stride]:.6g}")))
+        del a, b, step_sq
+    out: list = [next((error(i) for bad, error in checks if bad[i]), None) for i in rows]
+    live = np.flatnonzero([entry is None for entry in out])  # the state of each stack row
+    if live.size < rows.size:
+        r_z, r, c, s = r_z[live], r[live], c[live], s[live]
+    if not live.size:
+        return out
 
     cos_theta = r_z / r
+    del r_z
+    integrals = [simpson(cos_theta[:, ::k], dx=k * h, axis=-1) for k in (1, 2, 4)]
+    running = np.zeros_like(cos_theta)
+    np.cumsum(0.5 * h * (cos_theta[:, :-1] + cos_theta[:, 1:]), axis=1, out=running[:, 1:])
+    del cos_theta
     rotation = np.exp(1j * omega0 * times)
-    branches = {  # label: (sign of I in the connection, eps, endpoint overlap series)
-        "plus": (1.0, 0.5 * (1.0 + r), s[0] * s + c[0] * c * rotation),
-        "minus": (-1.0, 0.5 * (1.0 - r), c[0] * c + s[0] * s * rotation),
-    }
-    weights = {lb: math.sqrt(abs(eps[0] * eps[-1])) for lb, (_, eps, _) in branches.items()}
-    kept = {lb: br for lb, br in branches.items() if weights[lb] >= WEIGHT_FLOOR}
+    # eps+ = (1 + |r|) / 2 >= 1/2, so psi+ is always kept; psi- is kept where
+    # its weight reaches WEIGHT_FLOOR
+    eps_ends = {"plus": 0.5 * (1.0 + r[:, [0, -1]]), "minus": 0.5 * (1.0 - r[:, [0, -1]])}
+    weights = {lb: [math.sqrt(abs(e0 * e1)) for e0, e1 in eps] for lb, eps in eps_ends.items()}
+    minus = np.flatnonzero(np.array(weights["minus"]) >= WEIGHT_FLOOR)
 
-    running = np.concatenate([[0.0], np.cumsum(0.5 * h * (cos_theta[:-1] + cos_theta[1:]))])
-    partial = sum(np.sqrt(np.abs(eps[0] * eps)) * overlap
-                  * np.exp(-0.5j * omega0 * (times + sign * running))
-                  for sign, eps, overlap in kept.values())
-    raw_path = _unwrapped_change(np.angle(partial))
+    def branch(sign: float, which, near, far):
+        """Endpoint overlaps and partial-sum terms of one branch on the stack rows ``which``.
 
-    def connection(label: str, integral: float) -> float:
-        return 0.5 * omega0 * (times[-1] + kept[label][0] * integral)
+        The overlap series is weighted and turned in place: each product is
+        the one-state rung's, since the factors commute bit for bit.
+        """
+        term = far[which, :1] * far[which] * rotation
+        term += near[which, :1] * near[which]
+        end = term[:, -1].copy()
+        weight = 0.5 * (1.0 + sign * r[which])
+        weight *= weight[:, :1]
+        term *= np.sqrt(np.abs(weight, out=weight), out=weight)
+        del weight
+        turn = np.multiply(-0.5j * omega0, times + sign * running[which])
+        term *= np.exp(turn, out=turn)
+        return end, term
 
-    def end_phase(integral: float) -> float:
-        total = sum(weights[lb] * overlap[-1] * cmath.exp(-1j * connection(lb, integral))
-                    for lb, (_, _, overlap) in kept.items())
-        if abs(total) < 1e-12:
-            raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
-        return cmath.phase(total)
+    ends = {"minus": np.full(live.size, complex(math.nan, math.nan))}
+    ends["plus"], partial = branch(1.0, np.s_[:], s, c)
+    partial += 0  # the branch sum starts from 0, as Python's sum does: -0.0 becomes +0.0
+    if minus.size:
+        ends["minus"][minus], term = branch(-1.0, minus, c, s)
+        partial[minus] += term
+        del term
+    del c, s, r, running
 
-    integral = simpson(cos_theta, dx=h)
-    phase = end_phase(integral)
-    raw = raw_path + math.remainder(phase - raw_path, 2.0 * math.pi)
-    # the step test, and the step before it at a sixteenth (Simpson's h^4): an
-    # unresolved spike in r_z / |r| near the ball center can make two coarse
-    # grids agree by chance, but not three in Simpson's ratio
-    half, quarter = (end_phase(simpson(cos_theta[::k], dx=k * h)) for k in (2, 4))
-    step_change = max(circle_distance(phase, half), circle_distance(half, quarter) / 16.0)
     # the connections carry rounding of about ulp(omega0 T), so a step change
     # below a few of those is noise and a tol below them is never met
     resolvable = tol > 4.0 * math.ulp(omega0 * times[-1])
-    return PhaseResult(
-        phase=principal_value(raw),
-        phase_raw=raw,
-        connection={lb: connection(lb, integral) if lb in kept else math.nan
-                    for lb in branches},
-        overlaps={lb: complex(branches[lb][2][-1]) if lb in kept
-                  else complex(math.nan, math.nan) for lb in branches},
-        weights=weights,
-        n_samples=int(times.size),
-        step_change=step_change,
-        converged=bool(resolvable and step_change < tol),
-        mode="literal",
-    )
+    signs = {"plus": 1.0, "minus": -1.0}
+    for i, state in enumerate(live):
+        raw_path = _unwrapped_change(np.angle(partial[i]))
+        kept = ("plus", "minus") if weights["minus"][i] >= WEIGHT_FLOOR else ("plus",)
+
+        def connection(label: str, integral: float) -> float:
+            return 0.5 * omega0 * (times[-1] + signs[label] * integral)
+
+        def end_phase(integral: float) -> float:
+            total = sum(weights[lb][i] * ends[lb][i] * cmath.exp(-1j * connection(lb, integral))
+                        for lb in kept)
+            if abs(total) < 1e-12:
+                raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
+            return cmath.phase(total)
+
+        try:
+            # the step test, and the step before it at a sixteenth (Simpson's
+            # h^4): an unresolved spike in r_z / |r| near the ball center can
+            # make two coarse grids agree by chance, but not three in Simpson's ratio
+            phase, half, quarter = (end_phase(integral[i]) for integral in integrals)
+        except PhaseUndefinedError as exc:
+            out[state] = exc
+            continue
+        raw = raw_path + math.remainder(phase - raw_path, 2.0 * math.pi)
+        step_change = max(circle_distance(phase, half), circle_distance(half, quarter) / 16.0)
+        out[state] = PhaseResult(
+            phase=principal_value(raw),
+            phase_raw=raw,
+            connection={lb: connection(lb, integrals[0][i]) if lb in kept else math.nan
+                        for lb in signs},
+            overlaps={lb: complex(ends[lb][i]) if lb in kept else complex(math.nan, math.nan)
+                      for lb in signs},
+            weights={lb: weights[lb][i] for lb in signs},
+            n_samples=int(times.size),
+            step_change=step_change,
+            converged=bool(resolvable and step_change < tol),
+            mode="literal",
+        )
+    return out
 
 
 def kappa1(lam: float, T: float) -> float:

@@ -8,13 +8,18 @@ M(t), so that D(t) = D(0) + N(t) - M(t) holds along the whole trajectory
 to neither side).
 
 Run boundaries are located by bracketing sign changes of sigma = dD/dt on a
-dense sampling grid and bisecting to 1e-10 relative time accuracy; sigma is
-evaluated from the models' analytic state derivatives.  A bracket joins two
-grid samples of sigma that are nonzero and of opposite sign, so bisection
-starts from the grid's own values.  All brackets of a ledger are bisected
-together, one vectorised sigma evaluation per round, and the accumulation
-evaluates D only at the new boundary knots, reusing the grid values.  The
-ledger's meta records the bracket count and the bisection rounds.
+dense sampling grid and bisecting to 1e-10 relative time accuracy.  Both
+models map rho00 -> p00 P(t) and rho01 -> coh Q(t), so the difference to the
+reference is (a P - b, alpha Q - beta) with constants of the state alone, and
+D and sigma come from the factors (P, Q) and their rates (Pdot, Qdot).  A
+bracket joins two grid samples of sigma that are nonzero and of opposite
+sign, so bisection starts from the grid's own values.  A sweep row's states
+share one model: :func:`row_flows` evaluates the factors and rates once on
+the grid, takes each state's arithmetic from them in turn, bisects all the
+row's brackets together (one factors and one rates call per round), and
+evaluates D only at the new boundary knots, reusing the grid values.
+:func:`flows` and :func:`pair_flows` are its one-state case.  The ledger's
+meta records the bracket count and the bisection rounds.
 
 The BLP scan scores state pairs without evolving them: both models map
 rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
@@ -33,13 +38,14 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
-from .errors import ConfigError, NumericalError
-from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array, bloch_dot,
-                     bloch_trace_distance, density_from_bloch)
+from .errors import ConfigError, NumericalError, sole_result
+from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_distance,
+                     density_from_bloch)
 
 DELTA_FLOOR = 1e-13
 SIGMA_NOISE_REL = 1e-9
@@ -98,140 +104,240 @@ class BlpResult:
     n_distinct: int  # distinct (x, y) pair keys scored
 
 
-def _d_sigma_arrays(model, rho1, rho2, times, evolve_reference: bool):
-    """D, sigma = dD/dt and the Bloch vectors of rho1 at ``times``.
+def _constants(rho1: DensityMatrix, rho2: DensityMatrix, evolve_reference: bool):
+    """(a, b, alpha, beta) with rho1(t) - rho2(t) = (a P - b, alpha Q - beta) in (rho00, rho01).
 
-    The z-component of the Bloch difference is 2 Re(rho00 - rho00'), not
-    z - z': the states store rho11 = 1 - rho00, so z keeps no digit of a
-    population below 2^-54.
+    A fixed reference gives (p00, ref00, coh, ref01); an evolving one
+    (dp00, 0, dcoh, 0), the pair's differences, which keep the digits that
+    two evolved populations would cancel.
     """
-    s1 = model.states(rho1, times)
-    s2 = model.states(rho2, times) if evolve_reference else rho2.matrix
-    bloch = bloch_array(s1)
-    diff = bloch - bloch_array(s2)
-    diff[..., 2] = 2.0 * (s1[..., 0, 0] - s2[..., 0, 0]).real
-    del s1, s2  # free the matrices before the derivatives are built
-    ddiff = model.bloch_dot_series(rho1, times)
+    m1, m2 = rho1.matrix, rho2.matrix
     if evolve_reference:
-        ddiff -= model.bloch_dot_series(rho2, times)
-    dist = bloch_trace_distance(diff, 0.0)
+        return m1[0, 0].real - m2[0, 0].real, 0.0, m1[0, 1] - m2[0, 1], 0.0
+    return m1[0, 0].real, m2[0, 0].real, m1[0, 1], m2[0, 1]
+
+
+def _d_sigma(consts, P, Q, rates=None):
+    """D, and sigma = dD/dt when ``rates`` = (Pdot, Qdot) is given, from the factors.
+
+    ``consts`` = (a, b, alpha, beta) of :func:`_constants`, scalars or arrays
+    that broadcast against the factors.  The Bloch difference is
+    2 (Re drho01, Im drho01, drho00) up to the sign of y, and both sums run in
+    ``bloch_dot``'s order.
+    """
+    a, b, alpha, beta = consts
+    d01 = alpha * Q - beta
+    x, y, z = 2.0 * d01.real, 2.0 * d01.imag, 2.0 * (a * P - b)
+    sq = x * x
+    sq += 0.0
+    sq += y * y
+    sq += z * z
+    dist = 0.5 * np.sqrt(sq)
+    if rates is None:
+        return dist, None
+    p_dot, q_dot = rates
+    v01 = alpha * q_dot
+    dot = x * (2.0 * v01.real)
+    dot += 0.0
+    dot += y * (2.0 * v01.imag)
+    dot += z * (2.0 * (a * p_dot))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = np.where(dist > 0.0, bloch_dot(diff, ddiff) / (4.0 * dist), 0.0)
-    return dist, sig, bloch
+        sig = np.where(dist > 0.0, dot / (4.0 * dist), 0.0)
+    return dist, sig
 
 
 def sigma(t: float, model, rho0: DensityMatrix,
           standard_state: DensityMatrix | None = None) -> float:
-    """Instantaneous rate dD/dt from the model's analytic state derivative.
+    """Instantaneous rate dD/dt from the model's analytic factor rates.
 
     Positive values signal backward flow.
     """
     ref = model.steady_state() if standard_state is None else standard_state
-    return float(_d_sigma_arrays(model, rho0, ref, float(t), evolve_reference=False)[1])
+    t = float(t)
+    return float(_d_sigma(_constants(rho0, ref, False), *model.factors(t), model.rates(t))[1])
 
 
 def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
-    """Bisect all brackets [a_i, b_i] of the vectorised f together.
+    """Bisect every bracket [a_i, b_i] of the family f together.
 
-    ``fa`` is f at the left ends; f at the two ends of a bracket must be
+    ``f(ts, which)`` evaluates member ``which[j]`` of the family at ``ts[j]``;
+    ``fa`` is f at the left ends, and f at the two ends of a bracket must be
     nonzero and of opposite sign.  A midpoint where f is exactly 0 is the
-    root; the rest halve while b - a > xtol.  Returns (roots, rounds).
+    root; the rest halve while b - a > xtol.  Returns the roots and the
+    midpoint evaluations per bracket; each round makes one call of f.
     """
     a, b, fa = a.copy(), b.copy(), fa.copy()
     roots = 0.5 * (a + b)
+    evals = np.zeros(a.size, dtype=int)
     live = np.flatnonzero(b - a > xtol)
-    rounds = 0
     while live.size:
         m = 0.5 * (a[live] + b[live])
-        fm = f(m)
-        rounds += 1
+        fm = f(m, live)
+        evals[live] += 1
         left = (fm < 0.0) == (fa[live] < 0.0)
         a[live[left]], fa[live[left]] = m[left], fm[left]
         b[live[~left]] = m[~left]
         roots[live] = np.where(fm == 0.0, m, 0.5 * (a[live] + b[live]))
         live = live[(fm != 0.0) & (b[live] - a[live] > xtol)]
-    return roots, rounds
+    return roots, evals
 
 
-def _locate_boundaries(times, dist, sig, sigma_at, t_end: float):
-    """Run boundaries of D, and (brackets, bisection rounds)."""
+def _brackets(dist, sig):
+    """Grid indices of the exact zeros of sigma and of the left ends of its sign changes.
+
+    Either needs a neighbour at or above the noise floor; a D that is
+    constant has neither.
+    """
     d_span = float(np.max(dist) - np.min(dist))
     if d_span <= 1e-12 * max(1.0, float(np.max(dist))):
-        return np.empty(0), (0, 0)  # D is constant: no flow in either direction
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     mag = np.abs(sig)
-    big = mag >= SIGMA_NOISE_REL * float(np.max(mag))  # above the noise floor
+    big = mag >= SIGMA_NOISE_REL * float(np.max(mag))
     zero, neg = sig == 0.0, sig < 0.0
-    # exact grid zeros, and sign changes between nonzero neighbours; either
-    # needs a neighbour above the floor
     zeros = 1 + np.flatnonzero(zero[1:-1] & (big[:-2] | big[2:]))
     pairs = np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]) & (big[:-1] | big[1:]))
-    roots, rounds = _bisect_all(sigma_at, times[pairs], times[pairs + 1], sig[pairs],
-                                BISECT_REL_TOL * t_end)
-    return np.unique(np.concatenate([times[zeros], roots])), (int(pairs.size), rounds)
+    return zeros, pairs
 
 
-def _accumulate(times, dist, bounds, dist_at, t_end: float):
+def _accumulate(times, dist, bounds, d_bounds, t_end: float):
     """Split [0, t_end] at the boundaries and telescope D over each run.
 
-    D is evaluated only at the boundaries; the grid values are reused.
+    The boundaries are inserted into the sorted grid as knots with their D
+    (``d_bounds``); one equal to a grid time keeps the grid's D.
     """
-    d_bounds = dist_at(bounds) if bounds.size else bounds
-    knots, first = np.unique(np.concatenate([times, bounds]), return_index=True)
-    d_knots = np.concatenate([dist, d_bounds])[first]
+    pos = np.searchsorted(times, bounds)
+    new = times[np.minimum(pos, times.size - 1)] != bounds
+    knots, d_knots, at = times, dist, slice(None)  # at: the grid samples among the knots
+    if new.any():
+        pos = pos[new]
+        knots = np.insert(times, pos, bounds[new])
+        d_knots = np.insert(dist, pos, d_bounds[new])
+        at = np.arange(times.size)
+        at += np.searchsorted(pos, at, side="right")
     edges = np.concatenate([[0.0], bounds, [t_end]])
     edge_idx = np.searchsorted(knots, edges)
     net = d_knots[edge_idx[1:]] - d_knots[edge_idx[:-1]]
     floor = DELTA_FLOOR * max(1.0, float(np.max(d_knots)))
     cls = np.where(net > floor, 1, np.where(net < -floor, -1, 0))
 
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    seg_of_interval = np.searchsorted(bounds, mids)
-    interval_cls = cls[seg_of_interval]
+    interval_cls = np.repeat(cls, np.diff(edge_idx))  # the run of each knot interval
     dd = np.diff(d_knots)
     n_cum = np.concatenate([[0.0], np.cumsum(np.where(interval_cls > 0, dd, 0.0))])
     m_cum = np.concatenate([[0.0], np.cumsum(np.where(interval_cls < 0, -dd, 0.0))])
-
-    at = np.searchsorted(knots, times)
     segments = tuple(
         FlowSegment(float(edges[s]), float(edges[s + 1]), int(cls[s]), float(net[s]))
         for s in range(cls.size)
     )
-    return segments, d_knots[at], n_cum[at], m_cum[at]
+    return segments, n_cum[at], m_cum[at]
 
 
-def _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference: bool) -> FlowLedger:
-    if times is None:
-        times = sample_times(model, t_end)
+def _state_bloch(rho: DensityMatrix, P, Q) -> np.ndarray:
+    """Bloch vectors (n, 3) of rho(t), as ``bloch_array`` reads the evolved matrices."""
+    p00, coh = rho.matrix[0, 0].real, rho.matrix[0, 1] * Q
+    out = np.empty(np.shape(P) + (3,))
+    out[..., 0] = 2.0 * coh.real
+    out[..., 1] = -2.0 * coh.imag
+    out[..., 2] = p00 * P - (1.0 - p00 * P)
+    return out
+
+
+class _OnGrid(NamedTuple):
+    """One entry of a ledger row on the sampling grid."""
+
+    consts: tuple
+    dist: np.ndarray
+    sig: np.ndarray
+    positivity: PositivityReport
+    zeros: np.ndarray  # grid indices of exact zeros of sigma
+    pairs: np.ndarray  # left ends of the brackets
+
+
+def _ledger_row(model, entries, t_end: float, times) -> list:
+    """Flow ledgers of several (rho1, rho2, evolve_reference) entries on one grid.
+
+    One ``factors`` and one ``rates`` call serve the grid of every entry,
+    whose D and sigma follow from its constants alone (:func:`_d_sigma`);
+    no array spans entries and samples.  Then all brackets of the row are
+    bisected together, one factors and one rates call per round, and one
+    factors call gives D at every entry's run boundaries.  Each entry gets
+    its ledger, or the :class:`NumericalError` it raised (a grid above the
+    sample cap fails every entry).
+    """
+    try:
+        if times is None:
+            times = sample_times(model, t_end)
+    except NumericalError as exc:
+        return [exc] * len(entries)
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
         raise ConfigError("flow sampling grid must span [0, t_end]")
-    dist, sig, bloch = _d_sigma_arrays(model, rho1, rho2, times, evolve_reference)
-    bad = np.flatnonzero(~np.isfinite(dist))
-    if bad.size:
-        raise NumericalError(f"trace distance is not finite at t = {times[bad[0]]:.6g}")
-    positivity = positivity_check(times, bloch)
+    P, Q = model.factors(times)
+    rates = model.rates(times)
+    out: list = [None] * len(entries)
+    on_grid: dict[int, _OnGrid] = {}
+    for k, (rho1, rho2, evolve) in enumerate(entries):
+        consts = _constants(rho1, rho2, evolve)
+        dist, sig = _d_sigma(consts, P, Q, rates)
+        bad = np.flatnonzero(~np.isfinite(dist))
+        if bad.size:
+            out[k] = NumericalError(f"trace distance is not finite at t = {times[bad[0]]:.6g}")
+            continue
+        positivity = positivity_check(times, _state_bloch(rho1, P, Q))
+        on_grid[k] = _OnGrid(consts, dist, sig, positivity, *_brackets(dist, sig))
+    del P, Q, rates
 
-    def sigma_at(ts: np.ndarray) -> np.ndarray:
-        return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[1]
+    # every bracket of the row, entry after entry, with its entry's constants
+    rows = list(on_grid.values())
+    counts = [g.pairs.size for g in rows]
+    slot = np.repeat(np.arange(len(rows)), counts)
+    per_bracket = [np.array([g.consts[j] for g in rows])[slot] for j in range(4)]
+    pairs = np.concatenate([np.empty(0, np.intp), *(g.pairs for g in rows)])
+    fa = np.concatenate([np.empty(0), *(g.sig[g.pairs] for g in rows)])
 
-    def dist_at(ts: np.ndarray) -> np.ndarray:
-        return _d_sigma_arrays(model, rho1, rho2, ts, evolve_reference)[0]
+    def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
+        consts = tuple(c[which] for c in per_bracket)
+        return _d_sigma(consts, *model.factors(ts), model.rates(ts))[1]
 
-    bounds, (brackets, rounds) = _locate_boundaries(times, dist, sig, sigma_at, t_end)
-    segments, d_s, n_s, m_s = _accumulate(times, dist, bounds, dist_at, t_end)
-    return FlowLedger(
-        standard_state=rho2,
-        times=times,
-        D=d_s,
-        sigma=sig,
-        N=n_s,
-        M=m_s,
-        segments=segments,
-        model=model.tag,
-        positivity=positivity,
-        meta={"t_end": float(t_end), "evolve_reference": evolve_reference,
-              "brackets": brackets, "bisect_rounds": rounds},
-    )
+    roots, evals = _bisect_all(sigma_at, times[pairs], times[pairs + 1], fa,
+                               BISECT_REL_TOL * t_end)
+    cuts = np.cumsum(counts)[:-1]
+    bounds = [np.unique(np.concatenate([times[g.zeros], r]))
+              for g, r in zip(rows, np.split(roots, cuts))]
+    knot_P, knot_Q = model.factors(np.concatenate([np.empty(0), *bounds]))
+    at = 0
+    for k, g, b, e in zip(on_grid, rows, bounds, np.split(evals, cuts)):
+        knots = slice(at, at + b.size)
+        at = knots.stop
+        d_bounds = _d_sigma(g.consts, knot_P[knots], knot_Q[knots])[0]
+        segments, n_s, m_s = _accumulate(times, g.dist, b, d_bounds, t_end)
+        out[k] = FlowLedger(
+            standard_state=entries[k][1],
+            times=times,
+            D=g.dist,
+            sigma=g.sig,
+            N=n_s,
+            M=m_s,
+            segments=segments,
+            model=model.tag,
+            positivity=g.positivity,
+            meta={"t_end": float(t_end), "evolve_reference": entries[k][2],
+                  "brackets": int(e.size), "bisect_rounds": int(e.max(initial=0))},
+        )
+    return out
+
+
+def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None = None,
+              times: np.ndarray | None = None) -> list:
+    """:func:`flows` of every state in ``rho0s`` on one grid of one model.
+
+    A sweep row's states share the factors: the row makes one ``factors``
+    and one ``rates`` call on the grid and one of each per bisection round,
+    whatever its number of states.  Each entry is the state's ledger, bit
+    for bit the one :func:`flows` returns, or the :class:`NumericalError`
+    that :func:`flows` would raise.
+    """
+    ref = model.steady_state() if standard_state is None else standard_state
+    return _ledger_row(model, [(rho0, ref, False) for rho0 in rho0s], t_end, times)
 
 
 def flows(rho0: DensityMatrix, model, t_end: float,
@@ -243,14 +349,13 @@ def flows(rho0: DensityMatrix, model, t_end: float,
     under both dynamics, so this is the two-state flow with the second
     state pinned.
     """
-    ref = model.steady_state() if standard_state is None else standard_state
-    return _flow_ledger(model, rho0, ref, t_end, times, evolve_reference=False)
+    return sole_result(row_flows([rho0], model, t_end, standard_state, times))
 
 
 def pair_flows(rho1: DensityMatrix, rho2: DensityMatrix, model, t_end: float,
                times: np.ndarray | None = None) -> FlowLedger:
     """Flow cumulants of D(rho1(t), rho2(t)) with both states evolving."""
-    return _flow_ledger(model, rho1, rho2, t_end, times, evolve_reference=True)
+    return sole_result(_ledger_row(model, [(rho1, rho2, True)], t_end, times))
 
 
 def default_state_grid(n_theta: int = 12, n_phi: int = 24,
@@ -387,10 +492,16 @@ def blp_measure(model, grid=None, t_end: float | None = None,
         np.maximum(inc, 0.0, out=inc)  # NaN stays NaN and wins the argmax
         np.sum(inc, axis=-1, out=distinct_scores[lo:lo + chunk])
 
-    # the best pair is the first in grid order whose key scores highest
+    # the best pair is the first in grid order whose key scores highest: look
+    # the keys up among the winning ones a chunk at a time, until one wins;
+    # when every key ties (a Markovian model) the first chunk ends it
     top = distinct_scores[np.argmax(distinct_scores)]  # a NaN score wins
     winners = distinct[(distinct_scores == top) | np.isnan(distinct_scores)]
-    best = int(np.argmax(np.isin(keys, winners)))
+    for lo in range(0, keys.size, PAIR_BLOCK_SAMPLES):
+        hit = np.isin(keys[lo:lo + PAIR_BLOCK_SAMPLES], winners)
+        if hit.any():
+            best = lo + int(np.argmax(hit))
+            break
     ledger = pair_flows(*grid[best], model, t_end, times)
     return BlpResult(
         value=ledger.N_total,

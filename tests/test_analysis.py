@@ -212,8 +212,8 @@ class TestSweeps:
             assert after[:4] == before[:4]
 
     def test_columns_name_their_cells(self, monkeypatch):
-        # call order per row: flows(s1), phase(s1), flows(s2), phase(s2); the
-        # first phase call (row 0, s1) and the fourth ledger (row 1, s2) fail
+        # each row makes one ledger call and one phase call for its states;
+        # the phase of s1 on row 0 and the ledger of s2 on row 1 fail
         spec = SweepSpec(start=1.0, stop=2.0, steps=2, W=1.0, z_list=(0.5, 1.0),
                          outputs=("phase", "N", "M", "D", "A"))
         s1, s2 = "z=0.5;vt=0.785398", "z=1;vt=0.785398"
@@ -223,17 +223,18 @@ class TestSweeps:
                          f"N[{label}]", f"M[{label}]", f"D[{label}]", f"A[{label}]"))
         clean = run_sweep(spec)
 
-        def fail_on(fn, bad_call, what):
-            calls = itertools.count()
+        def fail_on(fn, bad_row, bad_state, what):
+            rows = itertools.count()
 
             def wrapped(*args, **kwargs):
-                if next(calls) == bad_call:
-                    raise NumericalError(f"forced {what}")
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if next(rows) == bad_row:
+                    out[bad_state] = NumericalError(f"forced {what}")
+                return out
             return wrapped
 
-        monkeypatch.setattr(analysis, "gp_route", fail_on(analysis.gp_route, 0, "phase"))
-        monkeypatch.setattr(analysis, "flows", fail_on(analysis.flows, 3, "ledger"))
+        monkeypatch.setattr(analysis, "gp_row", fail_on(analysis.gp_row, 0, 0, "phase"))
+        monkeypatch.setattr(analysis, "row_flows", fail_on(analysis.row_flows, 1, 1, "ledger"))
         broken = run_sweep(spec)
 
         assert clean.columns == broken.columns == expected

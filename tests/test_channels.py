@@ -1,9 +1,5 @@
 import cmath
 import math
-import random
-import sys
-import threading
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qflow.channels import (
-    GRID_MEMO_SLOTS,
-    MIN_SAMPLES,
     MemoryKernelModel,
     MemoryKernelParams,
     TimeLocalModel,
@@ -32,7 +26,6 @@ from qflow.channels import (
     xi,
 )
 from qflow.errors import ConfigError, NumericalError, PoleError, StepSizeError
-from qflow.geomphase import MAX_DOUBLINGS
 from qflow.qstate import DensityMatrix, InitialStateSpec, initial_state
 
 T_PERIOD = 2.0 * math.pi
@@ -434,93 +427,3 @@ class TestStateDot:
     def test_memory_kernel(self, C, gamma, z, vt, vp, t):
         model = MemoryKernelModel(MemoryKernelParams(C * gamma, gamma, 1.0))
         assert_state_dot_matches_difference(model, initial_state(InitialStateSpec(z, vt, vp)), t)
-
-
-def _memo_grids():
-    """Grids a model's memo must tell apart, more of them than it has slots."""
-    base = np.linspace(0.0, T_PERIOD, MIN_SAMPLES)
-    signed = base.copy()
-    signed[0] = -0.0  # == base, but other bits (state_dot's zero signs differ)
-    fine = np.linspace(0.0, T_PERIOD, 2 * MIN_SAMPLES + 1)
-    grids = [base, np.linspace(0.0, 3.0, MIN_SAMPLES), signed, fine[1::2],
-             base[:-1], np.array([1.3]), 1.3, 0.0]  # the last four bypass the memo
-    grids += [np.linspace(0.0, 1.0 + k, MIN_SAMPLES + k) for k in range(GRID_MEMO_SLOTS)]
-    return grids
-
-
-MEMO_GRIDS = _memo_grids()
-MEMO_MODELS = (
-    TimeLocalModel(TimeLocalParams(0.6, 1.0)),
-    TimeLocalModel(TimeLocalParams(10.0, 2.0)),
-    MemoryKernelModel(MemoryKernelParams(0.1, 0.5)),
-    MemoryKernelModel(MemoryKernelParams(0.5, 1.0)),  # C > 1/4
-)
-MEMO_STATES = (initial_state(EQUATOR), initial_state(InitialStateSpec(0.3, 1.0, 2.0)))
-
-
-class TestGridMemo:
-    def test_bound_covers_one_row(self):
-        # the phase ladder's grids plus the flow grid, for factors and for rates
-        assert GRID_MEMO_SLOTS == 1 + MAX_DOUBLINGS + 2
-
-    @pytest.mark.parametrize("model", MEMO_MODELS[::2])
-    def test_a_grid_is_evaluated_once_per_model(self, model):
-        model = type(model)(model.params)
-        grid, probe = MEMO_GRIDS[0], MEMO_GRIDS[5]
-        with mock.patch.object(model, "factors", wraps=model.factors) as factors, \
-                mock.patch.object(model, "rates", wraps=model.rates) as rates:
-            for rho0 in MEMO_STATES * 2:
-                model.states(rho0, grid)
-                model.state_dot(rho0, grid)
-                model.states(rho0, probe)
-        assert factors.call_count == 1 + 2 * len(MEMO_STATES)  # the probe bypasses the memo
-        assert rates.call_count == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(model=st.sampled_from(MEMO_MODELS),
-           calls=st.lists(st.tuples(st.sampled_from(("states", "state_dot")),
-                                    st.integers(0, len(MEMO_GRIDS) - 1),
-                                    st.integers(0, len(MEMO_STATES) - 1)),
-                          min_size=1, max_size=40))
-    def test_calls_equal_a_fresh_model(self, model, calls):
-        model = type(model)(model.params)
-        for method, g, s in calls:
-            grid, rho0 = MEMO_GRIDS[g], MEMO_STATES[s]
-            got = getattr(model, method)(rho0, grid)
-            want = getattr(type(model)(model.params), method)(rho0, grid)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            got[...] = np.nan  # the caller's array is its own
-            memo = model._grid_memo
-            assert len(memo) <= GRID_MEMO_SLOTS
-            assert not any(v.flags.writeable for values in memo.values() for v in values)
-
-    def test_threads_share_one_model(self):
-        model = TimeLocalModel(TimeLocalParams(0.6, 1.0))
-        rho0 = MEMO_STATES[0]
-        want = [TimeLocalModel(model.params).states(rho0, g).tobytes() for g in MEMO_GRIDS]
-        problems = []
-
-        def work(seed):
-            draw = random.Random(seed)
-            try:
-                for _ in range(300):
-                    g = draw.randrange(len(MEMO_GRIDS))
-                    if model.states(rho0, MEMO_GRIDS[g]).tobytes() != want[g]:
-                        problems.append(("states", g))
-                    if len(model._grid_memo) > GRID_MEMO_SLOTS:
-                        problems.append(("bound", len(model._grid_memo)))
-            except Exception as exc:  # reported below, with the thread's draw
-                problems.append((seed, repr(exc)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert problems == []

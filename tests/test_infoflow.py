@@ -187,15 +187,16 @@ def assert_batched_matches_scalar(f, brackets, xtol):
     assert np.all(np.sign(fa) * np.sign(f(b)) < 0.0)  # the brackets a ledger forms
     calls = []
 
-    def counted(ts):
+    def counted(ts, which):
         calls.append(ts.size)
+        assert np.all((a[which] < ts) & (ts < b[which]))  # which names each point's bracket
         return f(ts)
 
-    roots, rounds = _bisect_all(counted, a, b, fa, xtol)
+    roots, evals = _bisect_all(counted, a, b, fa, xtol)
     ref = [scalar_bisect(f, lo, flo, hi, xtol) for lo, flo, hi in zip(a, fa, b)]
     assert np.array_equal(roots, np.array([r for r, _ in ref]))
-    assert rounds == max(n for _, n in ref)
-    assert len(calls) == rounds  # one call per round, none for the bracket ends
+    assert evals.tolist() == [n for _, n in ref]  # midpoint evaluations per bracket
+    assert len(calls) == max(n for _, n in ref)  # one call per round, none for the ends
     assert a.tolist() == [lo for lo, _ in brackets]  # inputs left untouched
     assert fa.tolist() == f(a).tolist()
 
@@ -213,11 +214,11 @@ class TestBatchedBisection:
         assert_batched_matches_scalar(line, brackets, 1e-9)
 
     def test_no_brackets_makes_no_call(self):
-        def fail(ts):
+        def fail(ts, which):
             raise AssertionError("called")
 
-        roots, rounds = _bisect_all(fail, np.empty(0), np.empty(0), np.empty(0), 1e-9)
-        assert roots.size == 0 and rounds == 0
+        roots, evals = _bisect_all(fail, np.empty(0), np.empty(0), np.empty(0), 1e-9)
+        assert roots.size == 0 and evals.size == 0
 
     @settings(max_examples=100, deadline=None)
     @given(brackets=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0)),
@@ -505,6 +506,31 @@ class TestBlp:
         result = blp_measure(tl_model(1.0, 4.0), grid, t_end=T)  # R = 0.25
         assert result.value == 0.0
         assert result.argmax_index == 0  # every pair ties
+
+    def test_markovian_default_grid_picks_the_first_pair(self):
+        # at R = 0.3 every score is 0, so all 59,843 distinct keys win
+        result = blp_measure(tl_model(1.0, 1.0 / 0.3), t_end=T, times=BLP_TIMES)
+        assert result.argmax_index == 0 and result.value == 0.0
+        first = default_pair_grid()[0]
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(result.argmax_pair, first))
+
+    def test_tied_keys_beyond_the_first_chunk(self):
+        # two distinct keys with one dp00^2 tie when D depends on dp00 alone;
+        # the first of them sits past the first lookup chunk
+        north = initial_state(InitialStateSpec(1.0, 0.3, 0.0))
+        south, turned = (initial_state(InitialStateSpec(1.0, 1.2, phi)) for phi in (0.0, 1.5))
+        states = [north, south, turned]
+        first = np.array([0] * (PAIR_BLOCK_SAMPLES + 5) + [0, 0, 0])
+        second = np.array([0] * (PAIR_BLOCK_SAMPLES + 5) + [2, 1, 2])
+
+        def by_population(x, y, p_sq, q_sq):
+            return np.multiply.outer(x, np.linspace(0.0, 1.0, p_sq.size))
+
+        with mock.patch.object(infoflow, "_pair_distance", by_population):
+            result = blp_measure(tl_model(1.0, 0.5), PairGrid(states, first, second),
+                                 t_end=T, times=BLP_TIMES)
+        assert result.argmax_index == PAIR_BLOCK_SAMPLES + 5
+        assert result.n_distinct == 3
 
     def test_non_markovian_grid_is_positive(self):
         grid = all_pairs(default_state_grid(3, 6, (1.0,)))

@@ -47,7 +47,10 @@ def test_traced_spans_and_clean_uninstall():
     spans = t.spans
     names = {s[0] for s in spans}
     nested = {(s[0], spans[s[3]][0]) for s in spans if s[3] >= 0}
-    assert {"channels.states", "channels.state_dot", "infoflow.flows"} <= names
+    # sweep rows take their ledgers and literal phases from the factors, so
+    # the traced ledger is critical_point's and the traced states the ladder's
+    assert ("infoflow.flows", "analysis.critical_point") in nested
+    assert ("channels.states", "channels.trajectory") in nested
     assert ("channels.abs_c_squared", "analysis.critical_point") in nested
     # a literal row takes its phases in closed form, off the ladder
     assert not LADDER & {s[0] for s in spans[:n_literal]}
