@@ -4,8 +4,10 @@
 The study fixes W = 0.6, a pure initial state at half-polar angle pi/3, and
 one quasi-period.  It scans R = W / lambda, finds the root R* of
 d|c(T,R)|^2/dR, and tabulates |c(T)|^2, D(T), the phase integrand A(T), and
-the flows N(T), M(T) around R* so the simultaneous extremum and the
-M-flattening at the backflow onset are visible by eye.
+the flows N(T), M(T) around R* so the extremum of A, the cusp of D (it
+touches zero at R* with one-sided slopes of opposite sign, so its small
+centered difference there is a cancellation, not a vanishing derivative)
+and the M-flattening at the backflow onset are visible by eye.
 
 Usage:  python scripts/critical_point_study.py [W] [vartheta0]
 """
@@ -33,7 +35,7 @@ def main() -> None:
     print(f"W = {W}, vartheta0 = {vt:.6f}, T = one quasi-period")
     print(f"critical point R*          = {rep.r_star:.9f}")
     print(f"|d|c|^2/dR| at R*          = {rep.df_residual:.3e}")
-    print(f"|dD/dR| at R* (normalised) = {rep.dd_residual:.3e}")
+    print(f"|dD/dR| at R* (normalised) = {rep.dd_residual:.3e}  (centered, across D's cusp)")
     print(f"|dA/dR| at R* (normalised) = {rep.da_residual:.3e}")
     print(f"N(T) onset                 = R = {rep.onset_R:.4f}")
     print(f"dM/dR collapse             = R = {rep.m_flat_R:.4f}")

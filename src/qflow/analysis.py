@@ -8,11 +8,16 @@ initial states.  Sweeps are deterministic: identical specs produce
 bit-identical datasets, and per-point failures are recorded per row while
 the sweep continues.
 
-The critical point R* is the root of d|c(T, R)|^2/dR.  At R* the trace
-distance D(T, R) and the phase integrand A(T, R) are simultaneously
-extremal (their R-derivatives share the sign of d|c|^2/dR with positive
-prefactors), and the onset of backflow N(T) coincides with the flattening
-of M(T).
+The critical point R* is the root of d|c(T, R)|^2/dR.  For T > pi / (2W)
+it is the R at which c(T, R) vanishes, a double zero of |c|^2.  The phase
+integrand A(T, R), a function of |c(T)|^2, is extremal there.  The trace
+distance D(T, R) to the ground state is not: it is
+sqrt(|rho01(0)|^2 |c|^2 + rho00(0)^2 |c|^4), about |rho01(0)| |c(T, R)|
+near R*, so it has a cusp, touching zero with one-sided R-slopes of
+opposite sign (+0.2632 and -0.2621 at h = 1e-6 for W = 0.6,
+vartheta0 = pi/3, z = 1, T = 2 pi).  Its centered difference at R* is
+small only because it cancels across that nearly symmetric kink.  The
+onset of backflow N(T) coincides with the flattening of M(T).
 """
 
 from __future__ import annotations
@@ -229,7 +234,8 @@ class CriticalPointReport:
 
     r_star: float
     df_residual: float          # |d|c|^2/dR| at R*
-    dd_residual: float          # |dD/dR| at R*, normalised by the sweep maximum
+    dd_residual: float          # centered |dD/dR| at R* over the sweep maximum; small
+                                # only because it cancels across D's cusp at R*
     da_residual: float          # |dA/dR| at R*, normalised by the sweep maximum
     dd_raw: float
     da_raw: float
@@ -243,18 +249,20 @@ class CriticalPointReport:
 
 def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
                    r_min: float, r_max: float, steps: int = 81) -> CriticalPointReport:
-    """Locate R* and verify the simultaneous-extremum / onset claims.
+    """Locate R* and check the extremum of A, the cusp of D and the onset claims.
 
     R = W / lambda is swept at W = p.W fixed (``TimeLocalParams.at_ratio``).
 
     The R range must bracket a sign change of the centered difference of
     |c(T, R)|^2; the first sign change (the first minimum) is refined by
-    bisection.  D(T, R) and A(T, R) are then differenced at R*, and the
+    bisection.  D(T, R) and A(T, R) are then differenced at R* (centered,
+    which reads near zero across D's cusp as at A's extremum), and the
     backflow onset is compared against the collapse of dM/dR on the grid;
     a range in which either event is missing raises :class:`BracketError`.
     The scales and dM/dR need an interior grid point, so ``steps < 3``
-    raises :class:`ConfigError`, as does ``T <= 0``.
+    raises :class:`ConfigError`, as does ``T <= 0`` or a non-finite T or range end.
     """
+    require_finite("critical_point", T=T, r_min=r_min, r_max=r_max)
     if r_min <= 0.0 or r_max <= r_min:
         raise ConfigError("critical_point requires 0 < r_min < r_max")
     if steps < 3:

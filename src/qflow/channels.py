@@ -391,6 +391,7 @@ def sample_times(model, t_end: float) -> np.ndarray:
     Simpson integration applies directly.  A grid that would need more than
     MAX_SAMPLES points raises :class:`NumericalError`.
     """
+    require_finite("sampling horizon", t_end=t_end)
     if t_end <= 0.0:
         raise ConfigError("t_end must be > 0")
     n = max(MIN_SAMPLES,

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,41 +32,52 @@ from .infoflow import flows
 from .qstate import InitialStateSpec, eigenvalues, initial_state
 
 
+def _setting(default, help: str, **extra):
+    """A RunConfig field that carries its flag's help text and ``extra``: argparse's
+    choices or metavar, and ``flag``, the spelling where it is not ``--`` plus the
+    name with ``_`` turned into ``-``."""
+    return field(default=default, metadata={"help": help, **extra})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective configuration of one CLI invocation.
 
     Every field has a default; a config file may override defaults and
-    explicit flags override the file.  Unknown keys in a config file are
-    rejected, and so is any setting the subcommand does not read
-    (:func:`_settings_read`).
+    explicit flags override the file.  Each subcommand registers the flags
+    of the settings it can read (:func:`_flag_names`), and a config file's
+    unknown keys are rejected, as is any setting the subcommand does not
+    read under the run's model or preset (:func:`_settings_read`).
     """
 
     command: str = ""
-    model: str = "time-local"
-    W: float = 0.1
-    lam: float = 1.0
-    omega0: float = 1.0
-    gamma0: float = 0.1
-    gamma: float = 1.0
-    z: float = 1.0
-    vartheta0: float = math.pi / 4.0
-    varphi0: float = math.pi / 3.0
-    n: int = 1
-    R_min: float = 0.05
-    R_max: float = 5.0
-    R_steps: int = 40
-    C_min: float = 0.01
-    C_max: float = 0.24
-    C_steps: int = 24
-    figure: str = ""
-    mode: str = "literal"
-    out: str = "-"
-    format: str = "csv"
-    tol: float = 1e-6
-    degrees: bool = False
-    t_end: float = 0.0      # 0 means n quasi-periods
-    samples: int = 2001
+    model: str = _setting("time-local", "dynamical model",
+                          choices=("time-local", "memory-kernel"))
+    W: float = _setting(0.1, "coupling strength, units of omega0")
+    lam: float = _setting(1.0, "spectral width", flag="--lambda")
+    omega0: float = _setting(1.0, "transition frequency")
+    gamma0: float = _setting(0.1, "memory-kernel dissipation rate")
+    gamma: float = _setting(1.0, "inverse memory time")
+    z: float = _setting(1.0, "initial mixing weight in [0,1]")
+    vartheta0: float = _setting(math.pi / 4.0, "initial half-polar angle, rad")
+    varphi0: float = _setting(math.pi / 3.0, "initial azimuth, rad")
+    n: int = _setting(1, "number of quasi-periods in the horizon")
+    R_min: float = _setting(0.05, "sweep lower R")
+    R_max: float = _setting(5.0, "sweep upper R")
+    R_steps: int = _setting(40, "sweep resolution in R")
+    C_min: float = _setting(0.01, "sweep lower C")
+    C_max: float = _setting(0.24, "sweep upper C")
+    C_steps: int = _setting(24, "sweep resolution in C")
+    figure: str = _setting("", f"named sweep preset, one of {', '.join(PRESET_NAMES)}",
+                           metavar="PRESET")
+    mode: str = _setting("literal", "eigenbasis convention for phases",
+                         choices=("literal", "spectral"))
+    out: str = _setting("-", "output path, '-' for stdout", metavar="PATH")
+    format: str = _setting("csv", "output format", choices=("csv", "json"))
+    tol: float = _setting(1e-6, "phase convergence tolerance")
+    degrees: bool = _setting(False, "interpret vartheta0/varphi0 as degrees")
+    t_end: float = _setting(0.0, "explicit horizon; 0 means n quasi-periods")
+    samples: int = _setting(2001, "simulate sample count")
 
 
 _SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
@@ -74,9 +85,9 @@ _SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
 # The settings each subcommand reads.  Three entries stand for a model's
 # fields: "coupling" (W or gamma0), "rate" (lam or gamma) and "axis" (the
 # R_* or C_* range).  A ratio sweep and critical read no rate, because the
-# ratio sets it (lambda = W / R, gamma = gamma0 / C).  critical always runs
-# the time-local model; sweep --figure takes its model, coupling and states
-# from the preset.  Every subcommand also reads format and writes to out.
+# ratio sets it (lambda = W / R, gamma = gamma0 / C).  sweep --figure takes
+# its model, coupling and states from the preset.  Every subcommand also
+# reads format and writes to out.
 _STATE = ("z", "vartheta0", "varphi0", "degrees")
 _READS = {
     "simulate": ("model", "coupling", "rate", "omega0", *_STATE, "t_end", "n", "samples"),
@@ -92,6 +103,20 @@ _MODEL_FIELDS = {
         "coupling": ("gamma0",), "rate": ("gamma",), "axis": ("C_min", "C_max", "C_steps"),
     },
 }
+# critical always runs the time-local model; the others run any of _MODEL_FIELDS
+_MODELS = {"critical": ("time-local",)}
+
+
+def _resolve(keys, models) -> set[str]:
+    """The settings the _READS entries ``keys`` read under any of ``models``, and format."""
+    names = {"format"}
+    for model in models:
+        if not isinstance(model, str) or model not in _MODEL_FIELDS:
+            raise ConfigError(f"unknown model {model!r}")
+        fields_of = _MODEL_FIELDS[model]
+        names.update(name for key in keys for entry in _READS[key]
+                     for name in fields_of.get(entry, (entry,)))
+    return names
 
 
 def _settings_read(cfg: RunConfig) -> tuple[str, ...]:
@@ -101,13 +126,14 @@ def _settings_read(cfg: RunConfig) -> tuple[str, ...]:
     (:func:`_merge_config` sets it).
     """
     key = "sweep --figure" if cfg.command == "sweep" and cfg.figure else cfg.command
-    model = "time-local" if cfg.command == "critical" else cfg.model
-    if not isinstance(model, str) or model not in _MODEL_FIELDS:
-        raise ConfigError(f"unknown model {model!r}")
-    names = {"format"}
-    for entry in _READS[key]:
-        names.update(_MODEL_FIELDS[model].get(entry, (entry,)))
+    names = _resolve([key], _MODELS.get(cfg.command, [cfg.model]))
     return tuple(name for name in _SETTINGS if name in names)
+
+
+def _flag_names(command: str) -> set[str]:
+    """The settings ``command`` can read under some model or preset, and out: its flags."""
+    keys = [key for key in _READS if key.split()[0] == command]
+    return _resolve(keys, _MODELS.get(command, _MODEL_FIELDS)) | {"out"}
 
 
 def _reject_unread(cfg: RunConfig, given: dict) -> None:
@@ -160,11 +186,10 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 
 def _build_model(cfg: RunConfig):
-    if cfg.model == "time-local":
-        return TimeLocalModel(TimeLocalParams(cfg.W, cfg.lam, cfg.omega0))
+    # _settings_read has checked the model name
     if cfg.model == "memory-kernel":
         return MemoryKernelModel(MemoryKernelParams(cfg.gamma0, cfg.gamma, cfg.omega0))
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    return TimeLocalModel(TimeLocalParams(cfg.W, cfg.lam, cfg.omega0))
 
 
 def _state_spec(cfg: RunConfig) -> InitialStateSpec:
@@ -180,7 +205,7 @@ def _horizon(cfg: RunConfig) -> float:
 def cmd_simulate(cfg: RunConfig) -> None:
     model = _build_model(cfg)
     rho0 = initial_state(_state_spec(cfg))
-    times = np.linspace(0.0, _horizon(cfg), max(cfg.samples, 2))
+    times = np.linspace(0.0, _horizon(cfg), cfg.samples)
     traj = model.trajectory(rho0, times)
     columns = [
         "t",
@@ -307,58 +332,34 @@ _COMMANDS = {
 }
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    d = RunConfig()
+# each field type's argparse type, and the JSON values a config file may give it
+_TYPES = {
+    "str": (str, (str,), "a string"),
+    "bool": (None, (bool,), "true or false"),
+    "int": (int, (int,), "an integer"),
+    "float": (float, (int, float), "a number"),
+}
+
+
+def _add_flags(sp: argparse.ArgumentParser, names: set[str]) -> None:
+    """Register --config and the flag of every setting in ``names`` on ``sp``.
+
+    A flag's default is None, so that only a given flag overrides the config file.
+    """
     sp.add_argument("--config", default=None, metavar="PATH",
                     help="JSON file with RunConfig keys (flags win on conflict)")
-    sp.add_argument("--model", choices=["time-local", "memory-kernel"], default=None,
-                    help=f"dynamical model (default {d.model})")
-    sp.add_argument("--W", type=float, default=None,
-                    help=f"coupling strength, units of omega0 (default {d.W})")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help=f"spectral width (default {d.lam})")
-    sp.add_argument("--omega0", type=float, default=None,
-                    help=f"transition frequency (default {d.omega0})")
-    sp.add_argument("--gamma0", type=float, default=None,
-                    help=f"memory-kernel dissipation rate (default {d.gamma0})")
-    sp.add_argument("--gamma", type=float, default=None,
-                    help=f"inverse memory time (default {d.gamma})")
-    sp.add_argument("--z", type=float, default=None,
-                    help=f"initial mixing weight in [0,1] (default {d.z})")
-    sp.add_argument("--vartheta0", type=float, default=None,
-                    help=f"initial half-polar angle (default {d.vartheta0:.6g} rad)")
-    sp.add_argument("--varphi0", type=float, default=None,
-                    help=f"initial azimuth (default {d.varphi0:.6g} rad)")
-    sp.add_argument("--n", type=int, default=None,
-                    help=f"number of quasi-periods in the horizon (default {d.n})")
-    sp.add_argument("--R-min", dest="R_min", type=float, default=None,
-                    help=f"sweep lower R (default {d.R_min})")
-    sp.add_argument("--R-max", dest="R_max", type=float, default=None,
-                    help=f"sweep upper R (default {d.R_max})")
-    sp.add_argument("--R-steps", dest="R_steps", type=int, default=None,
-                    help=f"sweep resolution in R (default {d.R_steps})")
-    sp.add_argument("--C-min", dest="C_min", type=float, default=None,
-                    help=f"sweep lower C (default {d.C_min})")
-    sp.add_argument("--C-max", dest="C_max", type=float, default=None,
-                    help=f"sweep upper C (default {d.C_max})")
-    sp.add_argument("--C-steps", dest="C_steps", type=int, default=None,
-                    help=f"sweep resolution in C (default {d.C_steps})")
-    sp.add_argument("--figure", default=None, metavar="PRESET",
-                    help=f"named sweep preset, one of {', '.join(PRESET_NAMES)}")
-    sp.add_argument("--mode", choices=["literal", "spectral"], default=None,
-                    help=f"eigenbasis convention for phases (default {d.mode})")
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="output path, '-' for stdout (default '-')")
-    sp.add_argument("--format", choices=["csv", "json"], default=None,
-                    help=f"output format (default {d.format})")
-    sp.add_argument("--tol", type=float, default=None,
-                    help=f"phase convergence tolerance (default {d.tol})")
-    sp.add_argument("--degrees", action="store_true", default=None,
-                    help="interpret vartheta0/varphi0 as degrees")
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None,
-                    help="explicit horizon; 0 means n quasi-periods (default 0)")
-    sp.add_argument("--samples", type=int, default=None,
-                    help=f"simulate sample count (default {d.samples})")
+    for f in fields(RunConfig):
+        if f.name not in names:
+            continue
+        spec = dict(f.metadata)
+        flag = spec.pop("flag", "--" + f.name.replace("_", "-"))
+        if f.type == "bool":
+            sp.add_argument(flag, dest=f.name, action="store_true", default=None, **spec)
+            continue
+        if f.default != "":
+            shown = f"{f.default:.6g}" if f.type == "float" else f.default
+            spec["help"] += f" (default {shown})"
+        sp.add_argument(flag, dest=f.name, type=_TYPES[f.type][0], default=None, **spec)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,19 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep": "write a parameter sweep (use --figure for named presets)",
         "critical": "locate the critical point R* and its coincidence checks",
     }
-    for name, fn in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
-        _add_common_flags(sp)
+    for name in _COMMANDS:
+        # no abbreviations: --gamma must not stand for --gamma0 where gamma is unread
+        _add_flags(sub.add_parser(name, help=helps[name], allow_abbrev=False),
+                   _flag_names(name))
     return parser
-
-
-# the JSON values a config file may give a RunConfig field, by the field's type
-_CONFIG_TYPES = {
-    "str": ((str,), "a string"),
-    "bool": ((bool,), "true or false"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -407,7 +400,7 @@ def _load_config_file(path: str) -> dict:
         if f.name not in data or f.name == "model":
             continue
         value = data[f.name]
-        types, kind = _CONFIG_TYPES[f.type]
+        _, types, kind = _TYPES[f.type]
         # bool is a subclass of int, but true is no number
         if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
             raise ConfigError(f"config key {f.name} needs {kind}, got {value!r}")

@@ -50,7 +50,13 @@ from scipy.integrate import quad, simpson
 
 from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
-from .errors import ConfigError, DegenerateStateError, NumericalError, sole_result
+from .errors import (
+    ConfigError,
+    DegenerateStateError,
+    NumericalError,
+    require_finite,
+    sole_result,
+)
 from .qstate import (
     DEGENERACY_EPS,
     DensityMatrix,
@@ -283,7 +289,14 @@ def _doubling_ladder(T: float, omega0: float, tol: float, rung, count: int) -> l
     leaves at its first converged rung or its first error.  A state whose
     last rung misses ``tol`` keeps that rung after a RuntimeWarning issued
     at the phase route's caller, the first frame outside this module.
+    A horizon or tolerance that is not finite and positive raises
+    :class:`ConfigError` before any rung.
     """
+    require_finite("phase", T=T, tol=tol)
+    if T <= 0.0:
+        raise ConfigError(f"phase horizon T={T} must be > 0")
+    if tol <= 0.0:
+        raise ConfigError(f"phase tolerance tol={tol} must be > 0")
     periods = max(1, int(round(T * omega0 / (2.0 * math.pi))))
     size = LADDER_INTERVALS * periods + 1
     results: list = [None] * count
@@ -447,10 +460,6 @@ def _flow_form_row(model, rho0s, T: float, tol: float) -> list:
     A state enters only through (p00, |coh|); each rung makes one
     ``factors`` call for the states that are still on the ladder.
     """
-    if not T > 0.0:
-        raise ConfigError(f"phase horizon T={T} must be > 0")
-    if not tol > 0.0:
-        raise ConfigError(f"phase tolerance tol={tol} must be > 0")
     p00 = np.array([rho0.matrix[0, 0].real for rho0 in rho0s])
     coh = np.array([abs(rho0.matrix[0, 1]) for rho0 in rho0s])
     return _doubling_ladder(T, model.omega0, tol, lambda times, live: _closed_form_rung(

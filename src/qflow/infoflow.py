@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
-from .errors import ConfigError, NumericalError, sole_result
+from .errors import ConfigError, NumericalError, require_finite, sole_result
 from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_distance,
                      density_from_bloch)
 
@@ -263,6 +263,7 @@ def _ledger_row(model, entries, t_end: float, times) -> list:
     its ledger, or the :class:`NumericalError` it raised (a grid above the
     sample cap fails every entry).
     """
+    require_finite("flow horizon", t_end=t_end)
     try:
         if times is None:
             times = sample_times(model, t_end)

@@ -338,8 +338,9 @@ def test_criterion_07c_fig7_diagonal_row_constant():
 
 
 def test_criterion_08_critical_point():
-    """Root of d|c(T,R)|^2/dR: D and A extremal there; N onset at the dM/dR
-    collapse within one grid step."""
+    """Root of d|c(T,R)|^2/dR: A extremal there, D's centered difference
+    cancelling across its cusp; N onset at the dM/dR collapse within one
+    grid step."""
     spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
     p = TimeLocalParams(0.6, 1.0, 1.0)
     rep = critical_point(T, spec, p, 0.4, 1.0, steps=61)

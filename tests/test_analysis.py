@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,8 @@ from qflow.analysis import (
 )
 from qflow.channels import MemoryKernelParams, TimeLocalModel, TimeLocalParams, abs_c_squared
 from qflow.errors import BracketError, ConfigError, DegenerateStateError, NumericalError
-from qflow.geomphase import gp_pure
+from qflow.geomphase import gp_mixed_auto, gp_pure, gp_route
+from qflow.infoflow import blp_measure, flows
 from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
@@ -34,6 +36,27 @@ VALID_SETTINGS = {
     InitialStateSpec: dict(z=0.5, vartheta0=0.3, varphi0=0.2),
     SweepSpec: dict(start=0.1, stop=1.0, W=0.1, gamma0=0.1, omega0=1.0, varphi0=0.2,
                     tol=1e-6, z_list=(0.5, 1.0), vartheta0_list=(0.3,)),
+}
+
+_TL = TimeLocalModel(TimeLocalParams(1.0, 1.0, 1.0))
+_SPEC = InitialStateSpec(0.5, 0.3, 0.2)
+_RHO = initial_state(_SPEC)
+_GRID = np.linspace(0.0, T, 101)
+# each library entry point with one horizon, tolerance or range end given as
+# the argument: (its name in the error, the call)
+NON_FINITE_CALLS = {
+    "sample_times": ("t_end", lambda v: channels.sample_times(_TL, v)),
+    "flows": ("t_end", lambda v: flows(_RHO, _TL, v)),
+    "flows-on-a-grid": ("t_end", lambda v: flows(_RHO, _TL, v, times=_GRID)),
+    "blp_measure-on-a-grid": ("t_end", lambda v: blp_measure(
+        _TL, [(_RHO, DensityMatrix.ground())], v, times=_GRID)),
+    "gp_route-literal": ("T", lambda v: gp_route(_TL, _RHO, v)),
+    "gp_route-literal-tol": ("tol", lambda v: gp_route(_TL, _RHO, T, tol=v)),
+    "gp_mixed_auto-spectral": ("T", lambda v: gp_mixed_auto(_TL, _RHO, v, mode="spectral")),
+    "gp_mixed_auto-spectral-tol": ("tol", lambda v: gp_mixed_auto(_TL, _RHO, T, "spectral", v)),
+    "critical_point": ("T", lambda v: critical_point(v, _SPEC, _TL.params, 0.4, 1.0, 5)),
+    "critical_point-r_min": ("r_min", lambda v: critical_point(T, _SPEC, _TL.params, v, 1.0, 5)),
+    "critical_point-r_max": ("r_max", lambda v: critical_point(T, _SPEC, _TL.params, 0.4, v, 5)),
 }
 
 
@@ -290,6 +313,13 @@ class TestSweeps:
         kwargs[name] = old[:-1] + (bad,) if isinstance(old, tuple) else bad
         with pytest.raises(ConfigError, match=f"{cls.__name__} {name}.*={bad} must be finite"):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(NON_FINITE_CALLS))
+    def test_non_finite_horizon_or_tolerance_rejected(self, entry, value):
+        name, call = NON_FINITE_CALLS[entry]
+        with pytest.raises(ConfigError, match=re.escape(f" {name}={value} must be finite")):
+            call(value)
 
     def test_sweep_tolerance_must_be_positive(self):
         for tol in (0.0, -1e-6):

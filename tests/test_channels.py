@@ -152,6 +152,17 @@ class TestAmplitude:
         np.testing.assert_allclose(abs_c_squared(t, p), np.abs(amplitude(t, p)) ** 2,
                                    rtol=1e-13)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="cosh(Omega t / 2) in the undamped envelope g overflows: at "
+                       "W = 5, lambda = 100 the states are NaN from t = 14.33 on "
+                       "(ROADMAP item 1)")
+    def test_trajectory_finite_where_the_envelope_overflows(self):
+        # a draw of test_branch_data_matches_eigendecompose (W = 5, R = 0.05, three
+        # quasi-periods on 97 samples) that raises NumericalError on 24 NaN states
+        model = TimeLocalModel(TimeLocalParams(5.0, 100.0, 1.0))
+        traj = model.trajectory(initial_state(EQUATOR), np.linspace(0.0, 3.0 * T_PERIOD, 97))
+        assert np.isfinite(traj.states).all()
+
     def test_decay_rates_are_the_log_derivative(self):
         # Gamma = -Re(cdot / c) and Delta = -Im(cdot / c)
         p = TimeLocalParams(0.45, 1.0, 1.0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shlex
 import tempfile
 from dataclasses import fields
@@ -18,6 +19,21 @@ from qflow.geomphase import figure_value, gp_mixed_auto
 from qflow.qstate import InitialStateSpec, initial_state
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def usage_error(argv, capsys) -> str:
+    """argparse's message for ``argv``, which must exit 2 before any subcommand runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def help_text(command, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
 
 
 def read_csv(path):
@@ -247,7 +263,7 @@ class TestConfigHandling:
         assert main(["gp", "--z", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "flows", "gp", "sweep", "critical"])
+    @pytest.mark.parametrize("command", ["simulate", "flows", "gp", "critical"])
     def test_negative_horizon_exit_2(self, tmp_path, capsys, command):
         code = main([command, "--t-end", "-1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -261,15 +277,17 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_sweep_rejects_a_horizon(self, tmp_path, capsys, source):
+        # sweep has no --t-end flag, and a config key meets the unread-setting check
         out = ["--R-steps", "3", "--out", str(tmp_path / "x.csv")]
         if source == "flag":
-            argv = ["sweep", "--t-end", "3", *out]
+            err = usage_error(["sweep", "--t-end", "3", *out], capsys)
+            assert err.endswith("error: unrecognized arguments: --t-end 3\n")
         else:
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({"t_end": 3.0}))
-            argv = ["sweep", "--config", str(cfg), *out]
-        assert main(argv) == 2
-        assert "sweep --model time-local does not read t_end (given t_end=3.0)" in capsys.readouterr().err
+            assert main(["sweep", "--config", str(cfg), *out]) == 2
+            assert ("sweep --model time-local does not read t_end (given t_end=3.0)"
+                    in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
     def test_zero_horizon_means_n_quasi_periods(self, tmp_path):
@@ -324,15 +342,12 @@ class TestConfigHandling:
         assert main(["sweep", "--figure", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_help_documents_every_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gp", "--help"])
-        assert exc.value.code == 0
-        text = capsys.readouterr().out
-        for flag in ("--model", "--W", "--lambda", "--omega0", "--gamma0", "--gamma",
-                     "--z", "--vartheta0", "--varphi0", "--n", "--R-min", "--R-max",
-                     "--R-steps", "--C-min", "--C-max", "--C-steps", "--figure",
-                     "--mode", "--out", "--format", "--tol", "--degrees"):
+        text = help_text("gp", capsys)
+        for flag in ("--config", "--model", "--W", "--lambda", "--omega0", "--gamma0",
+                     "--gamma", "--z", "--vartheta0", "--varphi0", "--n", "--mode", "--out",
+                     "--format", "--tol", "--degrees", "--t-end"):
             assert flag in text
+        assert "phase convergence tolerance (default 1e-06)" in " ".join(text.split())
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit):
@@ -417,6 +432,11 @@ VALUES = {
     "samples": (["--samples", "11"], 11),
 }
 
+# the settings a subcommand can read under some model or preset: its flags
+READABLE: dict[str, set[str]] = {}
+for argv, reads in READS.values():
+    READABLE.setdefault(argv[0], {"format", "out"}).update(reads)
+
 UNREAD = [
     (case, name)
     for case, (_, reads) in READS.items()
@@ -470,11 +490,22 @@ class TestSettingsRead:
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps({name: value}))
             extra = ["--config", str(cfg)]
-        assert main([*argv, *extra, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"qflow: configuration error: {argv[0]}")
-        assert f" does not read {name} (given {name}=" in err
+        if source == "flag" and name not in READABLE[argv[0]]:
+            # no model or preset lets the subcommand read it: it has no such flag
+            err = usage_error([*argv, *extra, "--out", str(out)], capsys)
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+        else:
+            assert main([*argv, *extra, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"qflow: configuration error: {argv[0]}")
+            assert f" does not read {name} (given {name}=" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(READABLE))
+    def test_flags_are_the_readable_settings(self, capsys, command):
+        flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", help_text(command, capsys)))
+        assert flags == {VALUES[name][0][0] for name in READABLE[command] - {"out"}} | {
+            "--out", "--config", "--help"}
 
     @pytest.mark.parametrize("case", sorted(READS))
     def test_preamble_echoes_what_was_read(self, tmp_path, case):
@@ -487,17 +518,24 @@ class TestSettingsRead:
 
     def test_critical_reads_no_model(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert main(["critical", "--model", "memory-kernel", "--gamma0", "5",
-                     "--out", str(out)]) == 2
+        err = usage_error(["critical", "--model", "memory-kernel", "--gamma0", "5",
+                           "--out", str(out)], capsys)
+        assert err.endswith("error: unrecognized arguments: --model memory-kernel --gamma0 5\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "memory-kernel", "gamma0": 5.0}))
+        assert main(["critical", "--config", str(cfg), "--out", str(out)]) == 2
         assert ("critical does not read model, gamma0 (given model=memory-kernel, gamma0=5.0)"
                 in capsys.readouterr().err)
         assert not out.exists()
 
     def test_preset_sweep_reads_no_state(self, tmp_path, capsys):
+        # a manual sweep reads W and z, so only the preset rejects them; no sweep reads lam
         out = tmp_path / "x.csv"
-        assert main(["sweep", "--figure", "fig9", "--W", "3", "--z", "0.1", "--lambda", "7",
-                     "--out", str(out)]) == 2
-        assert ("sweep --figure fig9 does not read W, lam, z (given W=3.0, lam=7.0, z=0.1)"
+        argv = ["sweep", "--figure", "fig9", "--W", "3", "--z", "0.1", "--out", str(out)]
+        err = usage_error([*argv, "--lambda", "7"], capsys)
+        assert err.endswith("error: unrecognized arguments: --lambda 7\n")
+        assert main(argv) == 2
+        assert ("sweep --figure fig9 does not read W, z (given W=3.0, z=0.1)"
                 in capsys.readouterr().err)
         assert not out.exists()
 
