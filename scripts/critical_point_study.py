@@ -17,9 +17,11 @@ import sys
 
 import numpy as np
 
-from qflow.analysis import critical_point, integrand_A_from_model
+from qflow.analysis import critical_point
 from qflow.channels import TimeLocalModel, TimeLocalParams, abs_c_squared
-from qflow.infoflow import flows
+from qflow.errors import NumericalError
+from qflow.geomphase import phase_integrand
+from qflow.infoflow import ratio_flows
 from qflow.qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 T = 2.0 * math.pi
@@ -45,18 +47,21 @@ def main() -> None:
 
     rho0 = initial_state(spec)
     ground = DensityMatrix.ground().bloch().as_array()
+    ratios = np.linspace(rep.r_star - 0.12, rep.r_star + 0.12, 13)
+    # the table's ratios as one stack: one evaluation per column, one ledger call
+    sets = [p.at_ratio(R) for R in ratios]
+    stack = TimeLocalParams.stack(sets)
+    b = TimeLocalModel(stack).bloch_series(rho0, T)
+    d_final = bloch_trace_distance(b, ground)
+    a_final = phase_integrand(d_final, b[..., 2], p.omega0)
+    x_final = abs_c_squared(T, stack)
+    ledgers = ratio_flows(rho0, [TimeLocalModel(q) for q in sets], T)
     print(f"{'R':>7} {'|c(T)|^2':>12} {'D(T)':>12} {'A(T)':>12} {'N(T)':>12} {'M(T)':>12}")
-    for R in np.linspace(rep.r_star - 0.12, rep.r_star + 0.12, 13):
-        eff = p.at_ratio(R)
-        model = TimeLocalModel(eff)
-        ledger = flows(rho0, model, T)
-        b = model.bloch_series(rho0, T)
-        d_final = float(bloch_trace_distance(b, ground))
-        a_final = integrand_A_from_model(T, model, rho0)
-        x_final = float(abs_c_squared(T, eff))
-        print(f"{R:7.4f} {x_final:12.6f} {d_final:12.6f} {a_final:12.6f} "
+    for R, x, d, a, ledger in zip(ratios, x_final, d_final, a_final, ledgers):
+        if isinstance(ledger, NumericalError):
+            raise ledger
+        print(f"{R:7.4f} {x:12.6f} {d:12.6f} {a:12.6f} "
               f"{ledger.N_total:12.6f} {ledger.M_total:12.6f}")
-
 
 if __name__ == "__main__":
     main()

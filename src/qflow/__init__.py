@@ -60,6 +60,7 @@ from .infoflow import (
     default_pair_grid,
     flows,
     pair_flows,
+    ratio_flows,
     row_flows,
     sigma,
     weak_coupling_flows,

@@ -37,7 +37,7 @@ from .channels import (
 )
 from .errors import BracketError, ConfigError, NumericalError, require_finite
 from .geomphase import figure_value, gp_row, phase_integrand
-from .infoflow import flows, row_flows
+from .infoflow import ratio_flows, row_flows
 from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 FD_STEP = 5e-5
@@ -261,6 +261,14 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     a range in which either event is missing raises :class:`BracketError`.
     The scales and dM/dR need an interior grid point, so ``steps < 3``
     raises :class:`ConfigError`, as does ``T <= 0`` or a non-finite T or range end.
+
+    The scan is one array program over the grid's ratios: the sign scan
+    makes one ``abs_c_squared`` call per stencil side and the D and A scales
+    one state evaluation per side, each on the stack of the ratios'
+    parameters (``TimeLocalParams.stack``), and the grid's flow ledgers
+    come from one :func:`ratio_flows` call, whose bisection serves all of
+    them.  Only the bisection of R* runs one ratio at a time.  Every field
+    equals the one-ratio-at-a-time evaluation's bit for bit.
     """
     require_finite("critical_point", T=T, r_min=r_min, r_max=r_max)
     if r_min <= 0.0 or r_max <= r_min:
@@ -271,15 +279,25 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
         raise ConfigError(f"critical_point needs a horizon T > 0, got {T}")
     h = FD_STEP
     grid = np.linspace(r_min, r_max, steps)
+    rho0 = initial_state(spec)
 
-    def cdiff(fn, R: float) -> float:
+    def params_at(R):
+        """The parameters at ratio R, or their stack over an array of ratios."""
+        return TimeLocalParams.stack(map(p.at_ratio, R)) if np.ndim(R) else p.at_ratio(R)
+
+    def cdiff(fn, R):
         return (fn(R + h) - fn(R - h)) / (2.0 * h)
 
-    def f_of(R: float) -> float:
-        return float(channels.abs_c_squared(T, p.at_ratio(R)))
+    def f_of(R):
+        return channels.abs_c_squared(T, params_at(R))
 
-    df_grid = np.array([cdiff(f_of, R) for R in grid])
-    sign = np.sign(df_grid)
+    def d_a_of(R):
+        """D(T) and A(T), stacked, at ratio R (or an array of ratios) from one state evaluation."""
+        b = TimeLocalModel(params_at(R)).bloch_series(rho0, T)
+        d = bloch_trace_distance(b, _GROUND)
+        return np.stack([d, phase_integrand(d, b[..., 2], p.omega0)])
+
+    sign = np.sign(cdiff(f_of, grid))
     flips = np.flatnonzero((sign[:-1] < 0) & (sign[1:] > 0))
     if flips.size == 0:
         raise BracketError(
@@ -295,28 +313,17 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     r_star = 0.5 * (lo + hi)
     df_res = abs(cdiff(f_of, r_star))
 
-    def model_of(R: float) -> TimeLocalModel:
-        return TimeLocalModel(p.at_ratio(R))
+    dd_raw, da_raw = cdiff(d_a_of, r_star)
+    dd_grid, da_grid = cdiff(d_a_of, grid[1:-1])
+    dd_scale = float(np.max(np.abs(dd_grid)))
+    da_scale = float(np.max(np.abs(da_grid)))
 
-    rho0 = initial_state(spec)
-
-    def d_of(R: float) -> float:
-        return float(bloch_trace_distance(model_of(R).bloch_series(rho0, T), _GROUND))
-
-    def a_of(R: float) -> float:
-        return integrand_A_from_model(T, model_of(R), rho0)
-
-    dd_raw = cdiff(d_of, r_star)
-    da_raw = cdiff(a_of, r_star)
-    dd_scale = max(abs(cdiff(d_of, R)) for R in grid[1:-1])
-    da_scale = max(abs(cdiff(a_of, R)) for R in grid[1:-1])
-
-    n_grid = np.empty(steps)
-    m_grid = np.empty(steps)
-    for j, R in enumerate(grid):
-        ledger = flows(rho0, model_of(R), T)
-        n_grid[j] = ledger.N_total
-        m_grid[j] = ledger.M_total
+    ledgers = ratio_flows(rho0, [TimeLocalModel(p.at_ratio(R)) for R in grid], T)
+    for ledger in ledgers:
+        if isinstance(ledger, NumericalError):
+            raise ledger
+    n_grid = np.array([ledger.N_total for ledger in ledgers])
+    m_grid = np.array([ledger.M_total for ledger in ledgers])
 
     onset = np.flatnonzero(n_grid > ONSET_TOL)
     if onset.size == 0:

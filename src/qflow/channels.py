@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,8 +50,37 @@ MAX_SAMPLES = 200001
 _SINHC_SERIES_CUTOFF = 1e-6
 
 
+class _Stackable:
+    """Stacks of parameter sets: one object of a parameter class whose fields are arrays.
+
+    A model over a stack evaluates element k of ``factors(t)`` and
+    ``rates(t)`` at set k, with t broadcasting against the stack, so the
+    formulas stay written once.  Indexing a stack picks sets.  The scalar
+    helpers (``Omega``, ``feature_scale`` and the like) do not apply to it.
+    """
+
+    @classmethod
+    def stack(cls, sets):
+        """One object over the validated parameter sets ``sets``, all of this class."""
+        sets = list(sets)
+        if not sets or any(type(s) is not cls for s in sets):
+            raise ConfigError(f"a stack needs one or more {cls.__name__} sets, all of that class")
+        return cls._of_fields({f.name: np.array([getattr(s, f.name) for s in sets], dtype=float)
+                               for f in fields(cls)})
+
+    def __getitem__(self, idx):
+        return self._of_fields({f.name: getattr(self, f.name)[idx] for f in fields(self)})
+
+    @classmethod
+    def _of_fields(cls, columns: dict):
+        out = object.__new__(cls)  # each set was validated when it was made
+        for name, column in columns.items():
+            object.__setattr__(out, name, column)
+        return out
+
+
 @dataclass(frozen=True)
-class TimeLocalParams:
+class TimeLocalParams(_Stackable):
     """Constants of the time-local model: coupling W, spectral width, frequency."""
 
     W: float
@@ -95,7 +124,7 @@ class TimeLocalParams:
 
 
 @dataclass(frozen=True)
-class MemoryKernelParams:
+class MemoryKernelParams(_Stackable):
     """Constants of the exponential-memory model."""
 
     gamma0: float
@@ -197,8 +226,10 @@ def _sinhc(x):
     return np.where(small, series, out)
 
 
-def _damping_kernel(t, rate: float, w_sq: float):
+def _damping_kernel(t, rate, w_sq):
     """Return (g, gdot, sinhc(Om t / 2)), all real, with Om^2 = rate^2 - 4 w_sq.
+
+    ``rate`` and ``w_sq`` are scalars or arrays that broadcast against t.
 
     g is the envelope both models share: c = exp(-(lambda + i w0) t / 2) g at
     (rate, w_sq) = (lambda, W^2), and xi(C, tau) = exp(-tau / 2) g at
@@ -206,7 +237,7 @@ def _damping_kernel(t, rate: float, w_sq: float):
     """
     t = np.asarray(t, dtype=float)
     omega_sq = rate * rate - 4.0 * w_sq
-    u = 0.5 * np.sqrt(complex(omega_sq)) * t
+    u = 0.5 * np.sqrt(np.asarray(omega_sq, dtype=complex)) * t
     ch = np.cosh(u)
     sc = _sinhc(u)
     g = ch + 0.5 * rate * t * sc
@@ -227,7 +258,7 @@ def amplitude(t, p: TimeLocalParams):
 
 
 def abs_c_squared(t, p: TimeLocalParams):
-    """|c(t)|^2 = exp(-lambda t) g(t)^2."""
+    """|c(t)|^2 = exp(-lambda t) g(t)^2; ``p`` may be a stack (``TimeLocalParams.stack``)."""
     return TimeLocalModel(p).factors(t)[0]
 
 
@@ -295,7 +326,11 @@ class _DampingModel:
     The factors and rates do not depend on the initial state, so callers
     that evaluate many states on one grid (a sweep row's ledgers and
     literal phases) call ``factors`` and ``rates`` once and take each
-    state's arithmetic from them.
+    state's arithmetic from them.  A model over a parameter stack
+    (``TimeLocalModel(TimeLocalParams.stack(sets))``) is many models at
+    once: callers that evaluate many parameter sets at one time each (a
+    bisection round over several models, a ratio scan at one horizon) make
+    one call for all of them.
     """
 
     tag = ""

@@ -362,7 +362,8 @@ def _add_flags(sp: argparse.ArgumentParser, names: set[str]) -> None:
         sp.add_argument(flag, dest=f.name, type=_TYPES[f.type][0], default=None, **spec)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="qflow",
         description="Open-qubit trajectories, information flows and geometric phases "
@@ -381,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --gamma must not stand for --gamma0 where gamma is unread
         _add_flags(sub.add_parser(name, help=helps[name], allow_abbrev=False),
                    _flag_names(name))
-    return parser
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -444,8 +445,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, subcommands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # the subcommand's usage line lists the flags it does accept
+        subcommands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _COMMANDS[args.command](_merge_config(args))
     except ConfigError as exc:

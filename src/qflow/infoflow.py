@@ -18,8 +18,11 @@ share one model: :func:`row_flows` evaluates the factors and rates once on
 the grid, takes each state's arithmetic from them in turn, bisects all the
 row's brackets together (one factors and one rates call per round), and
 evaluates D only at the new boundary knots, reusing the grid values.
-:func:`flows` and :func:`pair_flows` are its one-state case.  The ledger's
-meta records the bracket count and the bisection rounds.
+:func:`ratio_flows` does the same for one state under many models of one
+class (a ratio scan): each model keeps its own grid, and the bisection and
+the knots run on the stack of the models' parameters.  :func:`flows` and
+:func:`pair_flows` are the one-state case.  The ledger's meta records the
+bracket count and the bisection rounds.
 
 The BLP scan scores state pairs without evolving them: both models map
 rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
@@ -242,8 +245,10 @@ def _state_bloch(rho: DensityMatrix, P, Q) -> np.ndarray:
 
 
 class _OnGrid(NamedTuple):
-    """One entry of a ledger row on the sampling grid."""
+    """One entry of a ledger row on its model's sampling grid."""
 
+    slot: int  # the entry's model in the row's stack of models
+    times: np.ndarray
     consts: tuple
     dist: np.ndarray
     sig: np.ndarray
@@ -252,68 +257,100 @@ class _OnGrid(NamedTuple):
     pairs: np.ndarray  # left ends of the brackets
 
 
-def _ledger_row(model, entries, t_end: float, times) -> list:
-    """Flow ledgers of several (rho1, rho2, evolve_reference) entries on one grid.
+def _ledger_row(entries, t_end: float, times) -> list:
+    """Flow ledgers of several (model, rho1, rho2, evolve_reference) entries.
 
-    One ``factors`` and one ``rates`` call serve the grid of every entry,
-    whose D and sigma follow from its constants alone (:func:`_d_sigma`);
-    no array spans entries and samples.  Then all brackets of the row are
-    bisected together, one factors and one rates call per round, and one
-    factors call gives D at every entry's run boundaries.  Each entry gets
-    its ledger, or the :class:`NumericalError` it raised (a grid above the
-    sample cap fails every entry).
+    The entries' models are of one class; entries may share a model (a
+    sweep row's states) or each carry their own (a ratio scan).  Each model
+    is sampled on its own grid (``times``, or its own ``sample_times``) with
+    one ``factors`` and one ``rates`` call, which serve every entry of that
+    model: an entry's D and sigma follow from its constants alone
+    (:func:`_d_sigma`), and no array spans entries and samples.  Then all
+    brackets of all entries are bisected together, one ``factors`` and one
+    ``rates`` call per round, and one ``factors`` call gives D at every
+    entry's run boundaries; with several models these calls run on the
+    stack of their parameters, picked per bracket and per knot.
+    Each entry gets its ledger, or the :class:`NumericalError` it raised (a
+    grid above the sample cap fails every entry of its model).
     """
     require_finite("flow horizon", t_end=t_end)
-    try:
-        if times is None:
-            times = sample_times(model, t_end)
-    except NumericalError as exc:
-        return [exc] * len(entries)
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ConfigError("flow sampling grid must span [0, t_end]")
-    P, Q = model.factors(times)
-    rates = model.rates(times)
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
+            raise ConfigError("flow sampling grid must span [0, t_end]")
+    groups: dict[int, list[int]] = {}  # the entries of each model, by identity
+    for k, entry in enumerate(entries):
+        groups.setdefault(id(entry[0]), []).append(k)
+    models = [entries[mine[0]][0] for mine in groups.values()]
+    if len({type(m) for m in models}) > 1:
+        raise ConfigError("the models of one ledger row must be of one class")
     out: list = [None] * len(entries)
     on_grid: dict[int, _OnGrid] = {}
-    for k, (rho1, rho2, evolve) in enumerate(entries):
-        consts = _constants(rho1, rho2, evolve)
-        dist, sig = _d_sigma(consts, P, Q, rates)
-        bad = np.flatnonzero(~np.isfinite(dist))
-        if bad.size:
-            out[k] = NumericalError(f"trace distance is not finite at t = {times[bad[0]]:.6g}")
+    for j, (model, mine) in enumerate(zip(models, groups.values())):
+        try:
+            grid = sample_times(model, t_end) if times is None else times
+        except NumericalError as exc:
+            for k in mine:
+                out[k] = exc
             continue
-        positivity = positivity_check(times, _state_bloch(rho1, P, Q))
-        on_grid[k] = _OnGrid(consts, dist, sig, positivity, *_brackets(dist, sig))
-    del P, Q, rates
+        P, Q = model.factors(grid)
+        rates = model.rates(grid)
+        for k in mine:
+            _, rho1, rho2, evolve = entries[k]
+            consts = _constants(rho1, rho2, evolve)
+            dist, sig = _d_sigma(consts, P, Q, rates)
+            bad = np.flatnonzero(~np.isfinite(dist))
+            if bad.size:
+                out[k] = NumericalError(f"trace distance is not finite at t = {grid[bad[0]]:.6g}")
+                continue
+            positivity = positivity_check(grid, _state_bloch(rho1, P, Q))
+            on_grid[k] = _OnGrid(j, grid, consts, dist, sig, positivity, *_brackets(dist, sig))
+        del P, Q, rates
+    if not on_grid:
+        return out
 
-    # every bracket of the row, entry after entry, with its entry's constants
+    if len(models) == 1:  # a sweep row: every bracket and knot is its one model's
+        def model_at(idx):
+            return models[0]
+    else:  # a ratio scan: the models as one stack of parameter sets, picked by slot
+        model_cls = type(models[0])
+        stack = type(models[0].params).stack(m.params for m in models)
+
+        def model_at(idx):
+            return model_cls(stack[idx])
+
+    # every bracket of the row, entry after entry, with its entry's constants and model
     rows = list(on_grid.values())
+    slots = np.array([g.slot for g in rows])
     counts = [g.pairs.size for g in rows]
-    slot = np.repeat(np.arange(len(rows)), counts)
-    per_bracket = [np.array([g.consts[j] for g in rows])[slot] for j in range(4)]
-    pairs = np.concatenate([np.empty(0, np.intp), *(g.pairs for g in rows)])
+    owner = np.repeat(np.arange(len(rows)), counts)
+    per_bracket = [np.array([g.consts[j] for g in rows])[owner] for j in range(4)]
+    bracket_slots = slots[owner]
+    t_lo = np.concatenate([np.empty(0), *(g.times[g.pairs] for g in rows)])
+    t_hi = np.concatenate([np.empty(0), *(g.times[g.pairs + 1] for g in rows)])
     fa = np.concatenate([np.empty(0), *(g.sig[g.pairs] for g in rows)])
 
     def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
         consts = tuple(c[which] for c in per_bracket)
+        model = model_at(bracket_slots[which])
         return _d_sigma(consts, *model.factors(ts), model.rates(ts))[1]
 
-    roots, evals = _bisect_all(sigma_at, times[pairs], times[pairs + 1], fa,
-                               BISECT_REL_TOL * t_end)
+    roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
     cuts = np.cumsum(counts)[:-1]
-    bounds = [np.unique(np.concatenate([times[g.zeros], r]))
+    bounds = [np.unique(np.concatenate([g.times[g.zeros], r]))
               for g, r in zip(rows, np.split(roots, cuts))]
-    knot_P, knot_Q = model.factors(np.concatenate([np.empty(0), *bounds]))
+    knot_model = model_at(np.repeat(slots, [b.size for b in bounds]))
+    knot_P, knot_Q = knot_model.factors(np.concatenate([np.empty(0), *bounds]))
     at = 0
     for k, g, b, e in zip(on_grid, rows, bounds, np.split(evals, cuts)):
         knots = slice(at, at + b.size)
         at = knots.stop
         d_bounds = _d_sigma(g.consts, knot_P[knots], knot_Q[knots])[0]
-        segments, n_s, m_s = _accumulate(times, g.dist, b, d_bounds, t_end)
+        segments, n_s, m_s = _accumulate(g.times, g.dist, b, d_bounds, t_end)
+        model, _, rho2, evolve = entries[k]
         out[k] = FlowLedger(
-            standard_state=entries[k][1],
-            times=times,
+            standard_state=rho2,
+            times=g.times,
             D=g.dist,
             sigma=g.sig,
             N=n_s,
@@ -321,7 +358,7 @@ def _ledger_row(model, entries, t_end: float, times) -> list:
             segments=segments,
             model=model.tag,
             positivity=g.positivity,
-            meta={"t_end": float(t_end), "evolve_reference": entries[k][2],
+            meta={"t_end": float(t_end), "evolve_reference": evolve,
                   "brackets": int(e.size), "bisect_rounds": int(e.max(initial=0))},
         )
     return out
@@ -338,7 +375,21 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
     that :func:`flows` would raise.
     """
     ref = model.steady_state() if standard_state is None else standard_state
-    return _ledger_row(model, [(rho0, ref, False) for rho0 in rho0s], t_end, times)
+    return _ledger_row([(model, rho0, ref, False) for rho0 in rho0s], t_end, times)
+
+
+def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
+    """:func:`flows` of one state under each of several models of one class.
+
+    A ratio scan's models differ in their parameters only: each is sampled
+    on its own grid, and then all their brackets share one bisection (one
+    ``factors`` and one ``rates`` call per round on the stack of their
+    parameters) and one ``factors`` call gives D at all their run
+    boundaries.  Each entry is the model's ledger against its steady state,
+    bit for bit the one :func:`flows` returns, or the
+    :class:`NumericalError` that :func:`flows` would raise.
+    """
+    return _ledger_row([(m, rho0, m.steady_state(), False) for m in models], t_end, None)
 
 
 def flows(rho0: DensityMatrix, model, t_end: float,
@@ -356,7 +407,7 @@ def flows(rho0: DensityMatrix, model, t_end: float,
 def pair_flows(rho1: DensityMatrix, rho2: DensityMatrix, model, t_end: float,
                times: np.ndarray | None = None) -> FlowLedger:
     """Flow cumulants of D(rho1(t), rho2(t)) with both states evolving."""
-    return sole_result(_ledger_row(model, [(rho1, rho2, True)], t_end, times))
+    return sole_result(_ledger_row([(model, rho1, rho2, True)], t_end, times))
 
 
 def default_state_grid(n_theta: int = 12, n_phi: int = 24,

@@ -539,6 +539,14 @@ class TestSettingsRead:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_unread_flag_shows_the_subcommand_usage(self, tmp_path, capsys):
+        # the usage line above the error lists the flags sweep does accept
+        out = tmp_path / "x.csv"
+        err = usage_error(["sweep", "--lambda", "7", "--out", str(out)], capsys)
+        assert err.startswith("usage: qflow sweep ")
+        assert err.endswith("qflow sweep: error: unrecognized arguments: --lambda 7\n")
+        assert not out.exists()
+
 
 def readme_commands():
     text = README.read_text(encoding="utf-8")

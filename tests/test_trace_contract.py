@@ -47,11 +47,14 @@ def test_traced_spans_and_clean_uninstall():
     spans = t.spans
     names = {s[0] for s in spans}
     nested = {(s[0], spans[s[3]][0]) for s in spans if s[3] >= 0}
-    # sweep rows take their ledgers and literal phases from the factors, so
-    # the traced ledger is critical_point's and the traced states the ladder's
-    assert ("infoflow.flows", "analysis.critical_point") in nested
-    assert ("channels.states", "channels.trajectory") in nested
+    # sweep rows (row_flows) and critical_point (ratio_flows) take their ledgers
+    # from the factors, so no traced flows runs: critical_point's ledger grids,
+    # its stacked D and A evaluations and its stacked sign scan nest under it
+    assert "infoflow.flows" not in names
+    assert ("channels.sample_times", "analysis.critical_point") in nested
+    assert ("channels.states", "analysis.critical_point") in nested
     assert ("channels.abs_c_squared", "analysis.critical_point") in nested
+    assert ("channels.states", "channels.trajectory") in nested
     # a literal row takes its phases in closed form, off the ladder
     assert not LADDER & {s[0] for s in spans[:n_literal]}
     assert ("geomphase.gp_mixed", "geomphase.gp_mixed_auto") in nested
