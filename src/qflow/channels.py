@@ -15,9 +15,10 @@ memory time gamma, C = gamma0/gamma, tau = gamma t):
                  exp(-i w0 t) xi(C/2, tau)
 
 Both models share one form, rho00 = p00 P(t) and rho01 = coh Q(t).  Each
-model class owns the only copy of its factors: ``factors(t)`` gives (P, Q)
-and ``rates(t)`` gives (Pdot, Qdot); the scalar helpers ``amplitude``,
-``abs_c_squared`` and ``xi`` read them.  Both envelopes come from one
+model class owns the only copy of its factors: ``factors(t)`` gives (P, Q),
+``rates(t)`` gives (Pdot, Qdot) and ``factors_and_rates(t)`` gives both from
+one kernel evaluation; the scalar helpers ``amplitude``, ``abs_c_squared``
+and ``xi`` read them.  Both envelopes come from one
 kernel: xi(C, tau) is the Lorentzian envelope at lambda = 1, W^2 = C.
 Both closed forms are cross-checked against hand-rolled
 fixed-step RK4 integrations.  The time-local oracle takes its decay rates
@@ -316,16 +317,19 @@ def _assemble(rho0: DensityMatrix, pop, coh_factor, trace: float) -> np.ndarray:
 class _DampingModel:
     """A damping model bound to one parameter set.
 
-    Subclasses own the only copy of their factors: ``factors(t)`` returns
-    (P, Q) and ``rates(t)`` returns (Pdot, Qdot), elementwise in t.  States
-    and state derivatives are assembled from them.  ``states``,
+    Subclasses own the only copy of their factors: ``_kernel(t)`` evaluates
+    the damping kernel, and ``_factors_of`` and ``_rates_of`` build (P, Q)
+    and (Pdot, Qdot) from it, elementwise in t.  ``factors``, ``rates`` and
+    ``factors_and_rates`` (both from one kernel evaluation, for callers that
+    need both) are defined here on top of them.  States and state
+    derivatives are assembled from the factors and rates.  ``states``,
     ``state_dot`` and ``trajectory`` are defined here once and bound into
     each subclass's ``__dict__`` by one assignment, because
     ``perfbench/tracer.py`` wraps them per model class there.
 
     The factors and rates do not depend on the initial state, so callers
     that evaluate many states on one grid (a sweep row's ledgers and
-    literal phases) call ``factors`` and ``rates`` once and take each
+    literal phases) call ``factors_and_rates`` or ``factors`` once and take each
     state's arithmetic from them.  A model over a parameter stack
     (``TimeLocalModel(TimeLocalParams.stack(sets))``) is many models at
     once: callers that evaluate many parameter sets at one time each (a
@@ -347,6 +351,22 @@ class _DampingModel:
 
     def feature_scale(self) -> float:
         return self.params.feature_scale()
+
+    def factors(self, t):
+        """(P, Q) at the times t."""
+        t = np.asarray(t, dtype=float)
+        return self._factors_of(t, self._kernel(t))
+
+    def rates(self, t):
+        """(Pdot, Qdot) at the times t."""
+        t = np.asarray(t, dtype=float)
+        return self._rates_of(t, self._kernel(t))
+
+    def factors_and_rates(self, t):
+        """(P, Q, (Pdot, Qdot)) from one kernel evaluation, equal to ``factors`` and ``rates``."""
+        t = np.asarray(t, dtype=float)
+        kernel = self._kernel(t)
+        return (*self._factors_of(t, kernel), self._rates_of(t, kernel))
 
     def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
         return bloch_array(self.states(rho0, times))
@@ -371,18 +391,20 @@ class TimeLocalModel(_DampingModel):
     tag = "time-local"
     states, state_dot, trajectory = _BOUND_PER_MODEL
 
-    def factors(self, t):
+    def _kernel(self, t):
+        p = self.params
+        return _damping_kernel(t, p.lam, p.W * p.W)
+
+    def _factors_of(self, t, kernel):
         """(|c|^2, c) = (exp(-lambda t) g^2, exp(-(lambda + i w0) t / 2) g)."""
         p = self.params
-        t = np.asarray(t, dtype=float)
-        g, _, _ = _damping_kernel(t, p.lam, p.W * p.W)
+        g, _, _ = kernel
         return np.exp(-p.lam * t) * g * g, np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
 
-    def rates(self, t):
+    def _rates_of(self, t, kernel):
         """(d|c|^2/dt, dc/dt) = (-2 W^2 t exp(-lambda t) g sinhc(Om t / 2), ...)."""
         p = self.params
-        t = np.asarray(t, dtype=float)
-        g, gdot, sc = _damping_kernel(t, p.lam, p.W * p.W)
+        g, gdot, sc = kernel
         half = 0.5 * (p.lam + 1j * p.omega0)
         return (-2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc,
                 np.exp(-half * t) * (gdot - half * g))
@@ -398,22 +420,21 @@ class MemoryKernelModel(_DampingModel):
     tag = "memory-kernel"
     states, state_dot, trajectory = _BOUND_PER_MODEL
 
-    def factors(self, t):
-        """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
+    def _kernel(self, t):
         p = self.params
-        t = np.asarray(t, dtype=float)
         tau = p.tau(t)
-        g1, _, _ = _damping_kernel(tau, 1.0, p.C)
-        g2, _, _ = _damping_kernel(tau, 1.0, 0.5 * p.C)
-        return np.exp(-0.5 * tau) * g1, np.exp(-1j * p.omega0 * t) * (np.exp(-0.5 * tau) * g2)
+        return tau, _damping_kernel(tau, 1.0, p.C), _damping_kernel(tau, 1.0, 0.5 * p.C)
 
-    def rates(self, t):
+    def _factors_of(self, t, kernel):
+        """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
+        tau, (g1, _, _), (g2, _, _) = kernel
+        return (np.exp(-0.5 * tau) * g1,
+                np.exp(-1j * self.params.omega0 * t) * (np.exp(-0.5 * tau) * g2))
+
+    def _rates_of(self, t, kernel):
         """Time derivatives of the factors; d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
         p = self.params
-        t = np.asarray(t, dtype=float)
-        tau = p.tau(t)
-        _, _, sc1 = _damping_kernel(tau, 1.0, p.C)
-        g2, _, sc2 = _damping_kernel(tau, 1.0, 0.5 * p.C)
+        tau, (_, _, sc1), (g2, _, sc2) = kernel
         dxi2 = p.gamma * (-(0.5 * p.C) * tau * np.exp(-0.5 * tau) * sc2)
         dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * (np.exp(-0.5 * tau) * g2))
         return p.gamma * (-p.C * tau * np.exp(-0.5 * tau) * sc1), dcoh

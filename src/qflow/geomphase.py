@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from . import channels
 from .channels import TimeLocalModel, TimeLocalParams, Trajectory
@@ -395,6 +394,8 @@ def gp_pure(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1) -> float:
         raise ConfigError("gp_pure requires a pure initial state (z = 1)")
     if n < 1:
         raise ConfigError("n must be a positive integer")
+    from scipy.integrate import quad  # the only scipy use, kept off qflow's import path
+
     T = 2.0 * math.pi * n / p.omega0
     integrand = _pure_integrand_factory(spec, p)
     res = quad(integrand, 0.0, T, epsabs=1e-8, epsrel=1e-10, limit=800,
@@ -466,6 +467,20 @@ def _flow_form_row(model, rho0s, T: float, tol: float) -> list:
         model, p00[live], coh[live], times, tol), len(rho0s))
 
 
+def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite Simpson's rule along the last axis of (rows, samples) ``y``, step ``dx``.
+
+    The arithmetic and its order are ``scipy.integrate.simpson``'s for an odd
+    sample count, so the result is bit-identical to it.  An even count, where
+    scipy adds an end correction, is a :class:`ConfigError`.
+    """
+    if y.shape[-1] % 2 == 0:
+        raise ConfigError(f"Simpson's rule needs an odd sample count, got {y.shape[-1]}")
+    out = np.sum(y[:, 0:-2:2] + 4.0 * y[:, 1:-1:2] + y[:, 2::2], axis=-1)
+    out *= dx / 3.0
+    return out
+
+
 def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray,
                       tol: float) -> list:
     """One rung of :func:`gp_flow_form` for the states (p00, |coh|) on a uniform grid of odd size.
@@ -527,7 +542,7 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
 
     cos_theta = r_z / r
     del r_z
-    integrals = [simpson(cos_theta[:, ::k], dx=k * h, axis=-1) for k in (1, 2, 4)]
+    integrals = [_simpson(cos_theta[:, ::k], k * h) for k in (1, 2, 4)]
     running = np.zeros_like(cos_theta)
     np.cumsum(0.5 * h * (cos_theta[:, :-1] + cos_theta[:, 1:]), axis=1, out=running[:, 1:])
     del cos_theta

@@ -16,7 +16,7 @@ bracket joins two grid samples of sigma that are nonzero and of opposite
 sign, so bisection starts from the grid's own values.  A sweep row's states
 share one model: :func:`row_flows` evaluates the factors and rates once on
 the grid, takes each state's arithmetic from them in turn, bisects all the
-row's brackets together (one factors and one rates call per round), and
+row's brackets together (one ``factors_and_rates`` call per round), and
 evaluates D only at the new boundary knots, reusing the grid values.
 :func:`ratio_flows` does the same for one state under many models of one
 class (a ratio scan): each model keeps its own grid, and the bisection and
@@ -157,7 +157,7 @@ def sigma(t: float, model, rho0: DensityMatrix,
     """
     ref = model.steady_state() if standard_state is None else standard_state
     t = float(t)
-    return float(_d_sigma(_constants(rho0, ref, False), *model.factors(t), model.rates(t))[1])
+    return float(_d_sigma(_constants(rho0, ref, False), *model.factors_and_rates(t))[1])
 
 
 def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
@@ -263,11 +263,11 @@ def _ledger_row(entries, t_end: float, times) -> list:
     The entries' models are of one class; entries may share a model (a
     sweep row's states) or each carry their own (a ratio scan).  Each model
     is sampled on its own grid (``times``, or its own ``sample_times``) with
-    one ``factors`` and one ``rates`` call, which serve every entry of that
+    one ``factors_and_rates`` call, which serves every entry of that
     model: an entry's D and sigma follow from its constants alone
     (:func:`_d_sigma`), and no array spans entries and samples.  Then all
-    brackets of all entries are bisected together, one ``factors`` and one
-    ``rates`` call per round, and one ``factors`` call gives D at every
+    brackets of all entries are bisected together, one ``factors_and_rates``
+    call per round, and one ``factors`` call gives D at every
     entry's run boundaries; with several models these calls run on the
     stack of their parameters, picked per bracket and per knot.
     Each entry gets its ledger, or the :class:`NumericalError` it raised (a
@@ -293,8 +293,7 @@ def _ledger_row(entries, t_end: float, times) -> list:
             for k in mine:
                 out[k] = exc
             continue
-        P, Q = model.factors(grid)
-        rates = model.rates(grid)
+        P, Q, rates = model.factors_and_rates(grid)
         for k in mine:
             _, rho1, rho2, evolve = entries[k]
             consts = _constants(rho1, rho2, evolve)
@@ -333,7 +332,7 @@ def _ledger_row(entries, t_end: float, times) -> list:
     def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
         consts = tuple(c[which] for c in per_bracket)
         model = model_at(bracket_slots[which])
-        return _d_sigma(consts, *model.factors(ts), model.rates(ts))[1]
+        return _d_sigma(consts, *model.factors_and_rates(ts))[1]
 
     roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
     cuts = np.cumsum(counts)[:-1]
@@ -368,8 +367,8 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
               times: np.ndarray | None = None) -> list:
     """:func:`flows` of every state in ``rho0s`` on one grid of one model.
 
-    A sweep row's states share the factors: the row makes one ``factors``
-    and one ``rates`` call on the grid and one of each per bisection round,
+    A sweep row's states share the factors: the row makes one
+    ``factors_and_rates`` call on the grid and one per bisection round,
     whatever its number of states.  Each entry is the state's ledger, bit
     for bit the one :func:`flows` returns, or the :class:`NumericalError`
     that :func:`flows` would raise.
@@ -383,7 +382,7 @@ def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
 
     A ratio scan's models differ in their parameters only: each is sampled
     on its own grid, and then all their brackets share one bisection (one
-    ``factors`` and one ``rates`` call per round on the stack of their
+    ``factors_and_rates`` call per round on the stack of their
     parameters) and one ``factors`` call gives D at all their run
     boundaries.  Each entry is the model's ledger against its steady state,
     bit for bit the one :func:`flows` returns, or the

@@ -438,3 +438,56 @@ class TestStateDot:
     def test_memory_kernel(self, C, gamma, z, vt, vp, t):
         model = MemoryKernelModel(MemoryKernelParams(C * gamma, gamma, 1.0))
         assert_state_dot_matches_difference(model, initial_state(InitialStateSpec(z, vt, vp)), t)
+
+
+def assert_shared_evaluation_equal(model, t):
+    """``factors_and_rates`` equals ``factors`` and ``rates``, element for element."""
+    P, Q, (p_dot, q_dot) = model.factors_and_rates(t)
+    want = (*model.factors(t), *model.rates(t))
+    assert [a.tobytes() for a in (P, Q, p_dot, q_dot)] == [w.tobytes() for w in want]
+
+
+# ratios at, and within a hair of, the thresholds R = 1/2 and C = 1/4, where
+# |Om t / 2| crosses the sinhc series cutoff on [0, 20]
+NEAR_THRESHOLD = st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-9, -1e-9])
+TIMES = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=40).map(np.array)
+
+
+class TestSharedKernelEvaluation:
+    """One kernel evaluation gives the factors and rates the separate calls give."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: TimeLocalModel(TimeLocalParams(1.0, 2.0 / (1.0 + 1e-12), 1.0)),
+        lambda: MemoryKernelModel(MemoryKernelParams(0.25 * (1.0 + 1e-12), 1.0, 1.0)),
+    ], ids=["time-local", "memory-kernel"])
+    def test_across_the_series_cutoff(self, make):
+        model = make()
+        t = np.linspace(0.0, 20.0, 2001)
+        u = 0.5 * abs(model.params.Omega) * t  # gamma = 1: tau = t
+        assert u[1] < 1e-6 < u[-1]  # both branches of the sinhc are taken
+        assert_shared_evaluation_equal(model, t)
+        assert_shared_evaluation_equal(model, 7.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(W=st.floats(0.1, 3.0), R=st.floats(0.05, 3.0) | NEAR_THRESHOLD.map(
+        lambda d: 0.5 * (1.0 + d)), t=TIMES)
+    def test_time_local(self, W, R, t):
+        assert_shared_evaluation_equal(TimeLocalModel(TimeLocalParams(W, W / R, 1.3)), t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(0.2, 2.0), C=st.floats(0.01, 1.5) | NEAR_THRESHOLD.map(
+        lambda d: 0.25 * (1.0 + d)), t=TIMES)
+    def test_memory_kernel(self, gamma, C, t):
+        assert_shared_evaluation_equal(
+            MemoryKernelModel(MemoryKernelParams(C * gamma, gamma, 0.8)), t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), W=st.floats(0.1, 3.0),
+           ratios=st.lists(st.floats(0.05, 3.0) | NEAR_THRESHOLD.map(lambda d: 0.5 * (1.0 + d)),
+                           min_size=1, max_size=8))
+    def test_time_local_stack(self, data, W, ratios):
+        # one time per set, as a bisection round over several models evaluates them
+        t = data.draw(st.lists(st.floats(0.0, 20.0), min_size=len(ratios),
+                               max_size=len(ratios)).map(np.array))
+        stack = TimeLocalParams.stack(TimeLocalParams(W, W / R, 1.0) for R in ratios)
+        assert_shared_evaluation_equal(TimeLocalModel(stack), t)

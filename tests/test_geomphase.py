@@ -389,6 +389,30 @@ class TestUnwrappedChange:
         self.assert_bit_equal(np.angle(np.exp(1j * theta)))
 
 
+class TestSimpson:
+    """The flow form's Simpson helper is scipy's odd-count rule, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(1, 8000), stride=st.sampled_from([1, 2, 4]),
+           n_states=st.integers(1, 4), dx=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+    @example(half=1, stride=1, n_states=1, dx=1.0, seed=0)
+    @example(half=8000, stride=4, n_states=2, dx=2.0 * math.pi / 64000, seed=1)
+    def test_equals_scipy(self, half, stride, n_states, dx, seed):
+        # 2 half + 1 samples (3 to 16,001), read at a stride as the rung reads them
+        base = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_states, stride * 2 * half + 1))
+        y = base[:, ::stride]
+        assert y.shape[-1] == 2 * half + 1
+        got = geomphase._simpson(y, stride * dx)
+        want = simpson(y, dx=stride * dx, axis=-1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 4, 2000])
+    def test_even_count_raises(self, n):
+        # scipy applies an end correction to an even count; the helper must not skip it silently
+        with pytest.raises(ConfigError, match="odd sample count"):
+            geomphase._simpson(np.ones((1, n)), 0.1)
+
+
 class TestPhaseIntegrandProperty:
     """Three routes to the pure-state phase integrand agree pointwise."""
 

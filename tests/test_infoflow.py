@@ -344,11 +344,11 @@ class NanAfter(TimeLocalModel):
 
     t_bad = 4.0
 
-    def factors(self, t):
-        return tuple(np.where(np.asarray(t) > self.t_bad, np.nan, f) for f in super().factors(t))
+    def _factors_of(self, t, kernel):
+        return tuple(np.where(t > self.t_bad, np.nan, f) for f in super()._factors_of(t, kernel))
 
-    def rates(self, t):
-        return tuple(np.where(np.asarray(t) > self.t_bad, np.nan, f) for f in super().rates(t))
+    def _rates_of(self, t, kernel):
+        return tuple(np.where(t > self.t_bad, np.nan, f) for f in super()._rates_of(t, kernel))
 
 
 BLP_TIMES = np.linspace(0.0, T, 201)

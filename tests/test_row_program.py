@@ -185,13 +185,13 @@ def test_ratio_ledgers_equal_the_one_model_calls(sets, spec, fracs):
 class NanAboveLambda(TimeLocalModel):
     """Time-local model whose factors and rates are NaN after t = 4 when lambda > 5."""
 
-    def factors(self, t):
-        bad = (np.asarray(t) > 4.0) & (np.asarray(self.params.lam) > 5.0)
-        return tuple(np.where(bad, np.nan, f) for f in super().factors(t))
+    def _factors_of(self, t, kernel):
+        bad = (t > 4.0) & (np.asarray(self.params.lam) > 5.0)
+        return tuple(np.where(bad, np.nan, f) for f in super()._factors_of(t, kernel))
 
-    def rates(self, t):
-        bad = (np.asarray(t) > 4.0) & (np.asarray(self.params.lam) > 5.0)
-        return tuple(np.where(bad, np.nan, f) for f in super().rates(t))
+    def _rates_of(self, t, kernel):
+        bad = (t > 4.0) & (np.asarray(self.params.lam) > 5.0)
+        return tuple(np.where(bad, np.nan, f) for f in super()._rates_of(t, kernel))
 
 
 def test_each_ratio_keeps_its_own_ledger_or_error():
