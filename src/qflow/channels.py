@@ -4,7 +4,7 @@ Time-local model (Lorentzian bath, zero temperature):
 
     J(w)   = W^2 lambda / pi / ((w0 - w)^2 + lambda^2)
     c(t)   = exp(-(lambda + i w0) t / 2) (cosh(Om t/2) + (lambda/Om) sinh(Om t/2))
-    Om     = sqrt(lambda^2 - 4 W^2)            (complex arithmetic, no branch split)
+    Om     = sqrt(lambda^2 - 4 W^2)   (imaginary for R > 1/2: cos and sin of |Om| t/2)
     rho(t) : populations scale with |c|^2, coherences with c(t)
 
 Memory-kernel model (exponential kernel, dissipation rate gamma0, inverse
@@ -14,12 +14,13 @@ memory time gamma, C = gamma0/gamma, tau = gamma t):
     rho(t)     : populations scale with xi(C, tau), coherences with
                  exp(-i w0 t) xi(C/2, tau)
 
-Both models share one form, rho00 = p00 P(t) and rho01 = coh Q(t).  Each
-model class owns the only copy of its factors: ``factors(t)`` gives (P, Q),
-``rates(t)`` gives (Pdot, Qdot) and ``factors_and_rates(t)`` gives both from
-one kernel evaluation; the scalar helpers ``amplitude``, ``abs_c_squared``
-and ``xi`` read them.  Both envelopes come from one
-kernel: xi(C, tau) is the Lorentzian envelope at lambda = 1, W^2 = C.
+Both models share one form, rho00 = p00 P(t) and rho01 = coh Q(t), with
+Q = q exp(-i omega_eff t) for a real envelope q (omega_eff = w0/2 for the
+time-local model, w0 for the memory kernel).  Each model class owns the only
+copy of its envelopes ((P, q), (Pdot, qdot)); the factors (P, Q), their
+rates and the scalar helpers ``amplitude``, ``abs_c_squared`` and ``xi`` are
+built from them.  Both envelopes come from one real kernel: xi(C, tau) is
+the Lorentzian envelope at lambda = 1, W^2 = C.
 Both closed forms are cross-checked against hand-rolled
 fixed-step RK4 integrations.  The time-local oracle takes its decay rates
 from :func:`decay_rates`, so it checks that the closed form solves the
@@ -216,21 +217,13 @@ class Trajectory:
         return bloch_array(self.states)
 
 
-def _sinhc(x):
-    """sinh(x)/x, elementwise, with a series limit near x = 0."""
-    x = np.asarray(x, dtype=complex)
-    small = np.abs(x) < _SINHC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, x)
-    out = np.sinh(safe) / safe
-    x2 = x * x
-    series = 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return np.where(small, series, out)
-
-
 def _damping_kernel(t, rate, w_sq):
     """Return (g, gdot, sinhc(Om t / 2)), all real, with Om^2 = rate^2 - 4 w_sq.
 
     ``rate`` and ``w_sq`` are scalars or arrays that broadcast against t.
+    Om^2 > 0 takes cosh and sinh of u = |Om| t / 2, Om^2 < 0 cos and sin (per
+    set of a stack); below the cutoff sinhc is a series in the signed
+    x^2 = Om^2 t^2 / 4, so R = 1/2 and C = 1/4 stay exact.
 
     g is the envelope both models share: c = exp(-(lambda + i w0) t / 2) g at
     (rate, w_sq) = (lambda, W^2), and xi(C, tau) = exp(-tau / 2) g at
@@ -238,12 +231,24 @@ def _damping_kernel(t, rate, w_sq):
     """
     t = np.asarray(t, dtype=float)
     omega_sq = rate * rate - 4.0 * w_sq
-    u = 0.5 * np.sqrt(np.asarray(omega_sq, dtype=complex)) * t
-    ch = np.cosh(u)
-    sc = _sinhc(u)
+    u = 0.5 * np.sqrt(np.abs(omega_sq)) * t
+    grow = omega_sq > 0.0
+    if np.ndim(grow):  # a stack: each set in its own regime
+        ch, sh = np.cos(u), np.sin(u)
+        np.cosh(u, out=ch, where=grow)
+        np.sinh(u, out=sh, where=grow)
+    elif grow:
+        ch, sh = np.cosh(u), np.sinh(u)
+    else:
+        ch, sh = np.cos(u), np.sin(u)
+    small = u < _SINHC_SERIES_CUTOFF
+    sc = np.divide(sh, u, out=np.empty_like(u), where=~small)
+    if small.any():
+        x_sq = np.copysign(u * u, omega_sq)[small]
+        sc[small] = 1.0 + x_sq / 6.0 + x_sq * x_sq / 120.0
     g = ch + 0.5 * rate * t * sc
     gdot = 0.5 * rate * ch + 0.25 * omega_sq * t * sc
-    return g.real, gdot.real, sc.real
+    return g, gdot, sc
 
 
 def lorentzian_density(omega, p: TimeLocalParams):
@@ -260,7 +265,7 @@ def amplitude(t, p: TimeLocalParams):
 
 def abs_c_squared(t, p: TimeLocalParams):
     """|c(t)|^2 = exp(-lambda t) g(t)^2; ``p`` may be a stack (``TimeLocalParams.stack``)."""
-    return TimeLocalModel(p).factors(t)[0]
+    return TimeLocalModel(p).envelopes(t)[0][0]
 
 
 def decay_rates(t, p: TimeLocalParams):
@@ -290,7 +295,7 @@ def first_amplitude_zero(p: TimeLocalParams) -> float | None:
 
 def xi(C: float, tau):
     """Population relaxation factor of the exponential-memory model."""
-    out = MemoryKernelModel(MemoryKernelParams(C, 1.0)).factors(tau)[0]
+    out = MemoryKernelModel(MemoryKernelParams(C, 1.0)).envelopes(tau)[0][0]
     return out if out.ndim else float(out)
 
 
@@ -317,20 +322,21 @@ def _assemble(rho0: DensityMatrix, pop, coh_factor, trace: float) -> np.ndarray:
 class _DampingModel:
     """A damping model bound to one parameter set.
 
-    Subclasses own the only copy of their factors: ``_kernel(t)`` evaluates
-    the damping kernel, and ``_factors_of`` and ``_rates_of`` build (P, Q)
-    and (Pdot, Qdot) from it, elementwise in t.  ``factors``, ``rates`` and
-    ``factors_and_rates`` (both from one kernel evaluation, for callers that
-    need both) are defined here on top of them.  States and state
-    derivatives are assembled from the factors and rates.  ``states``,
-    ``state_dot`` and ``trajectory`` are defined here once and bound into
-    each subclass's ``__dict__`` by one assignment, because
-    ``perfbench/tracer.py`` wraps them per model class there.
+    Subclasses own the only copy of their formulas: ``_envelopes_of(t)``
+    returns the real envelopes ((P, q), (Pdot, qdot)), elementwise in t, and
+    ``omega_eff`` is the turn of Q = q exp(-i omega_eff t).  ``envelopes``,
+    ``factors`` (P, Q), ``rates`` (Pdot, Qdot) and ``factors_and_rates``
+    (both from one evaluation) are defined here on top of them; callers that
+    read only P and |Q| take the envelopes.  States and state derivatives
+    are assembled from the factors and rates.  ``states``, ``state_dot`` and
+    ``trajectory`` are defined here once and bound into each subclass's
+    ``__dict__`` by one assignment, because ``perfbench/tracer.py`` wraps
+    them per model class there.
 
-    The factors and rates do not depend on the initial state, so callers
-    that evaluate many states on one grid (a sweep row's ledgers and
-    literal phases) call ``factors_and_rates`` or ``factors`` once and take each
-    state's arithmetic from them.  A model over a parameter stack
+    The envelopes do not depend on the initial state, so callers that
+    evaluate many states on one grid (a sweep row's ledgers and literal
+    phases) evaluate them once and take each state's arithmetic from them.
+    A model over a parameter stack
     (``TimeLocalModel(TimeLocalParams.stack(sets))``) is many models at
     once: callers that evaluate many parameter sets at one time each (a
     bisection round over several models, a ratio scan at one horizon) make
@@ -352,21 +358,26 @@ class _DampingModel:
     def feature_scale(self) -> float:
         return self.params.feature_scale()
 
+    def envelopes(self, t):
+        """((P, q), (Pdot, qdot)) at the times t."""
+        return self._envelopes_of(np.asarray(t, dtype=float))
+
     def factors(self, t):
         """(P, Q) at the times t."""
         t = np.asarray(t, dtype=float)
-        return self._factors_of(t, self._kernel(t))
+        (P, q), _ = self._envelopes_of(t)
+        return P, np.exp(-1j * self.omega_eff * t) * q
 
     def rates(self, t):
         """(Pdot, Qdot) at the times t."""
-        t = np.asarray(t, dtype=float)
-        return self._rates_of(t, self._kernel(t))
+        return self.factors_and_rates(t)[2]
 
     def factors_and_rates(self, t):
-        """(P, Q, (Pdot, Qdot)) from one kernel evaluation, equal to ``factors`` and ``rates``."""
+        """(P, Q, (Pdot, Qdot)) from one evaluation, equal to ``factors`` and ``rates``."""
         t = np.asarray(t, dtype=float)
-        kernel = self._kernel(t)
-        return (*self._factors_of(t, kernel), self._rates_of(t, kernel))
+        (P, q), (p_dot, q_dot) = self._envelopes_of(t)
+        turn = np.exp(-1j * self.omega_eff * t)
+        return P, turn * q, (p_dot, turn * (q_dot - 1j * self.omega_eff * q))
 
     def bloch_series(self, rho0: DensityMatrix, times) -> np.ndarray:
         return bloch_array(self.states(rho0, times))
@@ -386,28 +397,26 @@ _BOUND_PER_MODEL = (_DampingModel.states, _DampingModel.state_dot, _DampingModel
 
 
 class TimeLocalModel(_DampingModel):
-    """Time-local model: P = |c|^2, Q = c(t)."""
+    """Time-local model: P = |c|^2, Q = c(t) = exp(-i w0 t / 2) q."""
 
     tag = "time-local"
     states, state_dot, trajectory = _BOUND_PER_MODEL
 
-    def _kernel(self, t):
-        p = self.params
-        return _damping_kernel(t, p.lam, p.W * p.W)
+    @property
+    def omega_eff(self):
+        return 0.5 * self.params.omega0
 
-    def _factors_of(self, t, kernel):
-        """(|c|^2, c) = (exp(-lambda t) g^2, exp(-(lambda + i w0) t / 2) g)."""
-        p = self.params
-        g, _, _ = kernel
-        return np.exp(-p.lam * t) * g * g, np.exp(-0.5 * (p.lam + 1j * p.omega0) * t) * g
+    def _envelopes_of(self, t):
+        """((|c|^2, q), (d|c|^2/dt, dq/dt)) with q = exp(-lambda t / 2) g.
 
-    def _rates_of(self, t, kernel):
-        """(d|c|^2/dt, dc/dt) = (-2 W^2 t exp(-lambda t) g sinhc(Om t / 2), ...)."""
+        |c|^2 is exp(-lambda t) g^2, not q^2, and d|c|^2/dt is
+        -2 W^2 t exp(-lambda t) g sinhc(Om t / 2).
+        """
         p = self.params
-        g, gdot, sc = kernel
-        half = 0.5 * (p.lam + 1j * p.omega0)
-        return (-2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc,
-                np.exp(-half * t) * (gdot - half * g))
+        g, gdot, sc = _damping_kernel(t, p.lam, p.W * p.W)
+        decay, half_decay = np.exp(-p.lam * t), np.exp(-0.5 * p.lam * t)
+        return ((decay * g * g, half_decay * g),
+                (-2.0 * p.W * p.W * t * decay * g * sc, half_decay * (gdot - 0.5 * p.lam * g)))
 
 
 class MemoryKernelModel(_DampingModel):
@@ -420,24 +429,23 @@ class MemoryKernelModel(_DampingModel):
     tag = "memory-kernel"
     states, state_dot, trajectory = _BOUND_PER_MODEL
 
-    def _kernel(self, t):
+    @property
+    def omega_eff(self):
+        return self.params.omega0
+
+    def _envelopes_of(self, t):
+        """((xi(C, tau), xi(C/2, tau)), their t derivatives) with xi(C, tau) = exp(-tau/2) g.
+
+        d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2).
+        """
         p = self.params
         tau = p.tau(t)
-        return tau, _damping_kernel(tau, 1.0, p.C), _damping_kernel(tau, 1.0, 0.5 * p.C)
-
-    def _factors_of(self, t, kernel):
-        """(xi(C, tau), exp(-i w0 t) xi(C/2, tau)) with xi(C, tau) = exp(-tau/2) g."""
-        tau, (g1, _, _), (g2, _, _) = kernel
-        return (np.exp(-0.5 * tau) * g1,
-                np.exp(-1j * self.params.omega0 * t) * (np.exp(-0.5 * tau) * g2))
-
-    def _rates_of(self, t, kernel):
-        """Time derivatives of the factors; d xi / d tau = -C tau exp(-tau/2) sinhc(Om tau / 2)."""
-        p = self.params
-        tau, (_, _, sc1), (g2, _, sc2) = kernel
-        dxi2 = p.gamma * (-(0.5 * p.C) * tau * np.exp(-0.5 * tau) * sc2)
-        dcoh = np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * (np.exp(-0.5 * tau) * g2))
-        return p.gamma * (-p.C * tau * np.exp(-0.5 * tau) * sc1), dcoh
+        decay = np.exp(-0.5 * tau)
+        g1, _, sc1 = _damping_kernel(tau, 1.0, p.C)
+        g2, _, sc2 = _damping_kernel(tau, 1.0, 0.5 * p.C)
+        return ((decay * g1, decay * g2),
+                (p.gamma * (-p.C * tau * decay * sc1),
+                 p.gamma * (-(0.5 * p.C) * tau * decay * sc2)))
 
 
 def sample_times(model, t_end: float) -> np.ndarray:

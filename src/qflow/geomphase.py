@@ -18,7 +18,7 @@ Four routes to the same physics live here:
                            :func:`gp_mixed_auto` evaluates on ever finer grids
 * :func:`gp_pure`        - adaptive quadrature of the pure-state closed form
 * :func:`gp_flow_form`   - the literal-mode formula in closed form from the
-                           factors (P, Q), for every z and both models
+                           envelopes (P, q), for every z and both models
 * :func:`gp_perturbative`- first order in W^2 for the time-local model
 
 In ``literal`` mode the branch vectors carry the azimuth omega0 t + phi0, so
@@ -424,12 +424,12 @@ def phase_integrand(d, r_z, omega0: float):
 
 
 def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> PhaseResult:
-    """Literal-mode mixed-state phase in closed form from the factors (P, Q).
+    """Literal-mode mixed-state phase in closed form from the envelopes (P, q), |Q| = |q|.
 
     The literal branches are psi+ = (sin(theta/2), cos(theta/2) e^{i phi}) and
     psi- = (-cos(theta/2), sin(theta/2) e^{i phi}) with phi = omega0 t + phi0,
-    cos(theta) = r_z / |r|, r_z = 2 p00 P - 1 and |r|^2 = r_z^2 + 4 |coh|^2 |Q|^2.
-    So the branch sum needs one ``factors`` call and no eigenvectors:
+    cos(theta) = r_z / |r|, r_z = 2 p00 P - 1 and |r|^2 = r_z^2 + 4 |coh|^2 q^2.
+    So the branch sum needs one ``envelopes`` call and no eigenvectors:
 
     * connections omega0 (t +- I(t)) / 2 for psi+-, with I = int_0^t r_z / |r|
       (the psi+ one is the integral of :func:`phase_integrand`, whose
@@ -459,7 +459,7 @@ def _flow_form_row(model, rho0s, T: float, tol: float) -> list:
     """:func:`gp_flow_form` of every state in ``rho0s``, on one stack of ladder rungs.
 
     A state enters only through (p00, |coh|); each rung makes one
-    ``factors`` call for the states that are still on the ladder.
+    ``envelopes`` call for the states that are still on the ladder.
     """
     p00 = np.array([rho0.matrix[0, 0].real for rho0 in rho0s])
     coh = np.array([abs(rho0.matrix[0, 1]) for rho0 in rho0s])
@@ -492,9 +492,9 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
     the one-state rung's.
     """
     omega0, h = model.omega0, times[1] - times[0]
-    pop, coh_factor = model.factors(times)
+    (pop, q), _ = model.envelopes(times)
     r_z = 2.0 * p00[:, None] * pop - 1.0
-    transverse = 2.0 * coh[:, None] * np.abs(coh_factor)
+    transverse = 2.0 * coh[:, None] * q  # only its square is read
     r = np.sqrt(r_z * r_z + transverse * transverse)
     rows = np.arange(p00.size)
     finite = np.isfinite(r)

@@ -11,12 +11,13 @@ Run boundaries are located by bracketing sign changes of sigma = dD/dt on a
 dense sampling grid and bisecting to 1e-10 relative time accuracy.  Both
 models map rho00 -> p00 P(t) and rho01 -> coh Q(t), so the difference to the
 reference is (a P - b, alpha Q - beta) with constants of the state alone, and
-D and sigma come from the factors (P, Q) and their rates (Pdot, Qdot).  A
+D and sigma come from the real envelopes (P, q), Q = q exp(-i omega_eff t),
+and their rates (Pdot, qdot), in the frame that turns with Q.  A
 bracket joins two grid samples of sigma that are nonzero and of opposite
 sign, so bisection starts from the grid's own values.  A sweep row's states
-share one model: :func:`row_flows` evaluates the factors and rates once on
+share one model: :func:`row_flows` evaluates the envelopes and rates once on
 the grid, takes each state's arithmetic from them in turn, bisects all the
-row's brackets together (one ``factors_and_rates`` call per round), and
+row's brackets together (one ``envelopes`` call per round), and
 evaluates D only at the new boundary knots, reusing the grid values.
 :func:`ratio_flows` does the same for one state under many models of one
 class (a ratio scan): each model keeps its own grid, and the bisection and
@@ -27,8 +28,8 @@ bracket count and the bisection rounds.
 The BLP scan scores state pairs without evolving them: both models map
 rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
 squares of its invariants, x = (p00 - p00')^2 and y = |coh - coh'|^2, and the
-shared factors P and Q.  A pair grid is a state list plus two index arrays
-(:class:`PairGrid`), and each distinct (x, y) key is scored once, so the
+shared envelopes P and q, |q| = |Q|.  A pair grid is a state list plus two index
+arrays (:class:`PairGrid`), and each distinct (x, y) key is scored once, so the
 scoring cost follows the number of distinct keys, not of pairs.  Grids with
 symmetry gain: the default grid's 372,816 pairs have 59,843 distinct keys,
 since rotating both states about z changes neither square.
@@ -120,44 +121,59 @@ def _constants(rho1: DensityMatrix, rho2: DensityMatrix, evolve_reference: bool)
     return m1[0, 0].real, m2[0, 0].real, m1[0, 1], m2[0, 1]
 
 
-def _d_sigma(consts, P, Q, rates=None):
-    """D, and sigma = dD/dt when ``rates`` = (Pdot, Qdot) is given, from the factors.
+def _d_sigma(consts, omega, t, envelopes, rates=None):
+    """D, and sigma = dD/dt when ``rates`` = (Pdot, qdot) is given, from the real envelopes.
 
     ``consts`` = (a, b, alpha, beta) of :func:`_constants`, scalars or arrays
-    that broadcast against the factors.  The Bloch difference is
-    2 (Re drho01, Im drho01, drho00) up to the sign of y, and both sums run in
-    ``bloch_dot``'s order.
+    that broadcast against the envelopes (P, q) at the times t; ``omega`` is
+    the model's omega_eff.  In the frame that turns with exp(-i omega t) the
+    coherences are alpha q and beta exp(i omega t), so with w their
+    difference D^2 = |w|^2 + (a P - b)^2 and
+    D sigma = Re(conj(w) (alpha qdot - i omega beta exp(i omega t))) + (a P - b) a Pdot.
+    With beta = 0 (the ground state, I/2, an evolving pair) that is
+    |alpha|^2 q^2 and |alpha|^2 q qdot, in real arithmetic.
     """
     a, b, alpha, beta = consts
-    d01 = alpha * Q - beta
-    x, y, z = 2.0 * d01.real, 2.0 * d01.imag, 2.0 * (a * P - b)
-    sq = x * x
-    sq += 0.0
-    sq += y * y
-    sq += z * z
-    dist = 0.5 * np.sqrt(sq)
+    P, q = envelopes
+    z = a * P
+    z -= b
+    turning = np.any(beta)
+    if turning:
+        ref = beta * np.exp(1j * omega * t)
+        w = alpha * q - ref
+        w_sq = w.real * w.real + w.imag * w.imag
+    else:
+        abs_alpha_sq = alpha.real * alpha.real + alpha.imag * alpha.imag
+        w_sq = q * q
+        w_sq *= abs_alpha_sq
+    w_sq += z * z
+    dist = np.sqrt(w_sq)
     if rates is None:
         return dist, None
     p_dot, q_dot = rates
-    v01 = alpha * q_dot
-    dot = x * (2.0 * v01.real)
-    dot += 0.0
-    dot += y * (2.0 * v01.imag)
-    dot += z * (2.0 * (a * p_dot))
+    if turning:
+        w_dot = alpha * q_dot - 1j * omega * ref
+        dot = w.real * w_dot.real + w.imag * w_dot.imag
+    else:
+        dot = q * q_dot
+        dot *= abs_alpha_sq
+    z *= a * p_dot
+    dot += z
     with np.errstate(divide="ignore", invalid="ignore"):
-        sig = np.where(dist > 0.0, dot / (4.0 * dist), 0.0)
+        sig = np.where(dist > 0.0, dot / dist, 0.0)
     return dist, sig
 
 
 def sigma(t: float, model, rho0: DensityMatrix,
           standard_state: DensityMatrix | None = None) -> float:
-    """Instantaneous rate dD/dt from the model's analytic factor rates.
+    """Instantaneous rate dD/dt from the model's analytic envelope rates.
 
     Positive values signal backward flow.
     """
     ref = model.steady_state() if standard_state is None else standard_state
     t = float(t)
-    return float(_d_sigma(_constants(rho0, ref, False), *model.factors_and_rates(t))[1])
+    consts = _constants(rho0, ref, False)
+    return float(_d_sigma(consts, model.omega_eff, t, *model.envelopes(t))[1])
 
 
 def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
@@ -234,16 +250,6 @@ def _accumulate(times, dist, bounds, d_bounds, t_end: float):
     return segments, n_cum[at], m_cum[at]
 
 
-def _state_bloch(rho: DensityMatrix, P, Q) -> np.ndarray:
-    """Bloch vectors (n, 3) of rho(t), as ``bloch_array`` reads the evolved matrices."""
-    p00, coh = rho.matrix[0, 0].real, rho.matrix[0, 1] * Q
-    out = np.empty(np.shape(P) + (3,))
-    out[..., 0] = 2.0 * coh.real
-    out[..., 1] = -2.0 * coh.imag
-    out[..., 2] = p00 * P - (1.0 - p00 * P)
-    return out
-
-
 class _OnGrid(NamedTuple):
     """One entry of a ledger row on its model's sampling grid."""
 
@@ -263,11 +269,12 @@ def _ledger_row(entries, t_end: float, times) -> list:
     The entries' models are of one class; entries may share a model (a
     sweep row's states) or each carry their own (a ratio scan).  Each model
     is sampled on its own grid (``times``, or its own ``sample_times``) with
-    one ``factors_and_rates`` call, which serves every entry of that
+    one ``envelopes`` call, which serves every entry of that
     model: an entry's D and sigma follow from its constants alone
-    (:func:`_d_sigma`), and no array spans entries and samples.  Then all
-    brackets of all entries are bisected together, one ``factors_and_rates``
-    call per round, and one ``factors`` call gives D at every
+    (:func:`_d_sigma`), and so does its positivity (|r| from P and q), and
+    no array spans entries and samples.  Then all
+    brackets of all entries are bisected together, one ``envelopes``
+    call per round, and one more gives D at every
     entry's run boundaries; with several models these calls run on the
     stack of their parameters, picked per bracket and per knot.
     Each entry gets its ledger, or the :class:`NumericalError` it raised (a
@@ -293,18 +300,23 @@ def _ledger_row(entries, t_end: float, times) -> list:
             for k in mine:
                 out[k] = exc
             continue
-        P, Q, rates = model.factors_and_rates(grid)
+        (P, q), rates = model.envelopes(grid)
         for k in mine:
             _, rho1, rho2, evolve = entries[k]
             consts = _constants(rho1, rho2, evolve)
-            dist, sig = _d_sigma(consts, P, Q, rates)
+            dist, sig = _d_sigma(consts, model.omega_eff, grid, (P, q), rates)
             bad = np.flatnonzero(~np.isfinite(dist))
             if bad.size:
                 out[k] = NumericalError(f"trace distance is not finite at t = {grid[bad[0]]:.6g}")
                 continue
-            positivity = positivity_check(grid, _state_bloch(rho1, P, Q))
+            # rho1(t)'s Bloch vector in the turning frame: the same |r|, so the same eigenvalues
+            bloch = np.zeros((3,) + grid.shape)
+            np.multiply(2.0 * abs(rho1.matrix[0, 1]), q, out=bloch[0])
+            np.multiply(2.0 * rho1.matrix[0, 0].real, P, out=bloch[2])
+            bloch[2] -= 1.0
+            positivity = positivity_check(grid, bloch.T)
             on_grid[k] = _OnGrid(j, grid, consts, dist, sig, positivity, *_brackets(dist, sig))
-        del P, Q, rates
+        del P, q, rates
     if not on_grid:
         return out
 
@@ -332,19 +344,21 @@ def _ledger_row(entries, t_end: float, times) -> list:
     def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
         consts = tuple(c[which] for c in per_bracket)
         model = model_at(bracket_slots[which])
-        return _d_sigma(consts, *model.factors_and_rates(ts))[1]
+        return _d_sigma(consts, model.omega_eff, ts, *model.envelopes(ts))[1]
 
     roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
     cuts = np.cumsum(counts)[:-1]
     bounds = [np.unique(np.concatenate([g.times[g.zeros], r]))
               for g, r in zip(rows, np.split(roots, cuts))]
     knot_model = model_at(np.repeat(slots, [b.size for b in bounds]))
-    knot_P, knot_Q = knot_model.factors(np.concatenate([np.empty(0), *bounds]))
+    knot_t = np.concatenate([np.empty(0), *bounds])
+    knot_omega = np.broadcast_to(knot_model.omega_eff, knot_t.shape)
+    (knot_P, knot_q), _ = knot_model.envelopes(knot_t)
     at = 0
     for k, g, b, e in zip(on_grid, rows, bounds, np.split(evals, cuts)):
         knots = slice(at, at + b.size)
         at = knots.stop
-        d_bounds = _d_sigma(g.consts, knot_P[knots], knot_Q[knots])[0]
+        d_bounds = _d_sigma(g.consts, knot_omega[knots], b, (knot_P[knots], knot_q[knots]))[0]
         segments, n_s, m_s = _accumulate(g.times, g.dist, b, d_bounds, t_end)
         model, _, rho2, evolve = entries[k]
         out[k] = FlowLedger(
@@ -367,8 +381,8 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
               times: np.ndarray | None = None) -> list:
     """:func:`flows` of every state in ``rho0s`` on one grid of one model.
 
-    A sweep row's states share the factors: the row makes one
-    ``factors_and_rates`` call on the grid and one per bisection round,
+    A sweep row's states share the envelopes: the row makes one
+    ``envelopes`` call on the grid and one per bisection round,
     whatever its number of states.  Each entry is the state's ledger, bit
     for bit the one :func:`flows` returns, or the :class:`NumericalError`
     that :func:`flows` would raise.
@@ -382,8 +396,8 @@ def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
 
     A ratio scan's models differ in their parameters only: each is sampled
     on its own grid, and then all their brackets share one bisection (one
-    ``factors_and_rates`` call per round on the stack of their
-    parameters) and one ``factors`` call gives D at all their run
+    ``envelopes`` call per round on the stack of their
+    parameters) and one more gives D at all their run
     boundaries.  Each entry is the model's ledger against its steady state,
     bit for bit the one :func:`flows` returns, or the
     :class:`NumericalError` that :func:`flows` would raise.
@@ -506,7 +520,7 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     equals the pair's own.  The cost follows the distinct keys
     (``n_distinct``): a grid closed under rotations about z repeats keys,
     one without repeats pays a sort for nothing.  A NaN score (only
-    non-finite factors give one) wins, and re-evaluating raises.
+    non-finite envelopes give one) wins, and re-evaluating raises.
     """
     if t_end is None:
         raise ConfigError("blp_measure requires an explicit t_end")
@@ -531,8 +545,8 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     ordered = np.sort(keys)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     del ordered
-    P, Q = model.factors(times)
-    p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
+    (P, q), _ = model.envelopes(times)
+    p_sq, q_sq = P * P, q * q
 
     chunk = max(1, PAIR_BLOCK_SAMPLES // times.size)
     distinct_scores = np.empty(distinct.size, dtype=float)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qflow.channels import (
+    POLE_TOL,
     MemoryKernelModel,
     MemoryKernelParams,
     TimeLocalModel,
@@ -23,6 +24,7 @@ from qflow.channels import (
     ode_oracle_time_local_path,
     positivity_check,
     sample_times,
+    _damping_kernel,
     xi,
 )
 from qflow.errors import ConfigError, NumericalError, PoleError, StepSizeError
@@ -491,3 +493,153 @@ class TestSharedKernelEvaluation:
                                max_size=len(ratios)).map(np.array))
         stack = TimeLocalParams.stack(TimeLocalParams(W, W / R, 1.0) for R in ratios)
         assert_shared_evaluation_equal(TimeLocalModel(stack), t)
+
+
+EPS = np.finfo(float).eps
+
+
+def complex_kernel(t, rate, w_sq):
+    """The damping kernel in complex arithmetic, with no branch split: the oracle.
+
+    Returns (g, gdot, sinhc) and the magnitudes of the terms each sum adds:
+    |cosh| + |rate t sinhc / 2| for g, |rate cosh / 2| + |Om^2 t sinhc / 4| for gdot.
+    """
+    t = np.asarray(t, dtype=float)
+    omega_sq = rate * rate - 4.0 * w_sq
+    u = 0.5 * np.sqrt(np.asarray(omega_sq, dtype=complex)) * t
+    small = np.abs(u) < 1e-6
+    safe = np.where(small, 1.0, u)
+    u_sq = u * u
+    sc = np.where(small, 1.0 + u_sq / 6.0 + u_sq * u_sq / 120.0, np.sinh(safe) / safe)
+    ch = np.cosh(u)
+    g_terms = (ch, 0.5 * rate * t * sc)
+    gdot_terms = (0.5 * rate * ch, 0.25 * omega_sq * t * sc)
+    return ((sum(g_terms).real, sum(gdot_terms).real, sc.real),
+            (sum(np.abs(x) for x in g_terms), sum(np.abs(x) for x in gdot_terms), np.abs(sc)))
+
+
+def assert_kernel_matches_the_complex_one(t, rate, w_sq):
+    got = _damping_kernel(t, rate, w_sq)
+    want, scale = complex_kernel(t, rate, w_sq)
+    for name, g, w, s in zip(("g", "gdot", "sinhc"), got, want, scale):
+        assert np.shape(g) == np.shape(w), name
+        # a few ulps of the terms: g and gdot cancel near their zeros
+        assert np.all(np.abs(g - w) <= 4.0 * EPS * s), name
+
+
+# Om^2 = rate^2 d: exactly 0, within a hair of 0, and well clear of it either way
+OMEGA_SIGN = (st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-6, -1e-6])
+              | st.floats(-4.0, 1.0))
+
+
+class TestRealKernel:
+    """The real kernel against the complex one it replaced, on both sides of Om^2 = 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.floats(0.05, 5.0), d=OMEGA_SIGN, t=st.floats(0.0, 20.0),
+           u=st.floats(1e-8, 1e-4))
+    def test_scalars(self, rate, d, t, u):
+        w_sq = 0.25 * rate * rate * (1.0 - d)
+        assert_kernel_matches_the_complex_one(t, rate, w_sq)
+        if d != 0.0:  # a time where |Om t / 2| = u, across the series cutoff
+            assert_kernel_matches_the_complex_one(2.0 * u / (rate * math.sqrt(abs(d))),
+                                                  rate, w_sq)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate=st.floats(0.05, 5.0), d=OMEGA_SIGN, t=TIMES)
+    def test_one_set_on_a_grid(self, rate, d, t):
+        assert_kernel_matches_the_complex_one(t, rate, 0.25 * rate * rate * (1.0 - d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_stacks(self, data, n):
+        # one time per set, as a bisection round evaluates them; both regimes in one stack
+        draw = lambda s: np.array(data.draw(st.lists(s, min_size=n, max_size=n)))  # noqa: E731
+        rate, d, t = draw(st.floats(0.05, 5.0)), draw(OMEGA_SIGN), draw(st.floats(0.0, 20.0))
+        assert_kernel_matches_the_complex_one(t, rate, 0.25 * rate * rate * (1.0 - d))
+        # and all sets at one time, as a ratio scan evaluates them
+        assert_kernel_matches_the_complex_one(float(t[0]), rate, 0.25 * rate * rate * (1.0 - d))
+
+    def test_thresholds_are_exact(self):
+        # Om = 0 (R = 1/2, C = 1/4): sinhc = 1 and g = 1 + rate t / 2 exactly
+        t = np.linspace(0.0, 20.0, 201)
+        g, gdot, sc = _damping_kernel(t, 1.0, 0.25)
+        assert np.all(sc == 1.0)
+        assert np.all(g == 1.0 + 0.5 * t)
+        assert np.all(gdot == 0.5)
+
+
+def complex_factors_and_rates(model, t):
+    """(P, Q, Pdot, Qdot) of the complex closed forms with the complex kernel."""
+    p = model.params
+    if isinstance(model, TimeLocalModel):
+        (g, gdot, sc), _ = complex_kernel(t, p.lam, p.W * p.W)
+        half = 0.5 * (p.lam + 1j * p.omega0)
+        return (np.exp(-p.lam * t) * g * g, np.exp(-half * t) * g,
+                -2.0 * p.W * p.W * t * np.exp(-p.lam * t) * g * sc,
+                np.exp(-half * t) * (gdot - half * g))
+    tau = p.tau(t)
+    (g1, _, sc1), _ = complex_kernel(tau, 1.0, p.C)
+    (g2, _, sc2), _ = complex_kernel(tau, 1.0, 0.5 * p.C)
+    xi2 = np.exp(-0.5 * tau) * g2
+    dxi2 = p.gamma * (-(0.5 * p.C) * tau * np.exp(-0.5 * tau) * sc2)
+    return (np.exp(-0.5 * tau) * g1, np.exp(-1j * p.omega0 * t) * xi2,
+            p.gamma * (-p.C * tau * np.exp(-0.5 * tau) * sc1),
+            np.exp(-1j * p.omega0 * t) * (dxi2 - 1j * p.omega0 * xi2))
+
+
+# rates up to 60 on TIMES: |Om| t / 2 stays below 710, where cosh overflows (ROADMAP item 1)
+MODEL_CASES = st.one_of(
+    st.builds(lambda W, R, w0: TimeLocalModel(TimeLocalParams(W, W / R, w0)),
+              st.floats(0.1, 3.0), st.floats(0.05, 3.0) | NEAR_THRESHOLD.map(
+                  lambda d: 0.5 * (1.0 + d)), st.floats(0.5, 2.0)),
+    st.builds(lambda g0, C, w0: MemoryKernelModel(MemoryKernelParams(g0, g0 / C, w0)),
+              st.floats(0.1, 2.0), st.floats(0.05, 1.5) | NEAR_THRESHOLD.map(
+                  lambda d: 0.25 * (1.0 + d)), st.floats(0.5, 2.0)),
+)
+
+
+class TestEnvelopes:
+    """The factors are the real envelopes turned by exp(-i omega_eff t)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=MODEL_CASES, t=TIMES)
+    def test_factors_turn_the_envelopes(self, model, t):
+        omega_eff = (0.5 if isinstance(model, TimeLocalModel) else 1.0) * model.omega0
+        (P, q), (p_dot, q_dot) = model.envelopes(t)
+        P_f, Q, (p_dot_f, q_dot_f) = model.factors_and_rates(t)
+        turn = np.exp(-1j * omega_eff * t)
+        assert [a.tobytes() for a in (P_f, p_dot_f)] == [a.tobytes() for a in (P, p_dot)]
+        assert np.array_equal(Q, turn * q)
+        assert np.array_equal(q_dot_f, turn * (q_dot - 1j * omega_eff * q))
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=MODEL_CASES, t=TIMES)
+    def test_match_the_complex_closed_forms(self, model, t):
+        # the envelopes' products round differently from the complex ones: a few
+        # ulps of |P|, |Q| <= 1 and of the rates' scale
+        got = model.factors_and_rates(t)
+        got = (got[0], got[1], *got[2])
+        want = complex_factors_and_rates(model, t)
+        rate_scale = 1.0 + model.omega0 + (model.params.lam if isinstance(model, TimeLocalModel)
+                                           else model.params.gamma)
+        for name, g, w, s in zip(("P", "Q", "Pdot", "Qdot"), got, want,
+                                 (1.0, 1.0, rate_scale, rate_scale)):
+            assert np.max(np.abs(g - w), initial=0.0) <= 8.0 * EPS * s, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(W=st.floats(0.6, 3.0), k=st.integers(0, 2),
+           offsets=st.lists(st.floats(-1e-11, 1e-11) | st.floats(-1e-3, 1e-3), min_size=1,
+                            max_size=6))
+    def test_decay_rate_poles_stay_where_they_were(self, W, k, offsets):
+        # times at and around the zeros of c (R = W / 1 > 1/2): decay_rates raises
+        # exactly where the complex kernel's |g| is below POLE_TOL
+        p = TimeLocalParams(W, 1.0, 1.0)
+        zero = first_amplitude_zero(p) + k * 2.0 * math.pi / abs(p.Omega.imag)
+        t = np.abs(zero + np.array(offsets))
+        (g, _, _), _ = complex_kernel(t, p.lam, p.W * p.W)
+        if np.any(np.abs(g) < POLE_TOL):
+            with pytest.raises(PoleError):
+                decay_rates(t, p)
+        else:
+            decay_rates(t, p)

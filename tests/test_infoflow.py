@@ -269,17 +269,16 @@ class TestClosedFormBoundaries:
            vt=st.floats(0.05, 0.5 * math.pi - 0.05), vp=st.floats(1e-6, 2.0 * math.pi))
     def test_coherent_states(self, W, R, z, vt, vp):
         # |rho01| >= 0.005: D decays like |c| and sigma keeps its sign up to
-        # the bisection tolerance at every boundary.  varphi0 stays clear of
-        # the underflow shown by test_underflowing_coherence_adds_no_boundary.
+        # the bisection tolerance at every boundary.  A varphi0 whose products
+        # underflow is test_underflowing_coherence_adds_no_boundary's case.
         p = TimeLocalParams(W, W / R, 1.0)
         ledger = flows(initial_state(InitialStateSpec(z, vt, vp)), TimeLocalModel(p), T)
         assert_boundaries_match(ledger, p, 0.0, 20.0)
 
-    @pytest.mark.xfail(strict=True, reason="sigma(0) = 5e-324 instead of 0 brackets a "
-                       "zero-length plateau at t = 0")
     def test_underflowing_coherence_adds_no_boundary(self):
-        # Im rho01 ~ 1e-311 makes the products in sigma(0) underflow, so the
-        # exact cancellation that gives sigma(0) = 0 fails
+        # Im rho01 ~ 1e-311 underflows the products of the complex sigma(0),
+        # which read 5e-324 and bracketed a zero-length plateau at t = 0; the
+        # real envelopes give sigma(0) = 0 exactly, since qdot(0) = Pdot(0) = 0
         p = TimeLocalParams(1.0, 1.0, 1.0)
         rho0 = initial_state(InitialStateSpec(1.0, 1.25, 2.225073858507e-311))
         assert_boundaries_match(flows(rho0, TimeLocalModel(p), T), p, 0.0, 20.0)
@@ -307,9 +306,14 @@ def pair_invariants(grid):
 
 
 def pairwise_scores(model, grid, times):
-    """Reference scorer: one pair at a time from its invariants, summing positive increments."""
-    P, Q = model.factors(times)
-    p_sq, q_sq = P * P, Q.real * Q.real + Q.imag * Q.imag
+    """Reference scorer: one pair at a time from its invariants, summing positive increments.
+
+    It reads P and |Q| = |q| from the envelopes as ``blp_measure`` does, so the
+    scores are bit-equal and ties resolve alike; |Q|^2 from the complex factors
+    differs in the last bit and can flip a tie in exact arithmetic.
+    """
+    (P, q), _ = model.envelopes(times)
+    p_sq, q_sq = P * P, q * q
     scores = []
     for dp00_sq, dcoh_sq in pair_invariants(grid):
         dist = np.sqrt(dp00_sq * p_sq + dcoh_sq * q_sq)
@@ -340,15 +344,13 @@ def assert_blp_matches_pairwise(model, grid, times):
 
 
 class NanAfter(TimeLocalModel):
-    """Time-local model whose factors and rates are NaN after ``t_bad``."""
+    """Time-local model whose envelopes and rates are NaN after ``t_bad``."""
 
     t_bad = 4.0
 
-    def _factors_of(self, t, kernel):
-        return tuple(np.where(t > self.t_bad, np.nan, f) for f in super()._factors_of(t, kernel))
-
-    def _rates_of(self, t, kernel):
-        return tuple(np.where(t > self.t_bad, np.nan, f) for f in super()._rates_of(t, kernel))
+    def _envelopes_of(self, t):
+        return tuple(tuple(np.where(t > self.t_bad, np.nan, f) for f in pair)
+                     for pair in super()._envelopes_of(t))
 
 
 BLP_TIMES = np.linspace(0.0, T, 201)
@@ -467,14 +469,14 @@ class TestBlp:
         real_pair_flows = infoflow.pair_flows
 
         def ledger(*args, **kwargs):
-            before_ledger.append((states.call_count, factors.call_count))
+            before_ledger.append((states.call_count, envelopes.call_count))
             return real_pair_flows(*args, **kwargs)
 
-        with mock.patch.object(model, "factors", wraps=model.factors) as factors, \
+        with mock.patch.object(model, "envelopes", wraps=model.envelopes) as envelopes, \
                 mock.patch.object(model, "states", wraps=model.states) as states, \
                 mock.patch.object(infoflow, "pair_flows", side_effect=ledger):
             blp_measure(model, grid, t_end=T, times=BLP_TIMES)
-        assert before_ledger == [(0, 1)]  # scoring reads the factors once, evolves nothing
+        assert before_ledger == [(0, 1)]  # scoring reads the envelopes once, evolves nothing
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), memory=st.booleans(), ratio=st.sampled_from([0.3, 0.7, 2.0]))

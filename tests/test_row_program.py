@@ -1,11 +1,12 @@
 """A sweep row, and a ratio scan, as one array program.
 
 A row's ledgers (``row_flows``) and literal phases (``gp_row``) share the
-factors of one model; every entry must equal the one-state call bit for bit,
+envelopes of one model; every entry must equal the one-state call bit for bit,
 or carry the error the one-state call raises.  The ledger kernel works from
-(P, Q) and the states' constants alone, so it is also checked against the
-evolved matrices: D against ``qstate.trace_distance``, sigma against a
-difference quotient of D, positivity against the evolved Bloch vectors.
+the real envelopes (P, q) and the states' constants alone, so it is also
+checked against the evolved matrices: D against ``qstate.trace_distance``,
+sigma against a difference quotient of D, positivity against the evolved
+Bloch vectors.
 
 A ratio scan's models differ in their parameters only: a model over a stack
 of parameter sets evaluates each set's factors and rates, so one state's
@@ -30,7 +31,7 @@ from qflow.errors import BracketError, ConfigError, NumericalError
 from qflow.geomphase import gp_route, gp_row
 from qflow.infoflow import flows, pair_flows, ratio_flows, row_flows, sigma
 from qflow.qstate import (DensityMatrix, InitialStateSpec, bloch_array, bloch_trace_distance,
-                          initial_state, trace_distance)
+                          eigenvalues, initial_state, trace_distance)
 
 T = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -130,7 +131,15 @@ def test_kernel_meets_the_evolved_matrices(model, s1, s2, kind, frac):
         other = [ref] * times.size
     want = [trace_distance(evolved(model, rho1, s), o) for s, o in zip(times, other)]
     assert np.max(np.abs(ledger.D - want)) <= 1e-14
-    assert ledger.positivity == positivity_check(times, model.bloch_series(rho1, times))
+    # the ledger takes |r| from the envelopes (P, q), the check from the evolved
+    # matrices: eigenvalues (1 - |r|) / 2 with |r| <= 1 agree to a few ulps of 1
+    bloch = model.bloch_series(rho1, times)
+    want, eigs = positivity_check(times, bloch), eigenvalues(bloch)[1]
+    got = ledger.positivity
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 4 * EPS
+    assert eigs[times == got.argmin_time][0] <= want.min_eigenvalue + 4 * EPS
+    assert (got.ok, got.first_violation_time, got.threshold) == (
+        want.ok, want.first_violation_time, want.threshold)
     d = ledger.D[1:6]
     assume(np.min(d) > 1e-3)  # away from D = 0, where D has a kink
     five_point = (d[0] - 8.0 * d[1] + 8.0 * d[3] - d[4]) / (12.0 * h)
@@ -183,15 +192,12 @@ def test_ratio_ledgers_equal_the_one_model_calls(sets, spec, fracs):
 
 
 class NanAboveLambda(TimeLocalModel):
-    """Time-local model whose factors and rates are NaN after t = 4 when lambda > 5."""
+    """Time-local model whose envelopes and rates are NaN after t = 4 when lambda > 5."""
 
-    def _factors_of(self, t, kernel):
+    def _envelopes_of(self, t):
         bad = (t > 4.0) & (np.asarray(self.params.lam) > 5.0)
-        return tuple(np.where(bad, np.nan, f) for f in super()._factors_of(t, kernel))
-
-    def _rates_of(self, t, kernel):
-        bad = (t > 4.0) & (np.asarray(self.params.lam) > 5.0)
-        return tuple(np.where(bad, np.nan, f) for f in super()._rates_of(t, kernel))
+        return tuple(tuple(np.where(bad, np.nan, f) for f in pair)
+                     for pair in super()._envelopes_of(t))
 
 
 def test_each_ratio_keeps_its_own_ledger_or_error():
