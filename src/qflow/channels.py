@@ -234,7 +234,9 @@ def _damping_kernel(t, rate, w_sq):
     u = 0.5 * np.sqrt(np.abs(omega_sq)) * t
     grow = omega_sq > 0.0
     if np.ndim(grow):  # a stack: each set in its own regime
-        ch, sh = np.cos(u), np.sin(u)
+        ch, sh = np.empty_like(u), np.empty_like(u)
+        np.cos(u, out=ch, where=~grow)
+        np.sin(u, out=sh, where=~grow)
         np.cosh(u, out=ch, where=grow)
         np.sinh(u, out=sh, where=grow)
     elif grow:
@@ -319,6 +321,9 @@ def _assemble(rho0: DensityMatrix, pop, coh_factor, trace: float) -> np.ndarray:
     return out
 
 
+_GROUND = DensityMatrix.ground()  # immutable, so every model hands out this one
+
+
 class _DampingModel:
     """A damping model bound to one parameter set.
 
@@ -353,7 +358,7 @@ class _DampingModel:
         return self.params.omega0
 
     def steady_state(self) -> DensityMatrix:
-        return DensityMatrix.ground()
+        return _GROUND
 
     def feature_scale(self) -> float:
         return self.params.feature_scale()
@@ -624,19 +629,26 @@ class PositivityReport:
     threshold: float
 
 
-def positivity_check(times, bloch) -> PositivityReport:
-    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -POSITIVITY_TOL."""
+def positivity_check(times, bloch) -> PositivityReport | list[PositivityReport]:
+    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -POSITIVITY_TOL.
+
+    Bloch vectors with a leading entry axis, (k, n, 3), are k trajectories on
+    the one grid: the result is then a list of k reports, each equal to the
+    report of that trajectory alone, from one eigenvalue evaluation.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ConfigError("positivity_check requires a non-empty sample")
     eigs = eigenvalues(bloch)[1]
-    i_min = int(np.argmin(eigs))
-    bad = np.flatnonzero(eigs < -POSITIVITY_TOL)
-    first = float(times[bad[0]]) if bad.size else None
-    return PositivityReport(
-        ok=bad.size == 0,
-        min_eigenvalue=float(eigs[i_min]),
-        argmin_time=float(times[i_min]),
-        first_violation_time=first,
-        threshold=POSITIVITY_TOL,
-    )
+    rows = eigs.reshape(-1, eigs.shape[-1])
+    i_min = np.argmin(rows, axis=1)
+    bad = rows < -POSITIVITY_TOL
+    any_bad = bad.any(axis=1).tolist()
+    first = np.argmax(bad, axis=1)
+    reports = [
+        PositivityReport(ok=not b, min_eigenvalue=e, argmin_time=t,
+                         first_violation_time=f if b else None, threshold=POSITIVITY_TOL)
+        for b, e, t, f in zip(any_bad, rows[np.arange(len(rows)), i_min].tolist(),
+                              times[i_min].tolist(), times[first].tolist())
+    ]
+    return reports if eigs.ndim == 2 else reports[0]

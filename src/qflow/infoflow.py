@@ -15,15 +15,17 @@ D and sigma come from the real envelopes (P, q), Q = q exp(-i omega_eff t),
 and their rates (Pdot, qdot), in the frame that turns with Q.  A
 bracket joins two grid samples of sigma that are nonzero and of opposite
 sign, so bisection starts from the grid's own values.  A sweep row's states
-share one model: :func:`row_flows` evaluates the envelopes and rates once on
-the grid, takes each state's arithmetic from them in turn, bisects all the
-row's brackets together (one ``envelopes`` call per round), and
-evaluates D only at the new boundary knots, reusing the grid values.
-:func:`ratio_flows` does the same for one state under many models of one
-class (a ratio scan): each model keeps its own grid, and the bisection and
-the knots run on the stack of the models' parameters.  :func:`flows` and
-:func:`pair_flows` are the one-state case.  The ledger's meta records the
-bracket count and the bisection rounds.
+share one model (:func:`row_flows`), and a ratio scan's models share one
+class (:func:`ratio_flows`): entries whose grids have the same size share
+one grid array and are taken in blocks of at most BLOCK_SAMPLES
+entry-samples, each block one array program over (entries x samples).  A
+sweep row's blocks share one ``envelopes`` call on the grid; a ratio scan
+makes one per block, on the stack of the block's parameter sets.  Then the
+row bisects all its brackets together (one
+``envelopes`` call per round), evaluates D only at the new boundary knots,
+reusing the grid values, and accumulates the runs a block at a time.
+:func:`flows` and :func:`pair_flows` are the one-state case.  The ledger's
+meta records the bracket count and the bisection rounds.
 
 The BLP scan scores state pairs without evolving them: both models map
 rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
@@ -54,7 +56,7 @@ from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_di
 DELTA_FLOOR = 1e-13
 SIGMA_NOISE_REL = 1e-9
 BISECT_REL_TOL = 1e-10
-PAIR_BLOCK_SAMPLES = 1 << 14  # pair-samples per scoring chunk: 128 KiB per D block
+BLOCK_SAMPLES = 1 << 14  # entry- or pair-samples per block: 128 KiB per float array
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,9 @@ def _d_sigma(consts, omega, t, envelopes, rates=None):
     difference D^2 = |w|^2 + (a P - b)^2 and
     D sigma = Re(conj(w) (alpha qdot - i omega beta exp(i omega t))) + (a P - b) a Pdot.
     With beta = 0 (the ground state, I/2, an evolving pair) that is
-    |alpha|^2 q^2 and |alpha|^2 q qdot, in real arithmetic.
+    |alpha|^2 q^2 and |alpha|^2 q qdot, in real arithmetic.  The frame is
+    chosen once per call, so the entries of one call share a kind of
+    reference: every beta nonzero, or every beta zero.
     """
     a, b, alpha, beta = consts
     P, q = envelopes
@@ -144,7 +148,7 @@ def _d_sigma(consts, omega, t, envelopes, rates=None):
         w_sq = w.real * w.real + w.imag * w.imag
     else:
         abs_alpha_sq = alpha.real * alpha.real + alpha.imag * alpha.imag
-        w_sq = q * q
+        w_sq = np.multiply(q, q, out=np.empty(np.shape(z)))  # z has the block's shape
         w_sq *= abs_alpha_sq
     w_sq += z * z
     dist = np.sqrt(w_sq)
@@ -155,7 +159,7 @@ def _d_sigma(consts, omega, t, envelopes, rates=None):
         w_dot = alpha * q_dot - 1j * omega * ref
         dot = w.real * w_dot.real + w.imag * w_dot.imag
     else:
-        dot = q * q_dot
+        dot = np.multiply(q, q_dot, out=np.empty(np.shape(z)))
         dot *= abs_alpha_sq
     z *= a * p_dot
     dot += z
@@ -202,65 +206,138 @@ def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
 
 
 def _brackets(dist, sig):
-    """Grid indices of the exact zeros of sigma and of the left ends of its sign changes.
+    """(row, column) grid indices of sigma's exact zeros and of the left ends of its sign changes.
 
-    Either needs a neighbour at or above the noise floor; a D that is
-    constant has neither.
+    ``dist`` and ``sig`` hold one entry per row.  Either needs a neighbour at
+    or above the row's noise floor; a row whose D is constant has neither.
     """
-    d_span = float(np.max(dist) - np.min(dist))
-    if d_span <= 1e-12 * max(1.0, float(np.max(dist))):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    d_max = dist.max(axis=1)
+    moving = (d_max - dist.min(axis=1) > 1e-12 * np.fmax(1.0, d_max))[:, None]
     mag = np.abs(sig)
-    big = mag >= SIGMA_NOISE_REL * float(np.max(mag))
+    big = mag >= SIGMA_NOISE_REL * mag.max(axis=1, keepdims=True)
     zero, neg = sig == 0.0, sig < 0.0
-    zeros = 1 + np.flatnonzero(zero[1:-1] & (big[:-2] | big[2:]))
-    pairs = np.flatnonzero(~zero[:-1] & ~zero[1:] & (neg[:-1] != neg[1:]) & (big[:-1] | big[1:]))
-    return zeros, pairs
+    zeros = moving & zero[:, 1:-1] & (big[:, :-2] | big[:, 2:])
+    pairs = (moving & ~zero[:, :-1] & ~zero[:, 1:] & (neg[:, :-1] != neg[:, 1:])
+             & (big[:, :-1] | big[:, 1:]))
+    # flat indices and divmod: np.nonzero of a 2-D mask is many times slower
+    rows, cols = np.divmod(np.flatnonzero(zeros), zeros.shape[1])
+    return (rows, cols + 1), np.divmod(np.flatnonzero(pairs), pairs.shape[1])
 
 
-def _accumulate(times, dist, bounds, d_bounds, t_end: float):
-    """Split [0, t_end] at the boundaries and telescope D over each run.
+def _accumulate(times, dist, rows, bounds, d_bounds, t_end: float):
+    """Split each row's [0, t_end] at its boundaries and telescope D over each run.
 
-    The boundaries are inserted into the sorted grid as knots with their D
-    (``d_bounds``); one equal to a grid time keeps the grid's D.
+    ``dist`` holds a block's D, one entry per row; ``rows``, ``bounds`` and
+    ``d_bounds`` list its boundaries, sorted by row and within a row by
+    time, with D there.  Each row's boundaries are inserted into the grid as
+    knots (one equal to a grid time keeps the grid's D), and the rows' knots
+    share one (rows x knots) array, padded past each row's last knot with
+    its D at t_end, so the cumulants are one ``cumsum`` per side whose row
+    prefixes are what each row alone gives.  Returns each row's segments and
+    the (rows x samples) N and M.
     """
+    m, n = dist.shape
     pos = np.searchsorted(times, bounds)
-    new = times[np.minimum(pos, times.size - 1)] != bounds
-    knots, d_knots, at = times, dist, slice(None)  # at: the grid samples among the knots
+    new = times[np.minimum(pos, n - 1)] != bounds
+    per_row = np.bincount(rows, minlength=m)
+    width, at, edge, d_knots = n, None, pos, dist  # at: the grid samples' flat knot indices
     if new.any():
-        pos = pos[new]
-        knots = np.insert(times, pos, bounds[new])
-        d_knots = np.insert(dist, pos, d_bounds[new])
-        at = np.arange(times.size)
-        at += np.searchsorted(pos, at, side="right")
-    edges = np.concatenate([[0.0], bounds, [t_end]])
-    edge_idx = np.searchsorted(knots, edges)
-    net = d_knots[edge_idx[1:]] - d_knots[edge_idx[:-1]]
-    floor = DELTA_FLOOR * max(1.0, float(np.max(d_knots)))
+        new_per_row = np.bincount(rows[new], minlength=m)
+        width += int(new_per_row.max())
+        # a grid sample's knot is its own index plus the new knots inserted before it
+        at = np.bincount(rows[new] * n + pos[new], minlength=m * n).reshape(m, n).cumsum(axis=1)
+        at += np.arange(n)
+        # a new knot's is its insertion point plus the row's new knots before it
+        rank = np.cumsum(new) - new - np.repeat(np.cumsum(new_per_row) - new_per_row, per_row)
+        edge = np.where(new, pos + rank, at[rows, np.minimum(pos, n - 1)])
+        at += width * np.arange(m)[:, None]
+        d_knots = np.empty((m, width))
+        d_knots[:] = dist[:, -1:]
+        d_knots.reshape(-1)[at] = dist
+        d_knots[rows[new], edge[new]] = d_bounds[new]
+
+    # each row's edges 0, its boundaries and t_end, whose knot is the row's last column
+    n_edges = per_row + 2
+    stop = np.cumsum(n_edges)
+    start = stop - n_edges
+    inner = np.ones(stop[-1], dtype=bool)
+    inner[start] = inner[stop - 1] = False
+    edge_idx = np.empty(stop[-1], dtype=np.intp)
+    edge_idx[start], edge_idx[stop - 1], edge_idx[inner] = 0, width - 1, edge
+    edge_t = np.empty(stop[-1])
+    edge_t[start], edge_t[stop - 1], edge_t[inner] = 0.0, t_end, bounds
+    edge_row = np.repeat(np.arange(m), n_edges)
+    d_edges = d_knots[edge_row, edge_idx]
+    within = np.ones(stop[-1] - 1, dtype=bool)  # edge pairs of one row: its runs
+    within[stop[:-1] - 1] = False
+    net = (d_edges[1:] - d_edges[:-1])[within]
+    floor = (DELTA_FLOOR * np.fmax(1.0, d_knots.max(axis=1)))[edge_row[:-1][within]]
     cls = np.where(net > floor, 1, np.where(net < -floor, -1, 0))
 
-    interval_cls = np.repeat(cls, np.diff(edge_idx))  # the run of each knot interval
-    dd = np.diff(d_knots)
-    n_cum = np.concatenate([[0.0], np.cumsum(np.where(interval_cls > 0, dd, 0.0))])
-    m_cum = np.concatenate([[0.0], np.cumsum(np.where(interval_cls < 0, -dd, 0.0))])
-    segments = tuple(
-        FlowSegment(float(edges[s]), float(edges[s + 1]), int(cls[s]), float(net[s]))
-        for s in range(cls.size)
-    )
-    return segments, n_cum[at], m_cum[at]
+    interval_cls = np.repeat(cls.astype(np.int8), np.diff(edge_idx)[within]).reshape(m, width - 1)
+    dd = np.diff(d_knots, axis=1)
+    n_cum, m_cum = np.zeros((m, width)), np.zeros((m, width))
+    np.copyto(n_cum[:, 1:], dd, where=interval_cls > 0)
+    np.cumsum(n_cum[:, 1:], axis=1, out=n_cum[:, 1:])
+    np.negative(dd, out=dd)
+    np.copyto(m_cum[:, 1:], dd, where=interval_cls < 0)
+    np.cumsum(m_cum[:, 1:], axis=1, out=m_cum[:, 1:])
+    del dd, interval_cls, d_knots
+    runs = list(map(FlowSegment, edge_t[:-1][within].tolist(), edge_t[1:][within].tolist(),
+                    cls.tolist(), net.tolist()))
+    first = np.cumsum(per_row + 1).tolist()
+    segments = [tuple(runs[lo:hi]) for lo, hi in zip([0] + first, first)]
+    if at is None:
+        return segments, n_cum, m_cum
+    return segments, n_cum.reshape(-1)[at], m_cum.reshape(-1)[at]
 
 
-class _OnGrid(NamedTuple):
-    """One entry of a ledger row on its model's sampling grid."""
+class _Block(NamedTuple):
+    """Entries of a ledger row on one sampling grid, one per row of the arrays."""
 
-    slot: int  # the entry's model in the row's stack of models
+    keys: list  # the entries' indices in the row
     times: np.ndarray
-    consts: tuple
     dist: np.ndarray
     sig: np.ndarray
-    positivity: PositivityReport
-    zeros: np.ndarray  # grid indices of exact zeros of sigma
-    pairs: np.ndarray  # left ends of the brackets
+    positivity: list
+    zeros: tuple  # (row, column) of the exact zeros of sigma
+    pairs: tuple  # (row, column) of the left ends of the brackets
+
+
+def _grid_block(keys, times, model, shared, entries, consts, out):
+    """D, sigma, positivity and brackets of the entries ``keys`` on their shared grid.
+
+    ``model`` is the entries' one model, whose envelopes on the grid are
+    ``shared``, or the stack of their parameters as a column (``shared`` is
+    None), evaluated here; ``consts`` holds the row's (a, b, alpha, beta),
+    one array each.  An entry whose D is not finite gets its
+    :class:`NumericalError` in ``out`` and leaves the block; None when none
+    is left.
+    """
+    block_consts = [c[keys, None] for c in consts]
+    (P, q), rates = model.envelopes(times) if shared is None else shared
+    dist, sig = _d_sigma(block_consts, model.omega_eff, times, (P, q), rates)
+    del shared, rates
+    finite = np.isfinite(dist)
+    live = finite.all(axis=1)
+    if not live.all():
+        for r in np.flatnonzero(~live):
+            t_bad = times[np.argmin(finite[r])]
+            out[keys[r]] = NumericalError(f"trace distance is not finite at t = {t_bad:.6g}")
+        keep = np.flatnonzero(live)
+        if not keep.size:
+            return None
+        keys, dist, sig = [keys[r] for r in keep], dist[keep], sig[keep]
+        P, q = (f[keep] if f.ndim == 2 else f for f in (P, q))
+    # rho1(t)'s Bloch vector in the turning frame: the same |r|, so the same eigenvalues
+    rho1s = [entries[k][1].matrix for k in keys]
+    bloch = np.zeros((3,) + dist.shape)
+    np.multiply(np.array([2.0 * abs(m[0, 1]) for m in rho1s])[:, None], q, out=bloch[0])
+    np.multiply(np.array([2.0 * m[0, 0].real for m in rho1s])[:, None], P, out=bloch[2])
+    bloch[2] -= 1.0
+    del P, q
+    positivity = positivity_check(times, np.moveaxis(bloch, 0, -1))
+    return _Block(keys, times, dist, sig, positivity, *_brackets(dist, sig))
 
 
 def _ledger_row(entries, t_end: float, times) -> list:
@@ -268,15 +345,21 @@ def _ledger_row(entries, t_end: float, times) -> list:
 
     The entries' models are of one class; entries may share a model (a
     sweep row's states) or each carry their own (a ratio scan).  Each model
-    is sampled on its own grid (``times``, or its own ``sample_times``) with
-    one ``envelopes`` call, which serves every entry of that
-    model: an entry's D and sigma follow from its constants alone
-    (:func:`_d_sigma`), and so does its positivity (|r| from P and q), and
-    no array spans entries and samples.  Then all
+    is sampled on ``times`` or its own ``sample_times``, and entries whose
+    grids have the same size share one grid array.  The entries of a grid
+    are taken in blocks of at most BLOCK_SAMPLES entry-samples (an entry
+    whose grid alone is larger is a block of one), and each block is one
+    array program over (entries x samples): envelopes (one call on the
+    stack of the block's parameter sets, or, when its entries share a
+    model, that model's one call on the grid, which all its blocks there
+    share), one :func:`_d_sigma`, one finiteness scan, one positivity
+    evaluation and one bracket scan.  An entry's D and sigma follow from its constants
+    alone, and so does its positivity (|r| from P and q).  Then all
     brackets of all entries are bisected together, one ``envelopes``
     call per round, and one more gives D at every
     entry's run boundaries; with several models these calls run on the
-    stack of their parameters, picked per bracket and per knot.
+    stack of their parameters, picked per bracket and per knot.  The runs
+    accumulate a block at a time.
     Each entry gets its ledger, or the :class:`NumericalError` it raised (a
     grid above the sample cap fails every entry of its model).
     """
@@ -291,34 +374,8 @@ def _ledger_row(entries, t_end: float, times) -> list:
     models = [entries[mine[0]][0] for mine in groups.values()]
     if len({type(m) for m in models}) > 1:
         raise ConfigError("the models of one ledger row must be of one class")
-    out: list = [None] * len(entries)
-    on_grid: dict[int, _OnGrid] = {}
-    for j, (model, mine) in enumerate(zip(models, groups.values())):
-        try:
-            grid = sample_times(model, t_end) if times is None else times
-        except NumericalError as exc:
-            for k in mine:
-                out[k] = exc
-            continue
-        (P, q), rates = model.envelopes(grid)
-        for k in mine:
-            _, rho1, rho2, evolve = entries[k]
-            consts = _constants(rho1, rho2, evolve)
-            dist, sig = _d_sigma(consts, model.omega_eff, grid, (P, q), rates)
-            bad = np.flatnonzero(~np.isfinite(dist))
-            if bad.size:
-                out[k] = NumericalError(f"trace distance is not finite at t = {grid[bad[0]]:.6g}")
-                continue
-            # rho1(t)'s Bloch vector in the turning frame: the same |r|, so the same eigenvalues
-            bloch = np.zeros((3,) + grid.shape)
-            np.multiply(2.0 * abs(rho1.matrix[0, 1]), q, out=bloch[0])
-            np.multiply(2.0 * rho1.matrix[0, 0].real, P, out=bloch[2])
-            bloch[2] -= 1.0
-            positivity = positivity_check(grid, bloch.T)
-            on_grid[k] = _OnGrid(j, grid, consts, dist, sig, positivity, *_brackets(dist, sig))
-        del P, q, rates
-    if not on_grid:
-        return out
+    if not entries:
+        return []
 
     if len(models) == 1:  # a sweep row: every bracket and knot is its one model's
         def model_at(idx):
@@ -330,50 +387,97 @@ def _ledger_row(entries, t_end: float, times) -> list:
         def model_at(idx):
             return model_cls(stack[idx])
 
-    # every bracket of the row, entry after entry, with its entry's constants and model
-    rows = list(on_grid.values())
-    slots = np.array([g.slot for g in rows])
-    counts = [g.pairs.size for g in rows]
-    owner = np.repeat(np.arange(len(rows)), counts)
-    per_bracket = [np.array([g.consts[j] for g in rows])[owner] for j in range(4)]
-    bracket_slots = slots[owner]
-    t_lo = np.concatenate([np.empty(0), *(g.times[g.pairs] for g in rows)])
-    t_hi = np.concatenate([np.empty(0), *(g.times[g.pairs + 1] for g in rows)])
-    fa = np.concatenate([np.empty(0), *(g.sig[g.pairs] for g in rows)])
+    out: list = [None] * len(entries)
+    consts = [np.array(c) for c in zip(*(_constants(*entry[1:]) for entry in entries))]
+    slot = np.zeros(len(entries), dtype=np.intp)  # each entry's model in the stack
+    grids: dict[int, np.ndarray] = {}  # one grid per sample count
+    sharing: dict[int, list[int]] = {}  # the entries on each grid
+    for j, (model, mine) in enumerate(zip(models, groups.values())):
+        try:
+            grid = sample_times(model, t_end) if times is None else times
+        except NumericalError as exc:
+            for k in mine:
+                out[k] = exc
+            continue
+        grids.setdefault(grid.size, grid)
+        slot[mine] = j
+        sharing.setdefault(grid.size, []).extend(mine)
+    blocks = []
+    last = None  # ((slot, size), envelopes) of the last one-model block, which the next may share
+    for size, keys in sharing.items():
+        keys.sort()
+        per_block = max(1, BLOCK_SAMPLES // size)
+        for lo in range(0, len(keys), per_block):
+            mine = keys[lo:lo + per_block]
+            slots = slot[mine]
+            if np.any(slots != slots[0]):
+                model, shared = model_at(slots[:, None]), None
+            else:  # one model, whose envelopes serve all its blocks on this grid
+                model = models[slots[0]]
+                if last is None or last[0] != (slots[0], size):
+                    last = (slots[0], size), model.envelopes(grids[size])
+                shared = last[1]
+            block = _grid_block(mine, grids[size], model, shared, entries, consts, out)
+            if block is not None:
+                blocks.append(block)
+    last = shared = None  # the grid envelopes are not needed past the grid pass
+    if not blocks:
+        return out
+
+    # every ledger of the row, block after block, with its constants and model
+    keys = [k for block in blocks for k in block.keys]
+    first = np.cumsum([0] + [len(block.keys) for block in blocks])  # each block's first ledger
+    per_ledger = [c[keys] for c in consts]
+    ledger_slots = slot[keys]
+    owner = np.concatenate([f + block.pairs[0] for f, block in zip(first, blocks)])
+    t_lo = np.concatenate([block.times[block.pairs[1]] for block in blocks])
+    t_hi = np.concatenate([block.times[block.pairs[1] + 1] for block in blocks])
+    fa = np.concatenate([block.sig[block.pairs] for block in blocks])
+    per_bracket = [c[owner] for c in per_ledger]
+    bracket_slots = ledger_slots[owner]
 
     def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
-        consts = tuple(c[which] for c in per_bracket)
         model = model_at(bracket_slots[which])
-        return _d_sigma(consts, model.omega_eff, ts, *model.envelopes(ts))[1]
+        return _d_sigma([c[which] for c in per_bracket], model.omega_eff, ts,
+                        *model.envelopes(ts))[1]
 
     roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
-    cuts = np.cumsum(counts)[:-1]
-    bounds = [np.unique(np.concatenate([g.times[g.zeros], r]))
-              for g, r in zip(rows, np.split(roots, cuts))]
-    knot_model = model_at(np.repeat(slots, [b.size for b in bounds]))
-    knot_t = np.concatenate([np.empty(0), *bounds])
-    knot_omega = np.broadcast_to(knot_model.omega_eff, knot_t.shape)
-    (knot_P, knot_q), _ = knot_model.envelopes(knot_t)
-    at = 0
-    for k, g, b, e in zip(on_grid, rows, bounds, np.split(evals, cuts)):
-        knots = slice(at, at + b.size)
-        at = knots.stop
-        d_bounds = _d_sigma(g.consts, knot_omega[knots], b, (knot_P[knots], knot_q[knots]))[0]
-        segments, n_s, m_s = _accumulate(g.times, g.dist, b, d_bounds, t_end)
-        model, _, rho2, evolve = entries[k]
-        out[k] = FlowLedger(
-            standard_state=rho2,
-            times=g.times,
-            D=g.dist,
-            sigma=g.sig,
-            N=n_s,
-            M=m_s,
-            segments=segments,
-            model=model.tag,
-            positivity=g.positivity,
-            meta={"t_end": float(t_end), "evolve_reference": evolve,
-                  "brackets": int(e.size), "bisect_rounds": int(e.max(initial=0))},
-        )
+    brackets = np.bincount(owner, minlength=len(keys)).tolist()
+    rounds = np.zeros(len(keys), dtype=int)
+    np.maximum.at(rounds, owner, evals)
+    rounds = rounds.tolist()
+
+    # each ledger's run boundaries: its grid zeros of sigma and its roots, sorted and unique
+    knot_owner = np.concatenate([owner, *(f + block.zeros[0] for f, block in zip(first, blocks))])
+    knot_t = np.concatenate([roots, *(block.times[block.zeros[1]] for block in blocks)])
+    order = np.lexsort((knot_t, knot_owner))
+    knot_owner, knot_t = knot_owner[order], knot_t[order]
+    distinct = np.ones(knot_t.size, dtype=bool)
+    distinct[1:] = (knot_owner[1:] != knot_owner[:-1]) | (knot_t[1:] != knot_t[:-1])
+    knot_owner, knot_t = knot_owner[distinct], knot_t[distinct]
+    knot_model = model_at(ledger_slots[knot_owner])
+    knot_d = _d_sigma([c[knot_owner] for c in per_ledger], knot_model.omega_eff, knot_t,
+                      knot_model.envelopes(knot_t)[0])[0]
+
+    at = np.searchsorted(knot_owner, first)  # each block's first knot
+    for block, f, lo, hi in zip(blocks, first, at[:-1], at[1:]):
+        segments, n_s, m_s = _accumulate(block.times, block.dist, knot_owner[lo:hi] - f,
+                                         knot_t[lo:hi], knot_d[lo:hi], t_end)
+        for r, k in enumerate(block.keys):
+            model, _, rho2, evolve = entries[k]
+            out[k] = FlowLedger(
+                standard_state=rho2,
+                times=block.times,
+                D=block.dist[r],
+                sigma=block.sig[r],
+                N=n_s[r],
+                M=m_s[r],
+                segments=segments[r],
+                model=model.tag,
+                positivity=block.positivity[r],
+                meta={"t_end": float(t_end), "evolve_reference": evolve,
+                      "brackets": brackets[f + r], "bisect_rounds": rounds[f + r]},
+            )
     return out
 
 
@@ -382,8 +486,9 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
     """:func:`flows` of every state in ``rho0s`` on one grid of one model.
 
     A sweep row's states share the envelopes: the row makes one
-    ``envelopes`` call on the grid and one per bisection round,
-    whatever its number of states.  Each entry is the state's ledger, bit
+    ``envelopes`` call on the grid, which serves all its blocks of up to
+    BLOCK_SAMPLES state-samples, and one per bisection round, whatever its
+    number of states.  Each entry is the state's ledger, bit
     for bit the one :func:`flows` returns, or the :class:`NumericalError`
     that :func:`flows` would raise.
     """
@@ -394,11 +499,13 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
 def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
     """:func:`flows` of one state under each of several models of one class.
 
-    A ratio scan's models differ in their parameters only: each is sampled
-    on its own grid, and then all their brackets share one bisection (one
-    ``envelopes`` call per round on the stack of their
-    parameters) and one more gives D at all their run
-    boundaries.  Each entry is the model's ledger against its steady state,
+    A ratio scan's models differ in their parameters only: models whose
+    grids have the same size share one grid, evaluated for a block of
+    BLOCK_SAMPLES model-samples at a time by one ``envelopes`` call on the
+    stack of the block's parameters; then all their brackets share one
+    bisection (one call per round on the stack of their parameters) and one
+    more gives D at all their run boundaries.  Each entry is the model's
+    ledger against its steady state,
     bit for bit the one :func:`flows` returns, or the
     :class:`NumericalError` that :func:`flows` would raise.
     """
@@ -548,7 +655,7 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     (P, q), _ = model.envelopes(times)
     p_sq, q_sq = P * P, q * q
 
-    chunk = max(1, PAIR_BLOCK_SAMPLES // times.size)
+    chunk = max(1, BLOCK_SAMPLES // times.size)
     distinct_scores = np.empty(distinct.size, dtype=float)
     for lo in range(0, distinct.size, chunk):
         block = distinct[lo:lo + chunk]
@@ -562,8 +669,8 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     # when every key ties (a Markovian model) the first chunk ends it
     top = distinct_scores[np.argmax(distinct_scores)]  # a NaN score wins
     winners = distinct[(distinct_scores == top) | np.isnan(distinct_scores)]
-    for lo in range(0, keys.size, PAIR_BLOCK_SAMPLES):
-        hit = np.isin(keys[lo:lo + PAIR_BLOCK_SAMPLES], winners)
+    for lo in range(0, keys.size, BLOCK_SAMPLES):
+        hit = np.isin(keys[lo:lo + BLOCK_SAMPLES], winners)
         if hit.any():
             best = lo + int(np.argmax(hit))
             break

@@ -361,6 +361,31 @@ class TestMemoryKernelPropagation:
         assert not positivity_check(oracle.times, oracle.bloch()).ok
 
 
+class TestStackedPositivity:
+    # few distinct components, so argmin ties and |r| > 1 + 2e-9 violations are common
+    COMPONENT = (st.sampled_from([0.0, 0.5, -0.5, 1.0, 1.0 + 1e-9, 1.0 + 1e-8])
+                 | st.floats(-1.2, 1.2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 9))
+    def test_stacked_reports_equal_the_one_trajectory_calls(self, data, k, n):
+        bloch = np.array(data.draw(st.lists(self.COMPONENT, min_size=3 * k * n,
+                                            max_size=3 * k * n))).reshape(k, n, 3)
+        times = np.cumsum(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        stacked = positivity_check(times, bloch)
+        assert stacked == [positivity_check(times, one) for one in bloch]
+
+    def test_ties_and_first_violation_per_entry(self):
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        ok_row = [[0, 0, 0.5], [0, 0, 0.9], [0, 0, 0.2], [0, 0, 0.9]]  # tie at t = 1, 3
+        bad_row = [[0, 0, 0.5], [1.0, 0.5, 0], [0, 0, 1.0], [0.5, 1.0, 0]]  # tie at t = 1, 3
+        stacked = positivity_check(times, np.array([ok_row, bad_row], dtype=float))
+        assert [(r.ok, r.argmin_time, r.first_violation_time) for r in stacked] == [
+            (True, 1.0, None), (False, 1.0, 1.0)]
+        assert stacked == [positivity_check(times, np.array(row, dtype=float))
+                           for row in (ok_row, bad_row)]
+
+
 class TestTrajectoryType:
     def test_requires_zero_start(self):
         states = np.broadcast_to(np.eye(2, dtype=complex) * 0.5, (3, 2, 2))

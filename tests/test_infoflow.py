@@ -18,7 +18,7 @@ from qflow.channels import (
 from qflow.errors import ConfigError, NumericalError
 from qflow.infoflow import (
     BISECT_REL_TOL,
-    PAIR_BLOCK_SAMPLES,
+    BLOCK_SAMPLES,
     PairGrid,
     _bisect_all,
     blp_measure,
@@ -119,6 +119,18 @@ class TestFlows:
         assert ledger.positivity is not None
         assert not ledger.positivity.ok
         assert ledger.identity_residual() < 1e-8
+
+    def test_grid_ending_within_tolerance_of_the_horizon(self):
+        # a caller's grid may end up to 1e-9 relative short of t_end or past
+        # it; the last run ends at t_end with D at the last sample
+        model, rho0 = tl_model(1.0, 0.5), initial_state(EQUATOR)
+        exact = flows(rho0, model, T, times=np.linspace(0.0, T, 801))
+        for end in (T * (1.0 - 1e-12), T * (1.0 + 1e-12)):
+            ledger = flows(rho0, model, T, times=np.linspace(0.0, end, 801))
+            assert ledger.segments[-1].t_hi == T
+            assert len(ledger.segments) == len(exact.segments)
+            assert ledger.N_total == pytest.approx(exact.N_total, abs=1e-12)
+            assert ledger.M_total == pytest.approx(exact.M_total, abs=1e-12)
 
     def test_bad_grid_rejected(self):
         model = tl_model(0.5, 1.0)
@@ -354,7 +366,7 @@ class NanAfter(TimeLocalModel):
 
 
 BLP_TIMES = np.linspace(0.0, T, 201)
-BLP_CHUNK = PAIR_BLOCK_SAMPLES // BLP_TIMES.size
+BLP_CHUNK = BLOCK_SAMPLES // BLP_TIMES.size
 BLP_POOL = default_state_grid(2, 3, (0.5, 1.0))
 BLP_POOL += [DensityMatrix(s.matrix) for s in BLP_POOL[:4]]  # equal, distinct objects
 WIDE_POOL = default_state_grid(3, 8, (0.5, 1.0))  # 1128 pairs, 248 distinct keys
@@ -522,8 +534,8 @@ class TestBlp:
         north = initial_state(InitialStateSpec(1.0, 0.3, 0.0))
         south, turned = (initial_state(InitialStateSpec(1.0, 1.2, phi)) for phi in (0.0, 1.5))
         states = [north, south, turned]
-        first = np.array([0] * (PAIR_BLOCK_SAMPLES + 5) + [0, 0, 0])
-        second = np.array([0] * (PAIR_BLOCK_SAMPLES + 5) + [2, 1, 2])
+        first = np.array([0] * (BLOCK_SAMPLES + 5) + [0, 0, 0])
+        second = np.array([0] * (BLOCK_SAMPLES + 5) + [2, 1, 2])
 
         def by_population(x, y, p_sq, q_sq):
             return np.multiply.outer(x, np.linspace(0.0, 1.0, p_sq.size))
@@ -531,7 +543,7 @@ class TestBlp:
         with mock.patch.object(infoflow, "_pair_distance", by_population):
             result = blp_measure(tl_model(1.0, 0.5), PairGrid(states, first, second),
                                  t_end=T, times=BLP_TIMES)
-        assert result.argmax_index == PAIR_BLOCK_SAMPLES + 5
+        assert result.argmax_index == BLOCK_SAMPLES + 5
         assert result.n_distinct == 3
 
     def test_non_markovian_grid_is_positive(self):

@@ -13,6 +13,11 @@ of parameter sets evaluates each set's factors and rates, so one state's
 ledgers under many models (``ratio_flows``) share one bisection, and
 ``critical_point`` evaluates its grid stacked.  Both must equal the
 one-model calls bit for bit.
+
+Entries on grids of one size are taken in blocks of at most
+``infoflow.BLOCK_SAMPLES`` entry-samples, one ``envelopes`` call per block;
+with the budget made small, rows and ratio scans split into many blocks,
+and every entry must still equal the one-entry call.
 """
 
 import math
@@ -23,7 +28,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qflow import analysis, channels
+from qflow import analysis, channels, infoflow
 from qflow.analysis import CriticalPointReport, critical_point, integrand_A_from_model
 from qflow.channels import (MemoryKernelModel, MemoryKernelParams, TimeLocalModel,
                             TimeLocalParams, positivity_check)
@@ -214,6 +219,94 @@ def test_each_ratio_keeps_its_own_ledger_or_error():
         one = assert_same_entry(ledger, lambda: flows(rho0, model, T))
         if one is not None:
             assert_same_ledger(ledger, one)
+
+
+class NanInBand(TimeLocalModel):
+    """Time-local model whose envelopes and rates are NaN after t = 4 when 1 < lambda < 1.5.
+
+    At W <= 3 such a model keeps the 801-sample grid of its neighbours at
+    T = 2 pi, so its entry fails inside a block of good ones.
+    """
+
+    def _envelopes_of(self, t):
+        lam = np.asarray(self.params.lam)
+        bad = (t > 4.0) & (lam > 1.0) & (lam < 1.5)
+        return tuple(tuple(np.where(bad, np.nan, f) for f in pair)
+                     for pair in super()._envelopes_of(t))
+
+
+# lambda up to 60 needs grids of up to ~15k samples; 1.25 is a NaN entry on the
+# 801-sample grid, 5e4 a grid above the sample cap
+BLOCK_LAMS = st.floats(0.1, 60.0) | st.sampled_from([1.25, 5e4])
+# a reference with coherence takes the turning-frame branch of the kernel
+COHERENT = st.builds(InitialStateSpec, st.floats(0.1, 1.0), st.floats(0.2, math.pi - 0.2),
+                     st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(W=st.floats(0.3, 3.0), lams=st.lists(BLOCK_LAMS, min_size=1, max_size=12),
+       specs=st.lists(STATES, min_size=1, max_size=12), reference=st.none() | COHERENT,
+       budget=st.sampled_from([1, 2000, 4000]))
+def test_entries_across_block_edges_equal_the_one_entry_calls(W, lams, specs, reference, budget):
+    rho0s = [initial_state(spec) for spec in specs]
+    ref = None if reference is None else initial_state(reference)
+    models = [NanInBand(TimeLocalParams(W, lam, 1.0)) for lam in lams]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infoflow, "BLOCK_SAMPLES", budget)
+        scan = ratio_flows(rho0s[0], models, T)
+        row = row_flows(rho0s, models[0], T, standard_state=ref)
+    for model, ledger in zip(models, scan):
+        one = assert_same_entry(ledger, lambda: flows(rho0s[0], model, T))
+        if one is not None:
+            assert_same_ledger(ledger, one)
+    for rho0, ledger in zip(rho0s, row):
+        one = assert_same_entry(ledger, lambda: flows(rho0, models[0], T, standard_state=ref))
+        if one is not None:
+            assert_same_ledger(ledger, one)
+
+
+def spy_envelopes(monkeypatch) -> list:
+    """The time arguments of every ``envelopes`` call, in call order."""
+    calls = []
+    envelopes = channels._DampingModel.envelopes
+
+    def spy(self, t):
+        calls.append(np.asarray(t))
+        return envelopes(self, t)
+
+    monkeypatch.setattr(channels._DampingModel, "envelopes", spy)
+    return calls
+
+
+def test_one_grid_envelopes_call_per_block(monkeypatch):
+    # the criterion-8 ratio scan: 61 models, all on the 801-sample grid
+    models = [TimeLocalModel(TimeLocalParams(0.6, 1.0, 1.0).at_ratio(R))
+              for R in np.linspace(0.4, 1.0, 61)]
+    grid = channels.sample_times(models[0], T)
+    assert all(np.array_equal(channels.sample_times(m, T), grid) for m in models)
+    rho0 = initial_state(InitialStateSpec(1.0, math.pi / 3, 0.0))
+    calls = spy_envelopes(monkeypatch)
+    ledgers = ratio_flows(rho0, models, T)
+    on_grid = sum(1 for t in calls if np.array_equal(t, grid))
+    # blocks of BLOCK_SAMPLES // 801 = 20 models: 4 calls, not 61
+    assert on_grid == math.ceil(61 / (infoflow.BLOCK_SAMPLES // grid.size)) == 4
+    # then one call per bisection round and one for the boundary knots
+    assert len(calls) == on_grid + max(ledger.meta["bisect_rounds"] for ledger in ledgers) + 1
+
+    # a row's states share their model's grid call, also across blocks
+    rho0s = [initial_state(InitialStateSpec(z, 0.6, 0.3)) for z in (0.25, 0.5, 0.75, 1.0)]
+    for budget in (infoflow.BLOCK_SAMPLES, grid.size):  # one block; one state per block
+        monkeypatch.setattr(infoflow, "BLOCK_SAMPLES", budget)
+        calls.clear()
+        ledgers = row_flows(rho0s, models[-1], T)
+        assert sum(1 for t in calls if np.array_equal(t, grid)) == 1
+        assert len(calls) == 1 + max(ledger.meta["bisect_rounds"] for ledger in ledgers) + 1
+
+
+def test_an_empty_row_has_no_entries():
+    model = TimeLocalModel(TimeLocalParams(1.0, 2.0, 1.0))
+    assert row_flows([], model, T) == []
+    assert ratio_flows(initial_state(InitialStateSpec(1.0, 0.7, 0.4)), [], T) == []
 
 
 def test_a_stack_is_of_one_class():
