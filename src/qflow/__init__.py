@@ -79,9 +79,7 @@ from .qstate import (
     DensityMatrix,
     InitialStateSpec,
     PolarBloch,
-    SpectralDecomposition,
     density_from_bloch,
-    eigendecompose,
     initial_state,
     trace_distance,
 )

@@ -258,7 +258,9 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     bisection.  D(T, R) and A(T, R) are then differenced at R* (centered,
     which reads near zero across D's cusp as at A's extremum), and the
     backflow onset is compared against the collapse of dM/dR on the grid;
-    a range in which either event is missing raises :class:`BracketError`.
+    a range in which either event is missing, or whose onset lies on one of
+    its last two points (no forward difference of M above it), raises
+    :class:`BracketError`.
     The scales and dM/dR need an interior grid point, so ``steps < 3``
     raises :class:`ConfigError`, as does ``T <= 0`` or a non-finite T or range end.
 
@@ -335,9 +337,12 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     if below.size == 0:
         raise BracketError(f"no collapse of dM/dR below half its peak in [{r_min}, {r_max}]")
     m_flat_idx = peak + int(below[0]) + 1
+    if onset_idx + 2 >= steps:  # dm_at_onset differences M at the two points above it
+        raise BracketError(f"backflow onset at R = {grid[onset_idx]:.6g} leaves no forward "
+                           f"difference of M in [{r_min}, {r_max}]")
 
     step_R = float(grid[1] - grid[0])
-    dm_onset = (m_grid[min(onset_idx + 2, steps - 1)] - m_grid[min(onset_idx + 1, steps - 1)]) / step_R
+    dm_onset = (m_grid[onset_idx + 2] - m_grid[onset_idx + 1]) / step_R
 
     return CriticalPointReport(
         r_star=float(r_star),

@@ -38,12 +38,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericalError, PoleError, StepSizeError, require_finite
-from .qstate import SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, bloch_array, eigenvalues
+from .qstate import (POSITIVITY_TOL, SIGMA_MINUS, SIGMA_PLUS, DensityMatrix, bloch_array,
+                     eigenvalues)
 
 POLE_TOL = 1e-12
 ORACLE_CONVERGENCE_TOL = 1e-8
 ORACLE_MAX_HALVINGS = 10
-POSITIVITY_TOL = 1e-9
 # sample_times: at least MIN_SAMPLES, SAMPLES_PER_FEATURE per feature scale,
 # and a grid above MAX_SAMPLES is a NumericalError
 MIN_SAMPLES = 801

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .analysis import PRESET_NAMES, SweepSpec, critical_point, figure_preset, run_sweep
 from .channels import (
-    POSITIVITY_TOL,
     MemoryKernelModel,
     MemoryKernelParams,
     TimeLocalModel,
@@ -29,7 +28,7 @@ from .channels import (
 from .errors import ConfigError, NumericalError, require_finite
 from .geomphase import figure_value, gp_route
 from .infoflow import flows
-from .qstate import InitialStateSpec, eigenvalues, initial_state
+from .qstate import POSITIVITY_TOL, InitialStateSpec, eigenvalues, initial_state
 
 
 def _setting(default, help: str, **extra):

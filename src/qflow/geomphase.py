@@ -57,16 +57,21 @@ from .errors import (
     sole_result,
 )
 from .qstate import (
-    DEGENERACY_EPS,
     DensityMatrix,
     InitialStateSpec,
     bloch_array,
     eigenbasis,
     initial_state,
+    require_nondegenerate,
 )
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
+# phase_integrand's radicand 4 D^2 - 2 r_z - 1 is |r|^2 formed by cancelling
+# terms of order one, and a flow ledger's D adds its identity residual: below
+# |r| ~ 1e-6 it has no digits left, so the state counts as the ball centre
+# there; a radicand below RADICAND_MISMATCH pairs a D and an r_z of two states
+RADICAND_FLOOR, RADICAND_MISMATCH = 1e-12, -1e-10
 # the doubling ladder: 2000 intervals per quasi-period, doubled at most 7 times
 LADDER_INTERVALS = 2000
 MAX_DOUBLINGS = 7
@@ -129,7 +134,7 @@ def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, Br
 
     ``"spectral"`` reads the eigenbasis off the matrices; ``"literal"`` uses
     the fixed azimuth omega0 t + phi0 recorded in the trajectory metadata.
-    A sample with a NaN state raises :class:`NumericalError`.
+    The samples' |r| must pass :func:`qflow.qstate.require_nondegenerate`.
     """
     times = traj.times
     azimuth = None
@@ -139,17 +144,9 @@ def branch_data(traj: Trajectory, mode: str = "literal") -> tuple[BranchData, Br
         except KeyError:
             raise ConfigError("literal mode requires omega0 in the trajectory metadata")
         azimuth = omega0 * times + traj.meta.get("phi0", 0.0)
-    bloch = bloch_array(traj.states)
-    eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch, mode, azimuth)
-    gap = eps_plus - eps_minus  # |r|
-    k_min = int(np.argmin(gap))  # the first NaN, if there is one
-    if not gap[k_min] >= DEGENERACY_EPS:
-        if np.isnan(gap[k_min]):
-            k_bad = int(np.flatnonzero(~np.isfinite(gap))[0])
-            raise NumericalError(f"state is not finite at t = {times[k_bad]:.6g}")
-        raise DegenerateStateError(
-            f"eigenbasis undefined: |r| = {gap[k_min]:.3e} at t = {times[k_min]:.6g}"
-        )
+    r, eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch_array(traj.states), mode,
+                                                               azimuth)
+    require_nondegenerate(r, times)
     return BranchData("plus", eps_plus, v_plus), BranchData("minus", eps_minus, v_minus)
 
 
@@ -411,14 +408,15 @@ def phase_integrand(d, r_z, omega0: float):
     """Phase integrand omega0 [1/2 + r_z / (2 sqrt(4 D^2 - 2 r_z - 1))], elementwise.
 
     D is the trace distance to the ground state.  The radicand equals |r|^2:
-    below -1e-10 D and r_z are not one state's (:class:`NumericalError`),
-    below 1e-12 r -> 0 (:class:`DegenerateStateError`).
+    below RADICAND_MISMATCH D and r_z are not one state's
+    (:class:`NumericalError`), below RADICAND_FLOOR r -> 0
+    (:class:`DegenerateStateError`).
     """
     radicand = 4.0 * d * d - 2.0 * r_z - 1.0
     low = float(np.min(radicand))
-    if low < -1e-10:
+    if low < RADICAND_MISMATCH:
         raise NumericalError(f"negative phase-integrand radicand {low:.3e}")
-    if low < 1e-12:
+    if low < RADICAND_FLOOR:
         raise DegenerateStateError(f"phase integrand degenerate (r -> 0): radicand {low:.3e}")
     return omega0 * (0.5 + r_z / (2.0 * np.sqrt(radicand)))
 
@@ -446,8 +444,9 @@ def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> Pha
     MAX_DOUBLINGS times, then a RuntimeWarning and ``converged`` False).  A
     ``tol`` within a few ulps of omega0 T is below the rounding of the
     connections, so it is never met.  The cell fails where the literal
-    ladder's rung does: a non-finite state (:class:`NumericalError`),
-    |r| < DEGENERACY_EPS or a successive overlap below OVERLAP_FLOOR
+    ladder's rung does, by the same rule on |r|
+    (:func:`qflow.qstate.require_nondegenerate`: a non-finite state or a
+    state at the ball centre), a successive overlap below OVERLAP_FLOOR
     (:class:`DegenerateStateError`), a vanishing branch sum
     (:class:`PhaseUndefinedError`).  A sweep row runs its states on one
     stack of rungs (:func:`gp_row`); this is its one-state case.
@@ -486,7 +485,8 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
     """One rung of :func:`gp_flow_form` for the states (p00, |coh|) on a uniform grid of odd size.
 
     The arithmetic runs on (states, samples) arrays, elementwise and row by
-    row as for one state.  The checks run on the whole stack in the
+    row as for one state.  Each row meets :func:`require_nondegenerate` and
+    then the overlap floor on every sample and on every second one, the
     one-state rung's order; a state gets the error of the first check it
     fails in place of its result and leaves the stack, so every entry equals
     the one-state rung's.
@@ -496,15 +496,12 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
     r_z = 2.0 * p00[:, None] * pop - 1.0
     transverse = 2.0 * coh[:, None] * q  # only its square is read
     r = np.sqrt(r_z * r_z + transverse * transverse)
-    rows = np.arange(p00.size)
-    finite = np.isfinite(r)
-    k_min = np.argmin(r, axis=1)
-    checks = [  # (rows that fail, their error), in the one-state rung's order
-        (~finite.all(axis=1), lambda i: NumericalError(
-            f"state is not finite at t = {times[np.argmin(finite[i])]:.6g}")),
-        (r[rows, k_min] < DEGENERACY_EPS, lambda i: DegenerateStateError(
-            f"eigenbasis undefined: |r| = {r[i, k_min[i]]:.3e} at t = {times[k_min[i]]:.6g}")),
-    ]
+    rows, out = np.arange(p00.size), [None] * p00.size
+    for i in rows:
+        try:
+            require_nondegenerate(r[i], times)
+        except NumericalError as exc:
+            out[i] = exc
     # a row that failed a check goes on as NaN or inf, and is dropped below
     with np.errstate(all="ignore"):
         # cos^2(theta/2) = (r + r_z) / 2r and sin^2 = (r - r_z) / 2r, the smaller
@@ -526,14 +523,14 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
             a = s[:, :-stride:stride] * s[:, stride::stride]
             b = c[:, :-stride:stride] * c[:, stride::stride]
             step_sq = a * a + b * b + 2.0 * a * b * math.cos(omega0 * stride * h)
-            k_bad = stride * np.argmin(step_sq, axis=1)
-            checks.append((
-                step_sq[rows, k_bad // stride] < OVERLAP_FLOOR * OVERLAP_FLOOR,
-                lambda i, k_bad=k_bad, stride=stride: DegenerateStateError(
-                    "eigenbasis discontinuity (near degeneracy crossing) between "
-                    f"t = {times[k_bad[i]]:.6g} and t = {times[k_bad[i] + stride]:.6g}")))
+            k_bad = np.argmin(step_sq, axis=1)
+            for i in np.flatnonzero(step_sq[rows, k_bad] < OVERLAP_FLOOR * OVERLAP_FLOOR):
+                if out[i] is None:
+                    k = stride * k_bad[i]
+                    out[i] = DegenerateStateError(
+                        "eigenbasis discontinuity (near degeneracy crossing) between "
+                        f"t = {times[k]:.6g} and t = {times[k + stride]:.6g}")
         del a, b, step_sq
-    out: list = [next((error(i) for bad, error in checks if bad[i]), None) for i in rows]
     live = np.flatnonzero([entry is None for entry in out])  # the state of each stack row
     if live.size < rows.size:
         r_z, r, c, s = r_z[live], r[live], c[live], s[live]

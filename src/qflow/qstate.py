@@ -1,8 +1,11 @@
-"""Qubit state representations, conversions, eigendecomposition, trace distance.
+"""Qubit state representations, conversions, eigenvalues and eigenbasis, trace distance.
 
 Each qubit-geometry formula is written once here, vectorised over samples:
 :func:`bloch_array`, :func:`bloch_dot`, :func:`eigenvalues`,
-:func:`eigenbasis` and :func:`bloch_trace_distance`.
+:func:`eigenbasis` and :func:`bloch_trace_distance`.  So is each eigenvalue
+decision: a state is positive while its smaller eigenvalue is at least
+-POSITIVITY_TOL, and a sampled path has an eigenbasis while
+:func:`require_nondegenerate` passes on its |r|.
 
 Conventions (see CONVENTIONS.md for the full story):
 
@@ -12,7 +15,7 @@ Conventions (see CONVENTIONS.md for the full story):
 * ``rho = (I + r . sigma) / 2`` with r = r (sin theta cos phi,
   sin theta sin phi, cos theta), hence
   ``rho[0, 1] = r sin(theta) exp(-i phi) / 2``.
-* Eigendecomposition comes in two flavours, ``"spectral"`` (true
+* The eigenbasis comes in two flavours, ``"spectral"`` (true
   eigenvectors of the matrix) and ``"literal"`` (the fixed parameterised
   family used by the closed-form phase expressions, with the azimuth
   supplied by the caller).  They carry the same eigenvalues and the same
@@ -26,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStateError, UnphysicalStateError, require_finite
+from .errors import (ConfigError, DegenerateStateError, NumericalError, UnphysicalStateError,
+                     require_finite)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 BLOCH_NORM_TOL = 1e-9
-EIGENVALUE_FLOOR = -1e-9
+POSITIVITY_TOL = 1e-9
 DEGENERACY_EPS = 1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -180,35 +184,11 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(eigenvalues(self.bloch().as_array())[1])
 
-    def is_positive(self, tol: float = -EIGENVALUE_FLOOR) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_positive(self) -> bool:
+        return self.min_eigenvalue() >= -POSITIVITY_TOL
 
     def isclose(self, other: "DensityMatrix", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.matrix - other.matrix)) <= tol)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Instantaneous eigenvalues and eigenbasis parameterisation of a state.
-
-    ``eps_plus >= eps_minus`` with ``eps_plus + eps_minus = 1``.  The
-    eigenvectors are reconstructed from (theta_t, phase) according to
-    ``mode``; when ``degenerate`` is set the angles are meaningless and
-    consumers must branch.
-    """
-
-    eps_plus: float
-    eps_minus: float
-    theta_t: float
-    phase: float
-    degenerate: bool
-    mode: str = "spectral"
-
-    def psi_plus(self) -> np.ndarray:
-        return _eigenvectors(self.theta_t, self.phase, self.mode)[0]
-
-    def psi_minus(self) -> np.ndarray:
-        return _eigenvectors(self.theta_t, self.phase, self.mode)[1]
 
 
 def bloch_dot(a: np.ndarray, b: np.ndarray):
@@ -235,14 +215,39 @@ def bloch_array(states) -> np.ndarray:
     return out
 
 
+def _radius_and_eigenvalues(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|r|, eps_plus, eps_minus) of float Bloch arrays (..., 3)."""
+    r = np.sqrt(bloch_dot(b, b))
+    return r, 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+
+
 def eigenvalues(bloch) -> tuple[np.ndarray, np.ndarray]:
     """(eps_plus, eps_minus) = ((1 + |r|)/2, (1 - |r|)/2) of Bloch arrays (..., 3).
 
-    Also for a non-positive matrix (|r| > 1): eps_minus is the minimum eigenvalue.
+    Also for a non-positive matrix (|r| > 1): eps_minus is the minimum
+    eigenvalue, and the state counts as positive while it is at least
+    -POSITIVITY_TOL.
     """
-    b = np.asarray(bloch, dtype=float)
-    r = np.sqrt(bloch_dot(b, b))
-    return 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+    return _radius_and_eigenvalues(np.asarray(bloch, dtype=float))[1:]
+
+
+def require_nondegenerate(r, times) -> None:
+    """Raise unless the Bloch radii |r| sampled at ``times`` all have an eigenbasis.
+
+    The one degeneracy rule of the phase routes, applied by each on its own
+    grid: the first non-finite sample raises :class:`NumericalError`, and a
+    smallest |r| below DEGENERACY_EPS (the Bloch-ball centre, where
+    eps_plus = eps_minus) raises :class:`DegenerateStateError`.  Only the
+    samples are read, so a path that crosses the centre between two of them
+    passes here and meets the routes' overlap floor instead.
+    """
+    finite = np.isfinite(r)
+    if not finite.all():
+        raise NumericalError(f"state is not finite at t = {times[np.argmin(finite)]:.6g}")
+    k = np.argmin(r)
+    if r[k] < DEGENERACY_EPS:
+        raise DegenerateStateError(
+            f"eigenbasis undefined: |r| = {r[k]:.3e} at t = {times[k]:.6g}")
 
 
 def _eigenvectors(theta, phase, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -262,13 +267,15 @@ def _eigenvectors(theta, phase, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenbasis(bloch, mode: str = "spectral", azimuth=None):
-    """(eps_plus, eps_minus, theta, phase, v_plus, v_minus) of Bloch arrays (..., 3).
+    """(|r|, eps_plus, eps_minus, theta, phase, v_plus, v_minus) of Bloch arrays (..., 3).
 
-    Both modes share :func:`eigenvalues` and ``theta = atan2(hypot(x, y), z)``;
+    Both modes share :func:`eigenvalues`, from the same |r|, and
+    ``theta = atan2(hypot(x, y), z)``;
     ``"spectral"`` gives the matrix eigenvectors with the azimuth of
     ``rho[1, 0]``, ``"literal"`` the swapped layout with the caller's azimuth
     (see CONVENTIONS.md).  An unknown mode, or literal mode without an
-    azimuth, raises :class:`ConfigError`.  The vectors have shape (..., 2).
+    azimuth, raises :class:`ConfigError`.  The vectors have shape (..., 2);
+    where |r| fails :func:`require_nondegenerate` they are not an eigenbasis.
     """
     if mode not in ("spectral", "literal"):
         raise ConfigError(f"unknown decomposition mode {mode!r}")
@@ -281,7 +288,7 @@ def eigenbasis(bloch, mode: str = "spectral", azimuth=None):
     else:
         phase = np.asarray(azimuth, dtype=float)
     theta = np.arctan2(np.hypot(x, y), z)
-    return (*eigenvalues(b), theta, phase, *_eigenvectors(theta, phase, mode))
+    return (*_radius_and_eigenvalues(b), theta, phase, *_eigenvectors(theta, phase, mode))
 
 
 def density_from_bloch(b: BlochVector) -> DensityMatrix:
@@ -300,35 +307,6 @@ def initial_state(spec: InitialStateSpec) -> DensityMatrix:
     )
     m = 0.5 * (1.0 - spec.z) * IDENTITY + spec.z * np.outer(xi, xi.conj())
     return DensityMatrix(m)
-
-
-def eigendecompose(
-    rho: DensityMatrix,
-    mode: str = "spectral",
-    *,
-    phase: float | None = None,
-) -> SpectralDecomposition:
-    """Decompose one state by :func:`eigenbasis`.
-
-    Spectral vectors are verified to satisfy ``rho @ psi = eps * psi`` to
-    1e-10; literal ones need the azimuth ``phase`` from the caller and
-    belong to the closed-form phase expressions, not to the matrix.  States
-    with ``|r| < 1e-9`` get ``degenerate=True`` and zero angles rather than
-    an error; downstream consumers decide how to handle them.
-    """
-    eps_plus, eps_minus, theta, az, v_plus, v_minus = eigenbasis(
-        rho.bloch().as_array(), mode, phase)
-    eps_plus, eps_minus = float(eps_plus), float(eps_minus)
-    if eps_plus - eps_minus < DEGENERACY_EPS:
-        return SpectralDecomposition(eps_plus, eps_minus, 0.0, 0.0, True, mode)
-    if mode == "spectral":
-        for eps, psi in ((eps_plus, v_plus), (eps_minus, v_minus)):
-            residual = np.max(np.abs(rho.matrix @ psi - eps * psi))
-            if residual > 1e-10:
-                raise DegenerateStateError(
-                    f"spectral eigenvector residual {residual:.2e} exceeds 1e-10"
-                )
-    return SpectralDecomposition(eps_plus, eps_minus, float(theta), float(az), False, mode)
 
 
 def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:

@@ -140,6 +140,14 @@ class TestCriticalPoint:
         with pytest.raises(BracketError, match="dM/dR"):
             critical_point(T, spec, p, 0.55, 0.6561, steps=31)
 
+    def test_onset_without_forward_difference_raises(self):
+        # the onset is the last grid point but one (R = 0.65567), so the forward
+        # difference of M above it would read M[-1] - M[-1] = 0
+        spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
+        p = TimeLocalParams(0.6, 1.0, 1.0)
+        with pytest.raises(BracketError, match="onset at R = 0.655667 leaves no forward"):
+            critical_point(T, spec, p, 0.4, 0.66, steps=61)
+
     def test_bad_range_rejected(self):
         spec = InitialStateSpec(1.0, math.pi / 3, 0.0)
         p = TimeLocalParams(0.6, 1.0, 1.0)

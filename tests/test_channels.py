@@ -159,7 +159,7 @@ class TestAmplitude:
                        "W = 5, lambda = 100 the states are NaN from t = 14.33 on "
                        "(ROADMAP item 1)")
     def test_trajectory_finite_where_the_envelope_overflows(self):
-        # a draw of test_branch_data_matches_eigendecompose (W = 5, R = 0.05, three
+        # a draw of test_branch_data_matches_eigenbasis (W = 5, R = 0.05, three
         # quasi-periods on 97 samples) that raises NumericalError on 24 NaN states
         model = TimeLocalModel(TimeLocalParams(5.0, 100.0, 1.0))
         traj = model.trajectory(initial_state(EQUATOR), np.linspace(0.0, 3.0 * T_PERIOD, 97))

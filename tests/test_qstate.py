@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qflow.errors import ConfigError, UnphysicalStateError
+from qflow.errors import ConfigError, DegenerateStateError, NumericalError, UnphysicalStateError
 from qflow.qstate import (
+    DEGENERACY_EPS,
     BlochVector,
     DensityMatrix,
     InitialStateSpec,
@@ -15,9 +16,10 @@ from qflow.qstate import (
     bloch_dot,
     bloch_trace_distance,
     density_from_bloch,
-    eigendecompose,
+    eigenbasis,
     eigenvalues,
     initial_state,
+    require_nondegenerate,
     trace_distance,
 )
 
@@ -141,62 +143,88 @@ class TestInitialState:
             InitialStateSpec(1.2, 0.0, 0.0)
 
 
-class TestEigendecompose:
+class TestEigenbasis:
     def test_pole_state(self):
-        dec = eigendecompose(DensityMatrix.excited())
-        assert (dec.eps_plus, dec.eps_minus) == (1.0, 0.0)
-        assert not dec.degenerate
+        r, eps_plus, eps_minus, *_ = eigenbasis(DensityMatrix.excited().bloch().as_array())
+        assert (eps_plus, eps_minus) == (1.0, 0.0)
+        require_nondegenerate(np.atleast_1d(r), np.zeros(1))
 
-    def test_maximally_mixed_flags_degenerate(self):
-        dec = eigendecompose(DensityMatrix.maximally_mixed())
-        assert dec.degenerate
-        assert dec.eps_plus == pytest.approx(0.5)
+    def test_maximally_mixed_is_degenerate(self):
+        r, eps_plus, *_ = eigenbasis(DensityMatrix.maximally_mixed().bloch().as_array())
+        assert eps_plus == pytest.approx(0.5)
+        with pytest.raises(DegenerateStateError, match="at t = 0"):
+            require_nondegenerate(np.atleast_1d(r), np.zeros(1))
 
     def test_eigenvalues_against_characteristic_polynomial(self, rng):
         # independent oracle: roots of x^2 - x + det(rho) = 0
-        for b in random_bloch_array(rng, 300):
-            rho = density_of(b)
-            det = np.linalg.det(rho.matrix).real
+        bloch = random_bloch_array(rng, 300)
+        r, eps_plus, eps_minus, *_ = eigenbasis(bloch)
+        for k, b in enumerate(bloch):
+            det = np.linalg.det(density_of(b).matrix).real
             disc = math.sqrt(max(1.0 - 4.0 * det, 0.0))
-            dec = eigendecompose(rho)
-            assert dec.eps_plus == pytest.approx(0.5 * (1.0 + disc), abs=1e-12)
-            assert dec.eps_minus == pytest.approx(0.5 * (1.0 - disc), abs=1e-12)
-            assert dec.eps_plus + dec.eps_minus == pytest.approx(1.0, abs=1e-12)
-            r = np.linalg.norm(b)
-            assert dec.eps_plus == pytest.approx(0.5 * (1.0 + r), abs=1e-12)
+            assert eps_plus[k] == pytest.approx(0.5 * (1.0 + disc), abs=1e-12)
+            assert eps_minus[k] == pytest.approx(0.5 * (1.0 - disc), abs=1e-12)
+            assert eps_plus[k] + eps_minus[k] == pytest.approx(1.0, abs=1e-12)
+            assert r[k] == pytest.approx(np.linalg.norm(b), abs=1e-12)
+            assert eps_plus[k] == pytest.approx(0.5 * (1.0 + np.linalg.norm(b)), abs=1e-12)
 
     def test_spectral_reconstruction(self, rng):
-        for b in random_bloch_array(rng, 200):
-            rho = density_of(b)
-            dec = eigendecompose(rho)
-            if dec.degenerate:
-                continue
-            vp, vm = dec.psi_plus(), dec.psi_minus()
-            rebuilt = dec.eps_plus * np.outer(vp, vp.conj()) + dec.eps_minus * np.outer(
+        bloch = random_bloch_array(rng, 200)
+        r, eps_plus, eps_minus, _, _, v_plus, v_minus = eigenbasis(bloch)
+        for k in np.flatnonzero(r >= DEGENERACY_EPS):
+            rho, vp, vm = density_of(bloch[k]).matrix, v_plus[k], v_minus[k]
+            # rho psi = eps psi for both branches
+            assert np.max(np.abs(rho @ vp - eps_plus[k] * vp)) < 1e-10
+            assert np.max(np.abs(rho @ vm - eps_minus[k] * vm)) < 1e-10
+            rebuilt = eps_plus[k] * np.outer(vp, vp.conj()) + eps_minus[k] * np.outer(
                 vm, vm.conj()
             )
-            assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-10
+            assert np.max(np.abs(rebuilt - rho)) < 1e-10
             # orthonormality
             assert abs(np.vdot(vp, vm)) < 1e-12
             assert np.vdot(vp, vp).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_literal_requires_phase(self):
-        rho = initial_state(InitialStateSpec(0.8, 0.4, 0.2))
+    def test_literal_requires_azimuth(self):
+        bloch = initial_state(InitialStateSpec(0.8, 0.4, 0.2)).bloch().as_array()
         with pytest.raises(ConfigError):
-            eigendecompose(rho, mode="literal")
+            eigenbasis(bloch, mode="literal")
 
     def test_literal_vectors_use_swapped_layout(self):
-        rho = initial_state(InitialStateSpec(1.0, 0.3, 0.0))
-        lit = eigendecompose(rho, mode="literal", phase=0.0)
-        spe = eigendecompose(rho, mode="spectral")
-        assert lit.theta_t == pytest.approx(spe.theta_t, abs=1e-12)
+        bloch = initial_state(InitialStateSpec(1.0, 0.3, 0.0)).bloch().as_array()
+        *lit_values, lit_theta, _, lit_plus, lit_minus = eigenbasis(bloch, "literal", 0.0)
+        *spe_values, spe_theta, _, spe_plus, spe_minus = eigenbasis(bloch, "spectral")
+        assert lit_values == spe_values
+        assert lit_theta == spe_theta
         # literal psi_plus = (sin, cos e^{i phi}); spectral = (cos, sin e^{i phi})
-        assert lit.psi_plus()[0].real == pytest.approx(math.sin(0.5 * lit.theta_t))
-        assert spe.psi_plus()[0].real == pytest.approx(math.cos(0.5 * spe.theta_t))
+        assert lit_plus[0].real == pytest.approx(math.sin(0.5 * lit_theta))
+        assert spe_plus[0].real == pytest.approx(math.cos(0.5 * spe_theta))
+        # at a zero azimuth the literal vectors are the spectral ones with their
+        # components swapped (and psi_minus's sign flipped)
+        assert np.array_equal(lit_plus, spe_plus[::-1])
+        assert np.array_equal(lit_minus, -spe_minus[::-1])
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            eigendecompose(DensityMatrix.ground(), mode="verbatim")
+            eigenbasis(DensityMatrix.ground().bloch().as_array(), mode="verbatim")
+
+
+class TestRequireNondegenerate:
+    """The one degeneracy rule of the phase routes."""
+
+    def test_first_non_finite_sample_is_named(self):
+        times = np.linspace(0.0, 1.0, 5)
+        r = np.array([0.5, 0.0, np.inf, np.nan, 0.5])
+        with pytest.raises(NumericalError, match="not finite at t = 0.5") as info:
+            require_nondegenerate(r, times)
+        assert not isinstance(info.value, DegenerateStateError)
+
+    def test_smallest_radius_decides(self):
+        times = np.linspace(0.0, 1.0, 5)
+        require_nondegenerate(np.array([0.5, DEGENERACY_EPS, 0.2, 1.0, 0.3]), times)
+        below = np.nextafter(DEGENERACY_EPS, 0.0)
+        with pytest.raises(DegenerateStateError,
+                           match=f"eigenbasis undefined: [|]r[|] = {below:.3e} at t = 0.75"):
+            require_nondegenerate(np.array([0.5, 0.4, 0.2, below, 0.3]), times)
 
 
 class TestTraceDistance:
