@@ -132,8 +132,11 @@ def _d_sigma(consts, omega, t, envelopes, rates=None):
     coherences are alpha q and beta exp(i omega t), so with w their
     difference D^2 = |w|^2 + (a P - b)^2 and
     D sigma = Re(conj(w) (alpha qdot - i omega beta exp(i omega t))) + (a P - b) a Pdot.
-    With beta = 0 (the ground state, I/2, an evolving pair) that is
-    |alpha|^2 q^2 and |alpha|^2 q qdot, in real arithmetic.  The frame is
+    Its part -i omega |beta|^2 is imaginary, so the real part is summed as
+    Re(conj(w) alpha) qdot + omega q Im(conj(alpha) beta exp(i omega t)), without
+    the two terms of size omega |beta|^2 that would cancel to it.  With beta = 0
+    (the ground state, I/2, an evolving pair) that is |alpha|^2 q^2 and
+    |alpha|^2 q qdot, in real arithmetic.  The frame is
     chosen once per call, so the entries of one call share a kind of
     reference: every beta nonzero, or every beta zero.
     """
@@ -156,8 +159,9 @@ def _d_sigma(consts, omega, t, envelopes, rates=None):
         return dist, None
     p_dot, q_dot = rates
     if turning:
-        w_dot = alpha * q_dot - 1j * omega * ref
-        dot = w.real * w_dot.real + w.imag * w_dot.imag
+        dot = w.real * alpha.real + w.imag * alpha.imag
+        dot *= q_dot
+        dot += omega * q * (alpha.real * ref.imag - alpha.imag * ref.real)
     else:
         dot = np.multiply(q, q_dot, out=np.empty(np.shape(z)))
         dot *= abs_alpha_sq

@@ -123,6 +123,11 @@ def evolved(model, rho, t):
 @example(model=TimeLocalModel(TimeLocalParams(1.3125, 1.3125 / 0.125, 1.0)),
          s1=InitialStateSpec(1.0, 1.5, 0.0), s2=InitialStateSpec(0.0, 0.0, 0.0),
          kind="reference", frac=0.25)
+# the reference turns at omega = 1 with |beta|^2 = 0.08 while D sigma is 1.4e-5:
+# summed with its omega |beta|^2 terms, sigma differed by 1.2e-13 relative
+@example(model=TimeLocalModel(TimeLocalParams(3.0, 3.0 / 0.75, 1.0)),
+         s1=InitialStateSpec(1.0, 1.0, 0.0), s2=InitialStateSpec(0.75, 2.0, 1.0),
+         kind="reference", frac=0.75)
 def test_kernel_meets_the_evolved_matrices(model, s1, s2, kind, frac):
     rho1, rho2 = initial_state(s1), initial_state(s2)
     t, h = frac * T, 1e-3 * model.feature_scale()
