@@ -644,12 +644,12 @@ class PerturbativeTerms:
     total: float
 
 
-def gp_perturbative(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1,
-                    n_samples: int = 16385) -> PerturbativeTerms:
+def gp_perturbative(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1) -> PerturbativeTerms:
     """Weak-coupling expansion of the mixed-state phase.
 
-    The zeroth order phi0 is computed numerically from the W = 0
-    trajectory.  The first-order term follows from
+    The zeroth order phi0 is the phase of the W = 0 model by
+    :func:`gp_route`, whose closed form meets the exact closed-system value
+    -n pi + atan2(r0 sin Delta, cos Delta).  The first-order term follows from
     differentiating the two-branch Arg with respect to W^2: with
     Delta = -n pi cos(theta0) and Q = cos^2 Delta + r0^2 sin^2 Delta,
 
@@ -668,10 +668,7 @@ def gp_perturbative(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1,
         )
     T = 2.0 * math.pi * n / p.omega0
     free = TimeLocalModel(TimeLocalParams(0.0, p.lam, p.omega0))
-    phi0 = gp_mixed(
-        free.trajectory(initial_state(spec), np.linspace(0.0, T, n_samples)),
-        mode="literal", T=T,
-    ).phase_raw
+    phi0 = gp_route(free, initial_state(spec), T).phase_raw
 
     cos_t, sin_t = math.cos(theta0), math.sin(theta0)
     k1 = kappa1(p.lam, T)

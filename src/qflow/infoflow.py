@@ -1,40 +1,44 @@
 """Trace-distance rate, forward/backward flow cumulants, and the BLP scan.
 
-The trace distance D(t) between an evolving state and a reference state is
-split into monotone runs.  Increments over increasing runs accumulate into
-the backward flow N(t), magnitudes of decrements into the forward flow
-M(t), so that D(t) = D(0) + N(t) - M(t) holds along the whole trajectory
-(up to segments whose net change is below a 1e-13 floor, which are assigned
-to neither side).
+Every flow is a pair flow, as in the measure of Breuer, Laine and Piilo: the
+trace distance D(t) between two states that evolve under one model is split
+into monotone runs.  Increments over increasing runs accumulate into the
+backward flow N(t), magnitudes of decrements into the forward flow M(t), so
+that D(t) = D(0) + N(t) - M(t) holds along the whole trajectory (up to
+segments whose net change is below a 1e-13 floor, which are assigned to
+neither side).  :func:`flows` pairs a state with the model's steady state,
+which both dynamics leave invariant; :func:`pair_flows` takes both states.
 
-Run boundaries are located by bracketing sign changes of sigma = dD/dt on a
-dense sampling grid and bisecting to 1e-10 relative time accuracy.  Both
-models map rho00 -> p00 P(t) and rho01 -> coh Q(t), so the difference to the
-reference is (a P - b, alpha Q - beta) with constants of the state alone, and
-D and sigma come from the real envelopes (P, q), Q = q exp(-i omega_eff t),
-and their rates (Pdot, qdot), in the frame that turns with Q.  A
-bracket joins two grid samples of sigma that are nonzero and of opposite
-sign, so bisection starts from the grid's own values.  A sweep row's states
-share one model (:func:`row_flows`), and a ratio scan's models share one
-class (:func:`ratio_flows`): entries whose grids have the same size share
-one grid array and are taken in blocks of at most BLOCK_SAMPLES
-entry-samples, each block one array program over (entries x samples).  A
-sweep row's blocks share one ``envelopes`` call on the grid; a ratio scan
-makes one per block, on the stack of the block's parameter sets.  Then the
-row bisects all its brackets together (one
-``envelopes`` call per round), evaluates D only at the new boundary knots,
-reusing the grid values, and accumulates the runs a block at a time.
-:func:`flows` and :func:`pair_flows` are the one-state case.  The ledger's
-meta records the bracket count and the bisection rounds.
+Both models map rho00 -> p00 P(t) and rho01 -> coh Q(t) with |Q| = q, so a
+pair's D(t) depends on the states only through the pair invariants
+x = (p00 - p00')^2 and y = |coh - coh'|^2: D = sqrt(x P^2 + y q^2) and
+D sigma = x P Pdot + y q qdot, with sigma = dD/dt, from the real envelopes
+(P, q) and their rates (Pdot, qdot).  One kernel, :func:`_d_sigma`, gives
+every D and sigma of this module: the ledger's grid, bisection and knots,
+:func:`sigma` and the BLP scan.
 
-The BLP scan scores state pairs without evolving them: both models map
-rho00 -> p00 P(t) and rho01 -> coh Q(t), so a pair's D(t) is fixed by the
-squares of its invariants, x = (p00 - p00')^2 and y = |coh - coh'|^2, and the
-shared envelopes P and q, |q| = |Q|.  A pair grid is a state list plus two index
-arrays (:class:`PairGrid`), and each distinct (x, y) key is scored once, so the
-scoring cost follows the number of distinct keys, not of pairs.  Grids with
-symmetry gain: the default grid's 372,816 pairs have 59,843 distinct keys,
-since rotating both states about z changes neither square.
+Run boundaries are located by bracketing sign changes of sigma on a dense
+sampling grid and bisecting to 1e-10 relative time accuracy.  A bracket
+joins two grid samples of sigma that are nonzero and of opposite sign, so
+bisection starts from the grid's own values.  A sweep row's states share one
+model (:func:`row_flows`), and a ratio scan's models share one class
+(:func:`ratio_flows`): entries whose grids have the same size share one grid
+array and are taken in blocks of at most BLOCK_SAMPLES entry-samples, each
+block one array program over (entries x samples).  A sweep row's blocks
+share one ``envelopes`` call on the grid; a ratio scan makes one per block,
+on the stack of the block's parameter sets.  Then the row bisects all its
+brackets together (one ``envelopes`` call per round), evaluates D only at
+the new boundary knots, reusing the grid values, and accumulates the runs a
+block at a time.  :func:`flows` and :func:`pair_flows` are the one-entry
+case.  The ledger's meta records the bracket count and the bisection rounds.
+
+The BLP scan scores state pairs without evolving them, from the shared
+envelopes and the squares of the invariants.  A pair grid is a state list
+plus two index arrays (:class:`PairGrid`), and each distinct (x, y) key is
+scored once, so the scoring cost follows the number of distinct keys, not
+of pairs.  Grids with symmetry gain: the default grid's 372,816 pairs have
+59,843 distinct keys, since rotating both states about z changes neither
+square.
 """
 
 from __future__ import annotations
@@ -71,9 +75,9 @@ class FlowSegment:
 
 @dataclass(frozen=True)
 class FlowLedger:
-    """Time series of D, sigma and the flow cumulants against a reference state."""
+    """Time series of D, sigma and the flow cumulants of a pair of evolving states."""
 
-    standard_state: DensityMatrix
+    standard_state: DensityMatrix  # the second state at t = 0 (rho2 of the pair)
     times: np.ndarray
     D: np.ndarray
     sigma: np.ndarray
@@ -110,78 +114,53 @@ class BlpResult:
     n_distinct: int  # distinct (x, y) pair keys scored
 
 
-def _constants(rho1: DensityMatrix, rho2: DensityMatrix, evolve_reference: bool):
-    """(a, b, alpha, beta) with rho1(t) - rho2(t) = (a P - b, alpha Q - beta) in (rho00, rho01).
+def _invariants(states, first, second):
+    """The invariants (x, y) = (dp00^2, |dcoh|^2) of the pairs (states[first], states[second]).
 
-    A fixed reference gives (p00, ref00, coh, ref01); an evolving one
-    (dp00, 0, dcoh, 0), the pair's differences, which keep the digits that
-    two evolved populations would cancel.
+    ``first`` and ``second`` index ``states``; dp00 from the populations keeps
+    the digits that z - z' rounds away.
     """
-    m1, m2 = rho1.matrix, rho2.matrix
-    if evolve_reference:
-        return m1[0, 0].real - m2[0, 0].real, 0.0, m1[0, 1] - m2[0, 1], 0.0
-    return m1[0, 0].real, m2[0, 0].real, m1[0, 1], m2[0, 1]
+    mats = np.array([s.matrix for s in states])
+    p00, coh = mats[:, 0, 0].real, mats[:, 0, 1]
+    dp00 = p00[first] - p00[second]
+    dcoh = coh[first] - coh[second]
+    dp00 *= dp00
+    return dp00, dcoh.real * dcoh.real + dcoh.imag * dcoh.imag
 
 
-def _d_sigma(consts, omega, t, envelopes, rates=None):
-    """D, and sigma = dD/dt when ``rates`` = (Pdot, qdot) is given, from the real envelopes.
+def _d_sigma(x, y, envelopes, rates=None, out=None):
+    """D, and sigma = dD/dt when ``rates`` = (Pdot, qdot) is given, of pairs with invariants x, y.
 
-    ``consts`` = (a, b, alpha, beta) of :func:`_constants`, scalars or arrays
-    that broadcast against the envelopes (P, q) at the times t; ``omega`` is
-    the model's omega_eff.  In the frame that turns with exp(-i omega t) the
-    coherences are alpha q and beta exp(i omega t), so with w their
-    difference D^2 = |w|^2 + (a P - b)^2 and
-    D sigma = Re(conj(w) (alpha qdot - i omega beta exp(i omega t))) + (a P - b) a Pdot.
-    Its part -i omega |beta|^2 is imaginary, so the real part is summed as
-    Re(conj(w) alpha) qdot + omega q Im(conj(alpha) beta exp(i omega t)), without
-    the two terms of size omega |beta|^2 that would cancel to it.  With beta = 0
-    (the ground state, I/2, an evolving pair) that is |alpha|^2 q^2 and
-    |alpha|^2 q qdot, in real arithmetic.  The frame is
-    chosen once per call, so the entries of one call share a kind of
-    reference: every beta nonzero, or every beta zero.
+    Both states of a pair evolve under one model, so their difference is
+    (dp00 P, dcoh Q) in (rho00, rho01) with |Q| = q, and
+    D = sqrt(x P^2 + y q^2), half the norm of the pair's Bloch difference;
+    D sigma = x P Pdot + y q qdot.  ``x`` and ``y`` broadcast against the
+    envelopes (P, q) and the rates; ``out``, of the broadcast shape,
+    receives D when given.
     """
-    a, b, alpha, beta = consts
     P, q = envelopes
-    z = a * P
-    z -= b
-    turning = np.any(beta)
-    if turning:
-        ref = beta * np.exp(1j * omega * t)
-        w = alpha * q - ref
-        w_sq = w.real * w.real + w.imag * w.imag
-    else:
-        abs_alpha_sq = alpha.real * alpha.real + alpha.imag * alpha.imag
-        w_sq = np.multiply(q, q, out=np.empty(np.shape(z)))  # z has the block's shape
-        w_sq *= abs_alpha_sq
-    w_sq += z * z
-    dist = np.sqrt(w_sq)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(P)))
+    dist = np.multiply(x, P * P, out=out)
+    dist += y * (q * q)
+    np.sqrt(dist, out=dist)
     if rates is None:
         return dist, None
     p_dot, q_dot = rates
-    if turning:
-        dot = w.real * alpha.real + w.imag * alpha.imag
-        dot *= q_dot
-        dot += omega * q * (alpha.real * ref.imag - alpha.imag * ref.real)
-    else:
-        dot = np.multiply(q, q_dot, out=np.empty(np.shape(z)))
-        dot *= abs_alpha_sq
-    z *= a * p_dot
-    dot += z
+    dot = x * (P * p_dot)
+    dot += y * (q * q_dot)
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = np.where(dist > 0.0, dot / dist, 0.0)
     return dist, sig
 
 
-def sigma(t: float, model, rho0: DensityMatrix,
-          standard_state: DensityMatrix | None = None) -> float:
-    """Instantaneous rate dD/dt from the model's analytic envelope rates.
+def sigma(t: float, model, rho0: DensityMatrix) -> float:
+    """Instantaneous rate dD/dt against the model's steady state, from its envelope rates.
 
     Positive values signal backward flow.
     """
-    ref = model.steady_state() if standard_state is None else standard_state
-    t = float(t)
-    consts = _constants(rho0, ref, False)
-    return float(_d_sigma(consts, model.omega_eff, t, *model.envelopes(t))[1])
+    x, y = _invariants([rho0, model.steady_state()], 0, 1)
+    return float(_d_sigma(x, y, *model.envelopes(float(t)))[1])
 
 
 def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
@@ -308,19 +287,17 @@ class _Block(NamedTuple):
     pairs: tuple  # (row, column) of the left ends of the brackets
 
 
-def _grid_block(keys, times, model, shared, entries, consts, out):
+def _grid_block(keys, times, model, shared, entries, invariants, out):
     """D, sigma, positivity and brackets of the entries ``keys`` on their shared grid.
 
     ``model`` is the entries' one model, whose envelopes on the grid are
     ``shared``, or the stack of their parameters as a column (``shared`` is
-    None), evaluated here; ``consts`` holds the row's (a, b, alpha, beta),
-    one array each.  An entry whose D is not finite gets its
-    :class:`NumericalError` in ``out`` and leaves the block; None when none
-    is left.
+    None), evaluated here; ``invariants`` holds the row's (x, y), one array
+    each.  An entry whose D is not finite gets its :class:`NumericalError`
+    in ``out`` and leaves the block; None when none is left.
     """
-    block_consts = [c[keys, None] for c in consts]
     (P, q), rates = model.envelopes(times) if shared is None else shared
-    dist, sig = _d_sigma(block_consts, model.omega_eff, times, (P, q), rates)
+    dist, sig = _d_sigma(*(v[keys, None] for v in invariants), (P, q), rates)
     del shared, rates
     finite = np.isfinite(dist)
     live = finite.all(axis=1)
@@ -333,7 +310,7 @@ def _grid_block(keys, times, model, shared, entries, consts, out):
             return None
         keys, dist, sig = [keys[r] for r in keep], dist[keep], sig[keep]
         P, q = (f[keep] if f.ndim == 2 else f for f in (P, q))
-    # rho1(t)'s Bloch vector in the turning frame: the same |r|, so the same eigenvalues
+    # rho1(t)'s Bloch vector turned about z into the x-z plane: the same |r| and eigenvalues
     rho1s = [entries[k][1].matrix for k in keys]
     bloch = np.zeros((3,) + dist.shape)
     np.multiply(np.array([2.0 * abs(m[0, 1]) for m in rho1s])[:, None], q, out=bloch[0])
@@ -345,7 +322,7 @@ def _grid_block(keys, times, model, shared, entries, consts, out):
 
 
 def _ledger_row(entries, t_end: float, times) -> list:
-    """Flow ledgers of several (model, rho1, rho2, evolve_reference) entries.
+    """Flow ledgers of D(rho1(t), rho2(t)) for several (model, rho1, rho2) entries.
 
     The entries' models are of one class; entries may share a model (a
     sweep row's states) or each carry their own (a ratio scan).  Each model
@@ -357,8 +334,8 @@ def _ledger_row(entries, t_end: float, times) -> list:
     stack of the block's parameter sets, or, when its entries share a
     model, that model's one call on the grid, which all its blocks there
     share), one :func:`_d_sigma`, one finiteness scan, one positivity
-    evaluation and one bracket scan.  An entry's D and sigma follow from its constants
-    alone, and so does its positivity (|r| from P and q).  Then all
+    evaluation and one bracket scan.  An entry's D and sigma follow from its
+    pair invariants alone, and its positivity from rho1 (|r| from P and q).  Then all
     brackets of all entries are bisected together, one ``envelopes``
     call per round, and one more gives D at every
     entry's run boundaries; with several models these calls run on the
@@ -370,8 +347,11 @@ def _ledger_row(entries, t_end: float, times) -> list:
     require_finite("flow horizon", t_end=t_end)
     if times is not None:
         times = np.asarray(times, dtype=float)
-        if times[0] != 0.0 or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0):
+        if (times.ndim != 1 or times.size < 2 or times[0] != 0.0
+                or abs(times[-1] - t_end) > 1e-9 * max(t_end, 1.0)):
             raise ConfigError("flow sampling grid must span [0, t_end]")
+        if np.any(np.diff(times) <= 0.0):
+            raise ConfigError("flow sampling grid must be strictly increasing")
     groups: dict[int, list[int]] = {}  # the entries of each model, by identity
     for k, entry in enumerate(entries):
         groups.setdefault(id(entry[0]), []).append(k)
@@ -392,7 +372,8 @@ def _ledger_row(entries, t_end: float, times) -> list:
             return model_cls(stack[idx])
 
     out: list = [None] * len(entries)
-    consts = [np.array(c) for c in zip(*(_constants(*entry[1:]) for entry in entries))]
+    pair = np.arange(0, 2 * len(entries), 2)  # rho1 and rho2 of each entry, in turn
+    invariants = _invariants([s for entry in entries for s in entry[1:]], pair, pair + 1)
     slot = np.zeros(len(entries), dtype=np.intp)  # each entry's model in the stack
     grids: dict[int, np.ndarray] = {}  # one grid per sample count
     sharing: dict[int, list[int]] = {}  # the entries on each grid
@@ -421,29 +402,28 @@ def _ledger_row(entries, t_end: float, times) -> list:
                 if last is None or last[0] != (slots[0], size):
                     last = (slots[0], size), model.envelopes(grids[size])
                 shared = last[1]
-            block = _grid_block(mine, grids[size], model, shared, entries, consts, out)
+            block = _grid_block(mine, grids[size], model, shared, entries, invariants, out)
             if block is not None:
                 blocks.append(block)
     last = shared = None  # the grid envelopes are not needed past the grid pass
     if not blocks:
         return out
 
-    # every ledger of the row, block after block, with its constants and model
+    # every ledger of the row, block after block, with its invariants and model
     keys = [k for block in blocks for k in block.keys]
     first = np.cumsum([0] + [len(block.keys) for block in blocks])  # each block's first ledger
-    per_ledger = [c[keys] for c in consts]
+    per_ledger = [v[keys] for v in invariants]
     ledger_slots = slot[keys]
     owner = np.concatenate([f + block.pairs[0] for f, block in zip(first, blocks)])
     t_lo = np.concatenate([block.times[block.pairs[1]] for block in blocks])
     t_hi = np.concatenate([block.times[block.pairs[1] + 1] for block in blocks])
     fa = np.concatenate([block.sig[block.pairs] for block in blocks])
-    per_bracket = [c[owner] for c in per_ledger]
+    per_bracket = [v[owner] for v in per_ledger]
     bracket_slots = ledger_slots[owner]
 
     def sigma_at(ts: np.ndarray, which: np.ndarray) -> np.ndarray:
-        model = model_at(bracket_slots[which])
-        return _d_sigma([c[which] for c in per_bracket], model.omega_eff, ts,
-                        *model.envelopes(ts))[1]
+        return _d_sigma(*(v[which] for v in per_bracket),
+                        *model_at(bracket_slots[which]).envelopes(ts))[1]
 
     roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
     brackets = np.bincount(owner, minlength=len(keys)).tolist()
@@ -459,18 +439,17 @@ def _ledger_row(entries, t_end: float, times) -> list:
     distinct = np.ones(knot_t.size, dtype=bool)
     distinct[1:] = (knot_owner[1:] != knot_owner[:-1]) | (knot_t[1:] != knot_t[:-1])
     knot_owner, knot_t = knot_owner[distinct], knot_t[distinct]
-    knot_model = model_at(ledger_slots[knot_owner])
-    knot_d = _d_sigma([c[knot_owner] for c in per_ledger], knot_model.omega_eff, knot_t,
-                      knot_model.envelopes(knot_t)[0])[0]
+    knot_d = _d_sigma(*(v[knot_owner] for v in per_ledger),
+                      model_at(ledger_slots[knot_owner]).envelopes(knot_t)[0])[0]
 
     at = np.searchsorted(knot_owner, first)  # each block's first knot
     for block, f, lo, hi in zip(blocks, first, at[:-1], at[1:]):
         segments, n_s, m_s = _accumulate(block.times, block.dist, knot_owner[lo:hi] - f,
                                          knot_t[lo:hi], knot_d[lo:hi], t_end)
         for r, k in enumerate(block.keys):
-            model, _, rho2, evolve = entries[k]
+            model, _, rho2 = entries[k]
             out[k] = FlowLedger(
-                standard_state=rho2,
+                rho2,
                 times=block.times,
                 D=block.dist[r],
                 sigma=block.sig[r],
@@ -479,14 +458,13 @@ def _ledger_row(entries, t_end: float, times) -> list:
                 segments=segments[r],
                 model=model.tag,
                 positivity=block.positivity[r],
-                meta={"t_end": float(t_end), "evolve_reference": evolve,
-                      "brackets": brackets[f + r], "bisect_rounds": rounds[f + r]},
+                meta={"t_end": float(t_end), "brackets": brackets[f + r],
+                      "bisect_rounds": rounds[f + r]},
             )
     return out
 
 
-def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None = None,
-              times: np.ndarray | None = None) -> list:
+def row_flows(rho0s, model, t_end: float, times: np.ndarray | None = None) -> list:
     """:func:`flows` of every state in ``rho0s`` on one grid of one model.
 
     A sweep row's states share the envelopes: the row makes one
@@ -496,8 +474,8 @@ def row_flows(rho0s, model, t_end: float, standard_state: DensityMatrix | None =
     for bit the one :func:`flows` returns, or the :class:`NumericalError`
     that :func:`flows` would raise.
     """
-    ref = model.steady_state() if standard_state is None else standard_state
-    return _ledger_row([(model, rho0, ref, False) for rho0 in rho0s], t_end, times)
+    steady = model.steady_state()
+    return _ledger_row([(model, rho0, steady) for rho0 in rho0s], t_end, times)
 
 
 def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
@@ -509,29 +487,26 @@ def ratio_flows(rho0: DensityMatrix, models, t_end: float) -> list:
     stack of the block's parameters; then all their brackets share one
     bisection (one call per round on the stack of their parameters) and one
     more gives D at all their run boundaries.  Each entry is the model's
-    ledger against its steady state,
-    bit for bit the one :func:`flows` returns, or the
+    ledger, bit for bit the one :func:`flows` returns, or the
     :class:`NumericalError` that :func:`flows` would raise.
     """
-    return _ledger_row([(m, rho0, m.steady_state(), False) for m in models], t_end, None)
+    return _ledger_row([(m, rho0, m.steady_state()) for m in models], t_end, None)
 
 
 def flows(rho0: DensityMatrix, model, t_end: float,
-          standard_state: DensityMatrix | None = None,
           times: np.ndarray | None = None) -> FlowLedger:
-    """Flow cumulants of one state against a fixed reference state.
+    """Flow cumulants of ``rho0`` paired with the model's steady state.
 
-    The reference defaults to the model's steady state, which is invariant
-    under both dynamics, so this is the two-state flow with the second
-    state pinned.
+    Both dynamics leave the steady state invariant, so this is the pair
+    flow of :func:`pair_flows` with the second state at rest.
     """
-    return sole_result(row_flows([rho0], model, t_end, standard_state, times))
+    return sole_result(row_flows([rho0], model, t_end, times))
 
 
 def pair_flows(rho1: DensityMatrix, rho2: DensityMatrix, model, t_end: float,
                times: np.ndarray | None = None) -> FlowLedger:
     """Flow cumulants of D(rho1(t), rho2(t)) with both states evolving."""
-    return sole_result(_ledger_row([(model, rho1, rho2, True)], t_end, times))
+    return sole_result(_ledger_row([(model, rho1, rho2)], t_end, times))
 
 
 def default_state_grid(n_theta: int = 12, n_phi: int = 24,
@@ -600,18 +575,6 @@ def default_pair_grid() -> PairGrid:
     return PairGrid(states, *np.triu_indices(len(states), 1))
 
 
-def _pair_distance(x, y, p_sq, q_sq) -> np.ndarray:
-    """D = sqrt(x P^2 + y |Q|^2) of pair keys (rows) at samples (columns).
-
-    With x = dp00^2 and y = |dcoh|^2 it is half the norm of the pair's Bloch
-    difference (2 Re(dcoh Q), -2 Im(dcoh Q), 2 dp00 P); dp00 from the
-    populations keeps the digits that z - z' rounds away.
-    """
-    dist = np.multiply.outer(x, p_sq)
-    dist += np.multiply.outer(y, q_sq)
-    return np.sqrt(dist, out=dist)
-
-
 def blp_measure(model, grid=None, t_end: float | None = None,
                 times: np.ndarray | None = None) -> BlpResult:
     """Maximise total backflow over a grid of initial-state pairs.
@@ -625,9 +588,9 @@ def blp_measure(model, grid=None, t_end: float | None = None,
     ``grid`` is a :class:`PairGrid` (the default grid is one) or any
     sequence of pairs, which is indexed by state identity first.  A pair's
     score depends only on its key x + iy (x = dp00^2, y = |dcoh|^2), so each
-    distinct key is scored once by :func:`_pair_distance`, in chunks sized
-    for L2 cache, and the best pair is the first in grid order whose key
-    scores highest.  Keys are compared as exact floats, so every score
+    distinct key is scored once by the ledger's kernel :func:`_d_sigma`, in
+    chunks sized for L2 cache, and the best pair is the first in grid order
+    whose key scores highest.  Keys are compared as exact floats, so every score
     equals the pair's own.  The cost follows the distinct keys
     (``n_distinct``): a grid closed under rotations about z repeats keys,
     one without repeats pays a sort for nothing.  A NaN score (only
@@ -642,29 +605,25 @@ def blp_measure(model, grid=None, t_end: float | None = None,
         times = sample_times(model, t_end)
     times = np.asarray(times, dtype=float)
 
-    mats = np.array([s.matrix for s in grid.states])
-    p00, coh = mats[:, 0, 0].real, mats[:, 0, 1]
-    dp00 = p00[grid.first] - p00[grid.second]
-    dcoh = coh[grid.first] - coh[grid.second]
+    x, y = _invariants(grid.states, grid.first, grid.second)
     # finite states give finite or infinite keys, never NaN, so a sort
     # orders every key; np.unique's hash table costs four sorts on keys that
     # rarely repeat
     keys = np.empty(len(grid), dtype=complex)
-    keys.real = dp00 * dp00
-    keys.imag = dcoh.real * dcoh.real + dcoh.imag * dcoh.imag
-    del dp00, dcoh
+    keys.real, keys.imag = x, y
+    del x, y
     ordered = np.sort(keys)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     del ordered
-    (P, q), _ = model.envelopes(times)
-    p_sq, q_sq = P * P, q * q
+    envelopes, _ = model.envelopes(times)
 
     chunk = max(1, BLOCK_SAMPLES // times.size)
+    dist = np.empty((min(chunk, distinct.size), times.size))  # D of one chunk, reused
     distinct_scores = np.empty(distinct.size, dtype=float)
     for lo in range(0, distinct.size, chunk):
-        block = distinct[lo:lo + chunk]
-        dist = _pair_distance(block.real, block.imag, p_sq, q_sq)
-        inc = np.diff(dist, axis=-1)
+        block = distinct[lo:lo + chunk, None]
+        _d_sigma(block.real, block.imag, envelopes, out=dist[:block.size])
+        inc = np.diff(dist[:block.size], axis=-1)
         np.maximum(inc, 0.0, out=inc)  # NaN stays NaN and wins the argmax
         np.sum(inc, axis=-1, out=distinct_scores[lo:lo + chunk])
 

@@ -167,7 +167,7 @@ def test_criterion_06_perturbative_scaling():
         errs = {}
         for W in (0.04, 0.02):
             p = TimeLocalParams(W, 1.0, 1.0)
-            pert = gp_perturbative(spec, p, n_samples=n_s)
+            pert = gp_perturbative(spec, p)
             traj = TimeLocalModel(p).trajectory(rho0, np.linspace(0.0, T, n_s))
             phase = gp_mixed(traj, "literal", T).phase_raw
             errs[W] = circle_distance(phase, pert.total)

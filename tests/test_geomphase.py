@@ -648,7 +648,7 @@ class TestPerturbative:
 
     def test_zeroth_order_limit(self):
         spec = InitialStateSpec(0.5, math.pi / 4, math.pi / 3)
-        terms = gp_perturbative(spec, TimeLocalParams(0.0, 1.0, 1.0), n_samples=4097)
+        terms = gp_perturbative(spec, TimeLocalParams(0.0, 1.0, 1.0))
         assert terms.total == terms.phi0
 
     def test_first_order_slope_matches_finite_difference(self):
@@ -656,7 +656,7 @@ class TestPerturbative:
         lam = 1.3
         w = 0.01
         n_s = 32769
-        pert = gp_perturbative(spec, TimeLocalParams(w, lam, 1.0), n_samples=n_s)
+        pert = gp_perturbative(spec, TimeLocalParams(w, lam, 1.0))
         rho0 = initial_state(spec)
         phi_w = gp_mixed(
             tl_model(w, lam).trajectory(rho0, np.linspace(0.0, T, n_s)), "literal", T
@@ -671,7 +671,7 @@ class TestPerturbative:
         errs = {}
         for w in (0.04, 0.02):
             p = TimeLocalParams(w, 1.0, 1.0)
-            pert = gp_perturbative(spec, p, n_samples=16385)
+            pert = gp_perturbative(spec, p)
             phase = gp_mixed(
                 TimeLocalModel(p).trajectory(initial_state(spec), np.linspace(0.0, T, 16385)),
                 "literal", T,
@@ -686,7 +686,7 @@ class TestPerturbative:
     def test_zeroth_order_phase_is_pi_on_the_equator(self):
         # theta0 = pi/2: the free evolution's zeroth-order phase is pi on the circle
         spec = InitialStateSpec(0.5, math.pi / 4, 0.0)
-        terms = gp_perturbative(spec, TimeLocalParams(0.0, 1.0, 1.0), n_samples=4097)
+        terms = gp_perturbative(spec, TimeLocalParams(0.0, 1.0, 1.0))
         assert circle_distance(terms.phi0, math.pi) < 1e-4
 
 

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,8 +30,8 @@ from qflow.infoflow import (
     sigma,
     weak_coupling_flows,
 )
-from qflow.qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_distance,
-                          density_from_bloch, initial_state)
+from qflow.qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_array,
+                          bloch_trace_distance, density_from_bloch, initial_state)
 
 T = 2.0 * math.pi
 EQUATOR = InitialStateSpec(1.0, math.pi / 4, math.pi / 3)
@@ -136,6 +137,19 @@ class TestFlows:
         model = tl_model(0.5, 1.0)
         with pytest.raises(ConfigError):
             flows(initial_state(EQUATOR), model, T, times=np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("times", [np.empty(0), np.linspace(0.0, T, 4).reshape(2, 2)],
+                             ids=["empty", "2-d"])
+    def test_malformed_grid_rejected(self, times):
+        with pytest.raises(ConfigError, match="span"):
+            flows(initial_state(EQUATOR), tl_model(0.5, 1.0), T, times=times)
+
+    @pytest.mark.parametrize("at", [[201, 200], [201, 201]], ids=["swapped", "repeated"])
+    def test_grid_out_of_order_rejected(self, at):
+        times = np.linspace(0.0, T, 801)
+        times[[200, 201]] = times[at]
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            flows(initial_state(EQUATOR), tl_model(1.0, 0.5), T, times=times)
 
     def test_non_finite_distance_raises(self):
         # cosh in the damping kernel overflows from t = 17.88 (lambda t > 1430)
@@ -355,6 +369,35 @@ def assert_blp_matches_pairwise(model, grid, times):
     return result
 
 
+class PopulationsOnly(TimeLocalModel):
+    """Time-local model with q = 0: a pair's D depends on dp00 alone, so dp00^2 ties keys."""
+
+    def _envelopes_of(self, t):
+        (P, q), (p_dot, q_dot) = super()._envelopes_of(t)
+        return (P, np.zeros_like(q)), (p_dot, np.zeros_like(q_dot))
+
+
+@contextmanager
+def spy_scoring():
+    """(x, D) of each kernel call that ``blp_measure`` makes before its ledger: its scoring."""
+    scored, kernel, ledger = [], infoflow._d_sigma, []
+
+    def spy(x, *args, **kwargs):
+        dist, sig = kernel(x, *args, **kwargs)
+        if not ledger:
+            scored.append((x, dist.copy()))  # the scan reuses its D buffer
+        return dist, sig
+
+    def pair_flows_spy(*args, **kwargs):
+        ledger.append(args)
+        return real_pair_flows(*args, **kwargs)
+
+    real_pair_flows = infoflow.pair_flows
+    with mock.patch.object(infoflow, "_d_sigma", spy), \
+            mock.patch.object(infoflow, "pair_flows", pair_flows_spy):
+        yield scored
+
+
 class NanAfter(TimeLocalModel):
     """Time-local model whose envelopes and rates are NaN after ``t_bad``."""
 
@@ -382,6 +425,8 @@ BLOCH_BALL = st.builds(PolarBloch, st.floats(0.0, 1.0), st.floats(0.0, math.pi),
 
 
 class TestPairDistance:
+    """The one kernel of the ledger and the BLP scan against the evolved pair."""
+
     @settings(max_examples=60, deadline=None)
     @given(b1=BLOCH_BALL, b2=BLOCH_BALL, memory=st.booleans(),
            ratio=st.sampled_from([0.1, 0.4, 0.6, 2.0, 10.0]))
@@ -391,12 +436,17 @@ class TestPairDistance:
                  else tl_model(1.0, 1.0 / ratio))
         rho1, rho2 = (density_from_bloch(b.to_bloch()) for b in (b1, b2))
         times = sample_times(model, T)
-        P, Q = model.factors(times)
         (x, y), = pair_invariants([(rho1, rho2)])
-        dist = infoflow._pair_distance(x, y, P * P, Q.real * Q.real + Q.imag * Q.imag)
-        evolved = bloch_trace_distance(model.bloch_series(rho1, times),
-                                       model.bloch_series(rho2, times))
-        assert np.max(np.abs(dist - evolved)) <= 1e-15
+        dist, sig = infoflow._d_sigma(x, y, *model.envelopes(times))
+        r = model.bloch_series(rho1, times) - model.bloch_series(rho2, times)
+        assert np.max(np.abs(dist - bloch_trace_distance(r, np.zeros(3)))) <= 1e-15
+        # sigma = (r . dr/dt) / (4 D) where D is not small; both routes round the
+        # two states' Bloch vectors (|r| <= 1) and rates at their own ulps
+        r1_dot, r2_dot = (bloch_array(model.state_dot(rho, times)) for rho in (rho1, rho2))
+        away = dist > 1e-6
+        want = (r * (r1_dot - r2_dot)).sum(axis=-1)[away] / (4.0 * dist[away])
+        scale = 1.0 + (np.abs(r1_dot) + np.abs(r2_dot)).sum(axis=-1)[away]
+        assert np.all(np.abs(sig[away] - want) <= 1e-14 * scale / dist[away])
 
 
 class TestPairGrid:
@@ -467,11 +517,23 @@ class TestBlp:
 
     def test_each_distinct_key_is_scored_once(self):
         grid = all_pairs(WIDE_POOL) + all_pairs(BLP_POOL)
-        with mock.patch.object(infoflow, "_pair_distance",
-                               wraps=infoflow._pair_distance) as scorer:
+        with spy_scoring() as scored:
             result = blp_measure(tl_model(1.0, 0.5), grid, t_end=T, times=BLP_TIMES)
-        assert sum(call.args[0].size for call in scorer.call_args_list) == result.n_distinct
+        assert sum(x.size for x, _ in scored) == result.n_distinct
         assert result.n_distinct == len(set(pair_invariants(grid))) < len(grid)
+
+    @pytest.mark.parametrize("memory", [False, True])
+    def test_winning_score_is_the_ledger_sum(self, memory):
+        # one kernel: the winning key's sampled D is its pair_flows ledger's D
+        model = (MemoryKernelModel(MemoryKernelParams(1.0, 1.0, 1.0)) if memory
+                 else tl_model(1.0, 0.5))
+        with spy_scoring() as scored:
+            result = blp_measure(model, all_pairs(WIDE_POOL), t_end=T, times=BLP_TIMES)
+        rows = np.concatenate([dist for _, dist in scored])
+        scores = np.sum(np.maximum(np.diff(rows, axis=-1), 0.0), axis=-1)
+        ledger = pair_flows(*result.argmax_pair, model, T, BLP_TIMES)
+        assert np.max(scores) == np.sum(np.maximum(np.diff(ledger.D), 0.0))
+        assert rows[np.argmax(scores)].tobytes() == ledger.D.tobytes()
 
     def test_no_state_is_evolved_before_the_ledger(self):
         model = tl_model(1.0, 0.5)
@@ -537,12 +599,8 @@ class TestBlp:
         first = np.array([0] * (BLOCK_SAMPLES + 5) + [0, 0, 0])
         second = np.array([0] * (BLOCK_SAMPLES + 5) + [2, 1, 2])
 
-        def by_population(x, y, p_sq, q_sq):
-            return np.multiply.outer(x, np.linspace(0.0, 1.0, p_sq.size))
-
-        with mock.patch.object(infoflow, "_pair_distance", by_population):
-            result = blp_measure(tl_model(1.0, 0.5), PairGrid(states, first, second),
-                                 t_end=T, times=BLP_TIMES)
+        model = PopulationsOnly(TimeLocalParams(1.0, 0.5, 1.0))
+        result = blp_measure(model, PairGrid(states, first, second), t_end=T, times=BLP_TIMES)
         assert result.argmax_index == BLOCK_SAMPLES + 5
         assert result.n_distinct == 3
 

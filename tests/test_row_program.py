@@ -2,11 +2,12 @@
 
 A row's ledgers (``row_flows``) and literal phases (``gp_row``) share the
 envelopes of one model; every entry must equal the one-state call bit for bit,
-or carry the error the one-state call raises.  The ledger kernel works from
-the real envelopes (P, q) and the states' constants alone, so it is also
-checked against the evolved matrices: D against ``qstate.trace_distance``,
-sigma against a difference quotient of D, positivity against the evolved
-Bloch vectors.
+or carry the error the one-state call raises.  Every ledger is a pair ledger,
+and ``flows`` is the pair ledger of a state and the model's steady state.
+The ledger kernel works from the real envelopes (P, q) and the pair
+invariants alone, so it is also checked against the evolved matrices: D
+against ``qstate.trace_distance``, sigma against a difference quotient of D,
+positivity against the evolved Bloch vectors.
 
 A ratio scan's models differ in their parameters only: a model over a stack
 of parameter sets evaluates each set's factors and rates, so one state's
@@ -80,20 +81,18 @@ def not_converged(record) -> list[str]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=MODELS, specs=st.lists(STATES, min_size=1, max_size=6),
-       reference=st.none() | STATES)
-def test_row_entries_equal_the_one_state_calls(model, specs, reference):
+@given(model=MODELS, specs=st.lists(STATES, min_size=1, max_size=6))
+def test_row_entries_equal_the_one_state_calls(model, specs):
     rho0s = [initial_state(spec) for spec in specs]
-    ref = None if reference is None else initial_state(reference)
     with warnings.catch_warnings(record=True) as row_warned:
         warnings.simplefilter("always")
-        ledgers = row_flows(rho0s, model, T, standard_state=ref)
+        ledgers = row_flows(rho0s, model, T)
         phases = gp_row(model, rho0s, T)
     assert len(ledgers) == len(phases) == len(rho0s)
     with warnings.catch_warnings(record=True) as one_warned:
         warnings.simplefilter("always")
         for rho0, ledger, phase in zip(rho0s, ledgers, phases):
-            one = assert_same_entry(ledger, lambda: flows(rho0, model, T, standard_state=ref))
+            one = assert_same_entry(ledger, lambda: flows(rho0, model, T))
             if one is not None:
                 assert_same_ledger(ledger, one)
             one = assert_same_entry(phase, lambda: gp_route(model, rho0, T))
@@ -117,17 +116,8 @@ def evolved(model, rho, t):
 
 
 @settings(max_examples=60, deadline=None)
-@given(model=MODELS, s1=STATES, s2=STATES, kind=st.sampled_from(["ground", "reference", "pair"]),
+@given(model=MODELS, s1=STATES, s2=STATES, kind=st.sampled_from(["ground", "pair"]),
        frac=st.floats(0.05, 0.95))
-# sigma cancels to 1.1e-6 of terms of 4e-3: scalar and ledger differ by 1.9e-13 relative
-@example(model=TimeLocalModel(TimeLocalParams(1.3125, 1.3125 / 0.125, 1.0)),
-         s1=InitialStateSpec(1.0, 1.5, 0.0), s2=InitialStateSpec(0.0, 0.0, 0.0),
-         kind="reference", frac=0.25)
-# the reference turns at omega = 1 with |beta|^2 = 0.08 while D sigma is 1.4e-5:
-# summed with its omega |beta|^2 terms, sigma differed by 1.2e-13 relative
-@example(model=TimeLocalModel(TimeLocalParams(3.0, 3.0 / 0.75, 1.0)),
-         s1=InitialStateSpec(1.0, 1.0, 0.0), s2=InitialStateSpec(0.75, 2.0, 1.0),
-         kind="reference", frac=0.75)
 def test_kernel_meets_the_evolved_matrices(model, s1, s2, kind, frac):
     rho1, rho2 = initial_state(s1), initial_state(s2)
     t, h = frac * T, 1e-3 * model.feature_scale()
@@ -136,8 +126,8 @@ def test_kernel_meets_the_evolved_matrices(model, s1, s2, kind, frac):
         ledger = pair_flows(rho1, rho2, model, T, times)
         other = [evolved(model, rho2, s) for s in times]
     else:
-        ref = model.steady_state() if kind == "ground" else rho2
-        ledger = flows(rho1, model, T, standard_state=ref, times=times)
+        ref = model.steady_state()
+        ledger = flows(rho1, model, T, times=times)
         other = [ref] * times.size
     want = [trace_distance(evolved(model, rho1, s), o) for s, o in zip(times, other)]
     assert np.max(np.abs(ledger.D - want)) <= 1e-14
@@ -160,7 +150,22 @@ def test_kernel_meets_the_evolved_matrices(model, s1, s2, kind, frac):
         # the gap is bounded by a few ulps of its terms' magnitudes, not of sigma
         r = model.bloch_series(rho1, t) - ref.bloch().as_array()
         terms = np.abs(r * bloch_array(model.state_dot(rho1, t))).sum() / (4.0 * ledger.D[3])
-        assert abs(sigma(t, model, rho1, ref) - ledger.sigma[3]) <= 16 * EPS * terms
+        assert abs(sigma(t, model, rho1) - ledger.sigma[3]) <= 16 * EPS * terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=MODELS, spec=STATES)
+# one model of each class, past its threshold, so every run covers both
+@example(model=TimeLocalModel(TimeLocalParams(1.0, 0.5, 1.0)),
+         spec=InitialStateSpec(1.0, 1.0, 0.5))
+@example(model=MemoryKernelModel(MemoryKernelParams(1.0, 2.0, 1.0)),
+         spec=InitialStateSpec(0.5, 2.0, 4.0))
+def test_flows_is_the_pair_flow_with_the_steady_state(model, spec):
+    # the steady state is invariant, so the one-state ledger is the pair ledger
+    rho0 = initial_state(spec)
+    ledger = flows(rho0, model, T)
+    assert ledger.standard_state is model.steady_state()
+    assert_same_ledger(ledger, pair_flows(rho0, model.steady_state(), model, T))
 
 
 # one class, both sides of its threshold, with a fixed coupling-side constant
@@ -243,29 +248,24 @@ class NanInBand(TimeLocalModel):
 # lambda up to 60 needs grids of up to ~15k samples; 1.25 is a NaN entry on the
 # 801-sample grid, 5e4 a grid above the sample cap
 BLOCK_LAMS = st.floats(0.1, 60.0) | st.sampled_from([1.25, 5e4])
-# a reference with coherence takes the turning-frame branch of the kernel
-COHERENT = st.builds(InitialStateSpec, st.floats(0.1, 1.0), st.floats(0.2, math.pi - 0.2),
-                     st.floats(0.0, 2.0 * math.pi))
 
 
 @settings(max_examples=40, deadline=None)
 @given(W=st.floats(0.3, 3.0), lams=st.lists(BLOCK_LAMS, min_size=1, max_size=12),
-       specs=st.lists(STATES, min_size=1, max_size=12), reference=st.none() | COHERENT,
-       budget=st.sampled_from([1, 2000, 4000]))
-def test_entries_across_block_edges_equal_the_one_entry_calls(W, lams, specs, reference, budget):
+       specs=st.lists(STATES, min_size=1, max_size=12), budget=st.sampled_from([1, 2000, 4000]))
+def test_entries_across_block_edges_equal_the_one_entry_calls(W, lams, specs, budget):
     rho0s = [initial_state(spec) for spec in specs]
-    ref = None if reference is None else initial_state(reference)
     models = [NanInBand(TimeLocalParams(W, lam, 1.0)) for lam in lams]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(infoflow, "BLOCK_SAMPLES", budget)
         scan = ratio_flows(rho0s[0], models, T)
-        row = row_flows(rho0s, models[0], T, standard_state=ref)
+        row = row_flows(rho0s, models[0], T)
     for model, ledger in zip(models, scan):
         one = assert_same_entry(ledger, lambda: flows(rho0s[0], model, T))
         if one is not None:
             assert_same_ledger(ledger, one)
     for rho0, ledger in zip(rho0s, row):
-        one = assert_same_entry(ledger, lambda: flows(rho0, models[0], T, standard_state=ref))
+        one = assert_same_entry(ledger, lambda: flows(rho0, models[0], T))
         if one is not None:
             assert_same_ledger(ledger, one)
 
