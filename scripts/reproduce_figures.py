@@ -4,8 +4,8 @@
 Usage:  python scripts/reproduce_figures.py [outdir]
 
 Each preset becomes one CSV (metadata preamble + table).  fig7 takes the
-longest (a 2D sweep over R and the initial polar angle): about 0.5 s of
-the 1.5-1.7 s the script takes as a process on a 2-core x86-64 host.  Point
+longest (a 2D sweep over R and the initial polar angle): 0.4-0.6 s of
+the 1.4-2.2 s the script takes as a process on a 2-core x86-64 host.  Point
 failures (for example the phase of population states that cross the
 Bloch-ball center) are recorded in the metadata, not fatal.
 """

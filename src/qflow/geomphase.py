@@ -21,20 +21,10 @@ Four routes to the same physics live here:
                            envelopes (P, q), for every z and both models
 * :func:`gp_perturbative`- first order in W^2 for the time-local model
 
-In ``literal`` mode the branch vectors carry the azimuth omega0 t + phi0, so
-with cos(theta) = r_z / |r| and I(t) = int_0^t cos(theta) the connections are
-omega0 (t + I) / 2 (psi+) and omega0 (t - I) / 2 (psi-), and the endpoint
-overlaps are s0 s_t + c0 c_t e^{i omega0 t} and c0 c_t + s0 s_t e^{i omega0 t}
-(s, c = sin, cos(theta / 2)).  The psi+ connection is the integral of
-:func:`phase_integrand`, the paper's relation between the phase and the trace
-distance D to the ground state, which ``analysis.integrand_A_from_model``
-also evaluates; :func:`gp_pure` keeps its own integrand in |c|^2 as the
-independent reference the other routes are checked against.
-:func:`gp_row` picks the route from the mode for the states of one model:
-:func:`gp_flow_form` in literal mode, all states on one stack of rungs,
-:func:`gp_mixed_auto` state by state in spectral mode.  Both double their
-grid on one ladder (:func:`_doubling_ladder`).  Sweep rows call
-:func:`gp_row`, ``qflow gp`` its one-state case :func:`gp_route`.
+In ``literal`` mode the psi+ connection is the integral of :func:`phase_integrand`,
+the paper's relation between the phase and the trace distance D to the ground
+state, which ``analysis.integrand_A_from_model`` also evaluates; :func:`gp_pure`
+keeps its own integrand in |c|^2 as the independent reference.
 """
 
 from __future__ import annotations
@@ -67,6 +57,7 @@ from .qstate import (
 
 WEIGHT_FLOOR = 1e-14
 OVERLAP_FLOOR = 0.1
+SUM_FLOOR = 1e-12  # a branch sum below it has no Arg, and a real part of one no sign
 # phase_integrand's radicand 4 D^2 - 2 r_z - 1 is |r|^2 formed by cancelling
 # terms of order one, and a flow ledger's D adds its identity residual: below
 # |r| ~ 1e-6 it has no digits left, so the state counts as the ball centre
@@ -82,11 +73,11 @@ class PhaseUndefinedError(NumericalError):
 
 
 def principal_value(phase: float) -> float:
-    """Map a phase to the canonical representative in (-pi, pi]."""
+    """Map a phase to the canonical representative in (-pi, pi]; one already there is kept."""
+    if -math.pi < phase <= math.pi:  # so a result's phase_raw and phase can share one float
+        return phase
     p = math.remainder(phase, 2.0 * math.pi)
-    if p <= -math.pi:
-        p = math.pi
-    return p
+    return math.pi if p <= -math.pi else p
 
 
 def figure_value(phase: float) -> float:
@@ -182,7 +173,7 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
         total += w * endpoint * np.exp(-1j * conn)
         connection[br.label] = float(conn[-1])
         overlaps[br.label] = complex(endpoint[-1])
-    if abs(total[-1]) < 1e-12:
+    if abs(total[-1]) < SUM_FLOOR:
         raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
     raw = _unwrapped_change(np.angle(total))
     return raw, principal_value(raw), {
@@ -193,12 +184,9 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
 
 
 def _unwrapped_change(p: np.ndarray) -> float:
-    """``np.unwrap(p)[-1] - p[0]`` of a 1-D series, bit for bit.
-
-    np.unwrap corrects only the increments with |dp| >= pi (and NaN ones) and
-    adds +0.0 elsewhere, which changes no partial sum of its cumsum.  So the
-    corrections of those increments alone, by numpy's mod and +-pi boundary
-    rule and summed in the same order, give the same endpoint.
+    """``np.unwrap(p)[-1] - p[0]`` of a 1-D series, bit for bit: np.unwrap adds +0.0
+    to each increment with |dp| < pi, so only the others' corrections (by numpy's
+    mod and +-pi boundary rule, summed in the same order) move the endpoint.
     """
     if p.size < 2:
         return float(p[-1] - p[0])
@@ -209,6 +197,28 @@ def _unwrapped_change(p: np.ndarray) -> float:
     dmod[(dmod == low) & (jumps > 0)] = math.pi
     correction = np.cumsum(dmod - jumps)[-1] if jumps.size else 0.0
     return float(p[-1] + correction - p[0])
+
+
+def _unwrapped_arg(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Arg of each row's path re + i im at its last sample, unwrapped along the path.
+
+    A step with re < -SUM_FLOOR at both samples over which im changes sign turns Arg
+    by +2 pi (above to below) or -2 pi.  A sample with |im| <= SUM_FLOOR, the end's
+    too, keeps the side of the last one off the axis (or of the first), so touching
+    the axis or passing the origin turns nothing.  Where Arg moves by less than pi / 2
+    per step and no sample is that near, this is ``np.unwrap(np.angle(re + 1j * im))[:, -1]``.
+    """
+    below = im < -SUM_FLOOR
+    on_axis = np.abs(im) <= SUM_FLOOR
+    if on_axis.any():
+        last = np.where(on_axis, 0, np.arange(im.shape[-1]))
+        np.maximum.accumulate(last, axis=-1, out=last)
+        np.maximum(last, np.argmin(on_axis, axis=-1)[:, None], out=last)
+        below = np.take_along_axis(below, last, axis=-1)
+    turns = np.subtract(below[:, 1:], below[:, :-1], dtype=np.int8)
+    turns *= (re[:, 1:] < -SUM_FLOOR) & (re[:, :-1] < -SUM_FLOOR)
+    end = np.copysign(im[:, -1], np.where(below[:, -1], -1.0, 1.0))
+    return np.arctan2(end, re[:, -1]) + 2.0 * math.pi * turns.sum(axis=-1)
 
 
 def gp_mixed(traj: Trajectory, mode: str = "literal", T: float | None = None,
@@ -436,16 +446,18 @@ def gp_flow_form(model, rho0: DensityMatrix, T: float, tol: float = 1e-6) -> Pha
       c0 c_t + s0 s_t e^{i omega0 t} (psi-), with s, c = sin, cos(theta/2);
     * weights sqrt|eps(0) eps(t)|, eps+- = (1 +- |r|) / 2.
 
-    I(T) is Simpson's rule on each grid of the doubling ladder; a trapezoid
-    path of the partial sums gives the unwrapped ``phase_raw``.  The step
-    test is the same integral on every second sample, with the step before
-    it (every fourth sample) divided by Simpson's ratio 16: the grid doubles
-    while ``step_change``, the larger of the two, exceeds ``tol`` (at most
-    MAX_DOUBLINGS times, then a RuntimeWarning and ``converged`` False).  A
-    ``tol`` within a few ulps of omega0 T is below the rounding of the
-    connections, so it is never met.  The cell fails where the literal
-    ladder's rung does, by the same rule on |r|
-    (:func:`qflow.qstate.require_nondegenerate`: a non-finite state or a
+    I(T) is Simpson's rule on each grid of the doubling ladder.  ``phase_raw``
+    is the end phase moved by whole turns to within pi of the partial sums'
+    Arg unwrapped along the grid (trapezoid I(t)), from the signs of their
+    real parts (:func:`_unwrapped_arg`; a sum through the origin has no
+    winding there).  The step test is the same integral on every second
+    sample, with the step before it (every fourth sample) divided by
+    Simpson's ratio 16: the grid doubles while ``step_change``, the larger
+    of the two, exceeds ``tol`` (at most MAX_DOUBLINGS times, then a
+    RuntimeWarning and ``converged`` False).  A ``tol`` within a few ulps of
+    omega0 T is below the rounding of the connections, so it is never met.
+    The cell fails where the literal ladder's rung does, by the same rule on
+    |r| (:func:`qflow.qstate.require_nondegenerate`: a non-finite state or a
     state at the ball centre), a successive overlap below OVERLAP_FLOOR
     (:class:`DegenerateStateError`), a vanishing branch sum
     (:class:`PhaseUndefinedError`).  A sweep row runs its states on one
@@ -475,9 +487,7 @@ def _simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """
     if y.shape[-1] % 2 == 0:
         raise ConfigError(f"Simpson's rule needs an odd sample count, got {y.shape[-1]}")
-    out = np.sum(y[:, 0:-2:2] + 4.0 * y[:, 1:-1:2] + y[:, 2::2], axis=-1)
-    out *= dx / 3.0
-    return out
+    return np.sum(y[:, 0:-2:2] + 4.0 * y[:, 1:-1:2] + y[:, 2::2], axis=-1) * (dx / 3.0)
 
 
 def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray,
@@ -510,13 +520,9 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
         small = transverse * transverse / big
         del transverse  # the stack holds states x samples: free what is done with
         north, two_r = r_z >= 0.0, 2.0 * r
-        c = np.where(north, big, small)
-        c /= two_r
-        s = np.where(north, small, big)
-        s /= two_r
+        c = np.sqrt(np.where(north, big, small) / two_r)
+        s = np.sqrt(np.where(north, small, big) / two_r)
         del big, small, north, two_r
-        np.sqrt(c, out=c)
-        np.sqrt(s, out=s)
         # |<psi(t_k)|psi(t_k+1)>| is the same for both branches; the step test
         # reads every second sample, which must keep the floor too, as on the ladder
         for stride in (1, 2):
@@ -543,45 +549,36 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
     running = np.zeros_like(cos_theta)
     np.cumsum(0.5 * h * (cos_theta[:, :-1] + cos_theta[:, 1:]), axis=1, out=running[:, 1:])
     del cos_theta
-    rotation = np.exp(1j * omega0 * times)
     # eps+ = (1 + |r|) / 2 >= 1/2, so psi+ is always kept; psi- is kept where
     # its weight reaches WEIGHT_FLOOR
-    eps_ends = {"plus": 0.5 * (1.0 + r[:, [0, -1]]), "minus": 0.5 * (1.0 - r[:, [0, -1]])}
-    weights = {lb: [math.sqrt(abs(e0 * e1)) for e0, e1 in eps] for lb, eps in eps_ends.items()}
-    minus = np.flatnonzero(np.array(weights["minus"]) >= WEIGHT_FLOOR)
-
-    def branch(sign: float, which, near, far):
-        """Endpoint overlaps and partial-sum terms of one branch on the stack rows ``which``.
-
-        The overlap series is weighted and turned in place: each product is
-        the one-state rung's, since the factors commute bit for bit.
-        """
-        term = far[which, :1] * far[which] * rotation
-        term += near[which, :1] * near[which]
-        end = term[:, -1].copy()
-        weight = 0.5 * (1.0 + sign * r[which])
-        weight *= weight[:, :1]
-        term *= np.sqrt(np.abs(weight, out=weight), out=weight)
-        del weight
-        turn = np.multiply(-0.5j * omega0, times + sign * running[which])
-        term *= np.exp(turn, out=turn)
-        return end, term
-
-    ends = {"minus": np.full(live.size, complex(math.nan, math.nan))}
-    ends["plus"], partial = branch(1.0, np.s_[:], s, c)
-    partial += 0  # the branch sum starts from 0, as Python's sum does: -0.0 becomes +0.0
-    if minus.size:
-        ends["minus"][minus], term = branch(-1.0, minus, c, s)
-        partial[minus] += term
-        del term
-    del c, s, r, running
+    w_plus, w_minus = (np.sqrt(np.abs(np.prod(0.5 * (1.0 + sign * r[:, [0, -1]]), axis=1)))
+                       for sign in (1.0, -1.0))
+    weights = {"plus": w_plus.tolist(), "minus": w_minus.tolist()}
+    w_minus[w_minus < WEIGHT_FLOOR] = 0.0
+    # in real form S = (w+ + w-) R + i (w+ - w-) J: with chi, psi = omega0 (t, I) / 2 and
+    # u, v = c0 c +- s0 s, R = u cos chi cos psi + v sin chi sin psi and
+    # J = v sin chi cos psi - u cos chi sin psi; w+ > w- >= 0 gives R, J the signs of Re, Im S
+    ss, u = s * s[:, :1], c * c[:, :1]
+    rotation = np.exp(1j * omega0 * times[-1:])
+    ends = {"plus": u[:, -1] * rotation + ss[:, -1], "minus": ss[:, -1] * rotation + u[:, -1]}
+    v = u - ss
+    u += ss
+    del c, s, ss, r
+    u *= np.cos(0.5 * omega0 * times)
+    v *= np.sin(0.5 * omega0 * times)
+    running *= 0.5 * omega0
+    cos_psi, sin_psi = np.cos(running), np.sin(running, out=running)
+    re, im = u * cos_psi + v * sin_psi, v * cos_psi - u * sin_psi
+    del u, v, cos_psi, sin_psi, running
+    re[:, -1] *= w_plus + w_minus
+    im[:, -1] *= w_plus - w_minus
+    raw_paths = _unwrapped_arg(re[:, 1:], im[:, 1:]).tolist()  # S(0) = 1 turns nothing
 
     # the connections carry rounding of about ulp(omega0 T), so a step change
     # below a few of those is noise and a tol below them is never met
     resolvable = tol > 4.0 * math.ulp(omega0 * times[-1])
     signs = {"plus": 1.0, "minus": -1.0}
     for i, state in enumerate(live):
-        raw_path = _unwrapped_change(np.angle(partial[i]))
         kept = ("plus", "minus") if weights["minus"][i] >= WEIGHT_FLOOR else ("plus",)
 
         def connection(label: str, integral: float) -> float:
@@ -590,7 +587,7 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
         def end_phase(integral: float) -> float:
             total = sum(weights[lb][i] * ends[lb][i] * cmath.exp(-1j * connection(lb, integral))
                         for lb in kept)
-            if abs(total) < 1e-12:
+            if abs(total) < SUM_FLOOR:
                 raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
             return cmath.phase(total)
 
@@ -602,7 +599,7 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
         except PhaseUndefinedError as exc:
             out[state] = exc
             continue
-        raw = raw_path + math.remainder(phase - raw_path, 2.0 * math.pi)
+        raw = raw_paths[i] + math.remainder(phase - raw_paths[i], 2.0 * math.pi)
         step_change = max(circle_distance(phase, half), circle_distance(half, quarter) / 16.0)
         out[state] = PhaseResult(
             phase=principal_value(raw),
@@ -647,10 +644,11 @@ class PerturbativeTerms:
 def gp_perturbative(spec: InitialStateSpec, p: TimeLocalParams, n: int = 1) -> PerturbativeTerms:
     """Weak-coupling expansion of the mixed-state phase.
 
-    The zeroth order phi0 is the phase of the W = 0 model by
-    :func:`gp_route`, whose closed form meets the exact closed-system value
-    -n pi + atan2(r0 sin Delta, cos Delta).  The first-order term follows from
-    differentiating the two-branch Arg with respect to W^2: with
+    The zeroth order phi0 is the phase of the W = 0 model by :func:`gp_route`,
+    whose closed form meets the exact closed-system value -n pi +
+    atan2(r0 sin Delta, cos Delta) only modulo 2 pi (z = 0.5, vartheta0 = 1.0,
+    n = 3: phi0 = -5.82345, the formula -12.10663).  The first-order term
+    differentiates the two-branch Arg with respect to W^2: with
     Delta = -n pi cos(theta0) and Q = cos^2 Delta + r0^2 sin^2 Delta,
 
         Phi ~ phi0 + W^2 [sin Delta cos Delta * 2 C1 * kappa1

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from unittest import mock
@@ -23,6 +24,7 @@ from qflow.geomphase import (
     PhaseUndefinedError,
     WEIGHT_FLOOR,
     _pure_integrand_factory,
+    _unwrapped_arg,
     _unwrapped_change,
     assemble_phase,
     branch_data,
@@ -64,6 +66,11 @@ class TestPhaseHelpers:
         assert principal_value(-math.pi) == pytest.approx(math.pi)  # (-pi, pi]
         assert principal_value(0.3) == pytest.approx(0.3)
         assert principal_value(-0.3 - 4.0 * math.pi) == pytest.approx(-0.3)
+
+    @pytest.mark.parametrize("phase", [0.3, -0.0, math.pi, math.nextafter(-math.pi, 0.0)])
+    def test_principal_value_keeps_a_canonical_phase(self, phase):
+        # the same float, so a cell's phase_raw and phase_mod share it
+        assert principal_value(phase) is phase
 
     def test_figure_value_range(self):
         assert figure_value(-math.pi / 2) == pytest.approx(1.5 * math.pi)
@@ -564,6 +571,167 @@ class TestGpFlowForm:
                                   T, 1e-15)
         assert not result.converged and result.n_samples == 256001
         assert [w.filename for w in rec] == [__file__]  # the route's caller
+
+
+def partial_sum_oracle(model, rho0, result, horizon):
+    """np.unwrap of the branch sum's partial sums in complex arithmetic, on ``result``'s grid.
+
+    The series is the closed form's term by term: w+ (s0 s + c0 c e^{i omega0 t})
+    e^{-i omega0 (t + I) / 2} plus, where its end weight reaches WEIGHT_FLOOR,
+    w- (c0 c + s0 s e^{i omega0 t}) e^{-i omega0 (t - I) / 2}, with I the
+    trapezoid integral of r_z / |r|.  Returns the phase_raw this path gives
+    (the end phase recomputed from ``result``'s connections, overlaps and
+    weights, moved by whole turns to within pi of the unwrapped path), the
+    largest |step| of the path's Arg and the smallest |S|.
+    """
+    times = np.linspace(0.0, horizon, result.n_samples)
+    omega0 = model.omega0
+    (pop, q), _ = model.envelopes(times)
+    p00, coh = rho0.matrix[0, 0].real, abs(rho0.matrix[0, 1])
+    r_z = 2.0 * p00 * pop - 1.0
+    transverse = 2.0 * coh * q
+    r = np.sqrt(r_z * r_z + transverse * transverse)
+    big = r + np.abs(r_z)
+    small = transverse * transverse / big
+    c = np.sqrt(np.where(r_z >= 0.0, big, small) / (2.0 * r))
+    s = np.sqrt(np.where(r_z >= 0.0, small, big) / (2.0 * r))
+    cos_theta = r_z / r
+    running = np.concatenate([[0.0], np.cumsum(0.5 * (times[1] - times[0])
+                                               * (cos_theta[:-1] + cos_theta[1:]))])
+    rotation = np.exp(1j * omega0 * times)
+    total = np.zeros(times.size, dtype=complex)
+    for label, sign, near, far in (("plus", 1.0, s, c), ("minus", -1.0, c, s)):
+        if math.isnan(result.connection[label]):
+            continue
+        eps = 0.5 * (1.0 + sign * r)
+        total += (np.sqrt(np.abs(eps[0] * eps)) * (near[0] * near + far[0] * far * rotation)
+                  * np.exp(-0.5j * omega0 * (times + sign * running)))
+    path = np.unwrap(np.angle(total))
+    raw_path = path[-1] - path[0]
+    phase = cmath.phase(sum(result.weights[lb] * result.overlaps[lb]
+                            * cmath.exp(-1j * result.connection[lb])
+                            for lb in ("plus", "minus") if not math.isnan(result.connection[lb])))
+    raw = raw_path + math.remainder(phase - raw_path, 2.0 * math.pi)
+    return raw, float(np.max(np.abs(np.diff(path)))), float(np.min(np.abs(total)))
+
+
+ATAN_HALF = math.atan(0.5)  # Arg of 1 + i / 2
+
+
+def turns_ulp(result, raw):
+    """One ulp of the larger of phase_raw ``raw``, the turns it adds to the principal value and pi.
+
+    Both routes move the end phase by whole turns to within pi of their own
+    unwrapped path, and round the difference (up to 6 pi here) once.
+    """
+    return math.ulp(max(abs(raw), abs(raw - result.phase), math.pi))
+
+
+class TestUnwrappedArg:
+    """The winding count of the closed form's branch sum on synthetic (R, J) paths."""
+
+    @staticmethod
+    def unwrap(re, im):
+        return np.unwrap(np.angle(np.asarray(re) + 1j * np.asarray(im)))[-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.floats(-math.pi, math.pi), steps=st.lists(st.floats(-1.5, 1.5), min_size=1,
+                                                              max_size=60),
+           radius=st.lists(st.floats(0.01, 10.0), min_size=61, max_size=61))
+    def test_equals_numpy_where_steps_are_small(self, start, steps, radius):
+        # Arg moves by less than pi / 2 per step, and no sample lies on the real axis
+        angle = start + np.concatenate([[0.0], np.cumsum(steps)])
+        mod = np.array(radius[:angle.size])
+        re, im = mod * np.cos(angle), mod * np.sin(angle)
+        assume(np.abs(im).min() > 1e-9)
+        got = _unwrapped_arg(re[None], im[None])
+        assert got.shape == (1,)
+        assert abs(got[0] - self.unwrap(re, im)) < 1e-12
+
+    @pytest.mark.parametrize("re,im,want", [
+        # crossings of the negative axis, from above (+2 pi) and from below
+        ([1.0, -1.0, -1.0], [1.0, 0.5, -0.5], math.pi + ATAN_HALF),
+        ([1.0, -1.0, -1.0], [-1.0, -0.5, 0.5], -math.pi - ATAN_HALF),
+        ([-1.0, -1.0, -1.0, -1.0], [0.5, -0.5, 0.5, -0.5], math.pi + ATAN_HALF),
+        # a zero J on the negative axis: crossed whatever its sign ...
+        ([-1.0, -1.0, -1.0], [0.5, 0.0, -0.5], math.pi + ATAN_HALF),
+        ([-1.0, -1.0, -1.0], [0.5, -0.0, -0.5], math.pi + ATAN_HALF),
+        ([-1.0, -1.0, -1.0], [-0.5, 0.0, 0.5], -math.pi - ATAN_HALF),
+        # ... touched and left on the same side, and ended on from either side
+        ([-1.0, -1.0, -1.0], [0.5, -0.0, 0.5], math.pi - ATAN_HALF),
+        ([-1.0, -1.0, -1.0], [-0.5, 0.0, -0.5], ATAN_HALF - math.pi),
+        ([-1.0, -1.0], [0.5, -0.0], math.pi),
+        ([-1.0, -1.0], [-0.5, 0.0], -math.pi),
+        # the positive axis turns nothing
+        ([1.0, 1.0, 1.0], [0.5, -0.5, 0.5], ATAN_HALF),
+        # through the origin: a real path of either zero, and diagonal ones
+        ([1.0, 0.5, 0.0, -0.5, -1.0], [0.0, -0.0, 0.0, -0.0, 0.0], math.pi),
+        ([1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0], [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0],
+         math.pi),
+        ([1.0, 0.5, 0.0, -0.5, -1.0], [1.0, 0.5, 0.0, -0.5, -1.0], -0.75 * math.pi),
+        ([-0.5, 0.5], [0.5, -0.5], -0.25 * math.pi),
+        # a path that leaves the real axis only after the origin
+        ([1.0, 0.0, -1.0, -1.0], [0.0, 0.0, -0.0, -0.5], ATAN_HALF - math.pi),
+    ])
+    def test_paths(self, re, im, want):
+        got = _unwrapped_arg(np.array([re]), np.array([im]))
+        assert got[0] == pytest.approx(want, abs=1e-15)
+
+    def test_rows_wind_on_their_own(self):
+        angle = np.linspace(0.0, 1.0, 400)[None] * np.array([[7.0], [-7.0], [0.5], [13.0]])
+        got = _unwrapped_arg(np.cos(angle), np.sin(angle))
+        assert got == pytest.approx([7.0, -7.0, 0.5, 13.0], abs=1e-12)
+
+
+class TestPhaseRawOracle:
+    """gp_flow_form's phase_raw equals the unwrapped complex partial-sum path to 1 ulp."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(memory=st.booleans(), coupling=st.floats(0.05, 5.0),
+           # R = 1/2 (time-local) and C = 1/4 (memory kernel) part damped from
+           # oscillating envelopes: the ratio is a factor below or above its threshold
+           factor=st.floats(0.1, 0.9) | st.floats(1.1, 10.0),
+           z=st.floats(0.0, 1.0, exclude_min=True), vt=st.floats(0.0, 0.5 * math.pi),
+           vp=st.floats(0.0, 2.0 * math.pi), periods=st.integers(1, 3))
+    def test_equals_the_complex_path(self, memory, coupling, factor, z, vt, vp, periods):
+        model, rho0 = phase_case(memory, coupling, factor * (0.25 if memory else 0.5), z, vt, vp)
+        horizon = periods * T
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = gp_flow_form(model, rho0, horizon)
+        except NumericalError:
+            assume(False)
+        want, step, _ = partial_sum_oracle(model, rho0, result, horizon)
+        assume(step < 0.5 * math.pi)  # np.unwrap follows the path
+        assert abs(result.phase_raw - want) <= turns_ulp(result, want)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig4", "fig5", "fig7", "fig8"])
+    def test_phase_presets(self, name):
+        # every second row: the path's largest Arg step is at most 0.12 (fig1)
+        # and its smallest |S| at least 0.013, far from the count's ties
+        preset = figure_preset(name)
+        for value in preset.values()[::2]:
+            model = preset.model_at(value)
+            for label, state in preset.states():
+                rho0 = initial_state(state)
+                try:
+                    result = gp_flow_form(model, rho0, T)
+                except NumericalError:
+                    continue
+                want, step, low = partial_sum_oracle(model, rho0, result, T)
+                assert step < 0.12 and low > 0.013, (value, label)
+                assert abs(result.phase_raw - want) <= turns_ulp(result, want), (value, label)
+
+    def test_a_real_branch_sum_has_no_winding(self):
+        # W = 0 on the equator: S(t) = cos(omega0 t / 2) is real but for
+        # rounding (|Im S| < 6e-16) and passes the origin at every odd multiple
+        # of pi / omega0; its rounding would wind it either way, and phase_raw
+        # is the principal value pi
+        model = tl_model(0.0, 1.0)
+        result = gp_flow_form(model, initial_state(InitialStateSpec(0.5, math.pi / 4, 0.0)),
+                              3.0 * T)
+        assert result.phase_raw == pytest.approx(math.pi, abs=1e-15)
 
 
 class TestRouteAgreement:
