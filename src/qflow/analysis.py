@@ -37,7 +37,7 @@ from .channels import (
 )
 from .errors import BracketError, ConfigError, NumericalError, require_finite
 from .geomphase import figure_value, gp_row, phase_integrand
-from .infoflow import ratio_flows, row_flows
+from .infoflow import bisect_all, ratio_flows, row_flows
 from .qstate import DensityMatrix, InitialStateSpec, bloch_trace_distance, initial_state
 
 FD_STEP = 5e-5
@@ -254,9 +254,10 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
     R = W / lambda is swept at W = p.W fixed (``TimeLocalParams.at_ratio``).
 
     The R range must bracket a sign change of the centered difference of
-    |c(T, R)|^2; the first sign change (the first minimum) is refined by
-    bisection.  D(T, R) and A(T, R) are then differenced at R* (centered,
-    which reads near zero across D's cusp as at A's extremum), and the
+    |c(T, R)|^2; the first sign change (the first minimum) is refined to
+    1e-12 by :func:`qflow.infoflow.bisect_all`.  D(T, R) and A(T, R) are
+    then differenced at R* (centered, which reads near zero across D's cusp
+    as at A's extremum), and the
     backflow onset is compared against the collapse of dM/dR on the grid;
     a range in which either event is missing, or whose onset lies on one of
     its last two points (no forward difference of M above it), raises
@@ -299,20 +300,15 @@ def critical_point(T: float, spec: InitialStateSpec, p: TimeLocalParams,
         d = bloch_trace_distance(b, _GROUND)
         return np.stack([d, phase_integrand(d, b[..., 2], p.omega0)])
 
-    sign = np.sign(cdiff(f_of, grid))
-    flips = np.flatnonzero((sign[:-1] < 0) & (sign[1:] > 0))
+    slopes = cdiff(f_of, grid)
+    flips = np.flatnonzero((slopes[:-1] < 0) & (slopes[1:] > 0))
     if flips.size == 0:
         raise BracketError(
             f"no sign change of d|c(T,R)|^2/dR in [{r_min}, {r_max}]"
         )
-    lo, hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if cdiff(f_of, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
+    lo = flips[:1]
+    r_star = float(bisect_all(lambda ts, _: np.array([cdiff(f_of, float(ts[0]))]),
+                              grid[lo], grid[lo + 1], slopes[lo], 1e-12)[0][0])
     df_res = abs(cdiff(f_of, r_star))
 
     dd_raw, da_raw = cdiff(d_a_of, r_star)

@@ -629,26 +629,31 @@ class PositivityReport:
     threshold: float
 
 
-def positivity_check(times, bloch) -> PositivityReport | list[PositivityReport]:
-    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -POSITIVITY_TOL.
-
-    Bloch vectors with a leading entry axis, (k, n, 3), are k trajectories on
-    the one grid: the result is then a list of k reports, each equal to the
-    report of that trajectory alone, from one eigenvalue evaluation.
-    """
+def positivity_reports(times, eps_minus) -> list[PositivityReport]:
+    """The reports of k trajectories from their smaller eigenvalues (k, n) at the n ``times``."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ConfigError("positivity_check requires a non-empty sample")
-    eigs = eigenvalues(bloch)[1]
-    rows = eigs.reshape(-1, eigs.shape[-1])
+    n = np.shape(eps_minus)[-1] if np.ndim(eps_minus) else 1
+    if not 0 < n == times.size:
+        raise ConfigError(f"positivity_check got {n} samples on {times.size} times")
+    rows = np.reshape(eps_minus, (-1, times.size))
     i_min = np.argmin(rows, axis=1)
     bad = rows < -POSITIVITY_TOL
     any_bad = bad.any(axis=1).tolist()
     first = np.argmax(bad, axis=1)
-    reports = [
+    return [
         PositivityReport(ok=not b, min_eigenvalue=e, argmin_time=t,
                          first_violation_time=f if b else None, threshold=POSITIVITY_TOL)
         for b, e, t, f in zip(any_bad, rows[np.arange(len(rows)), i_min].tolist(),
                               times[i_min].tolist(), times[first].tolist())
     ]
+
+
+def positivity_check(times, bloch) -> PositivityReport | list[PositivityReport]:
+    """Scan the Bloch vectors (n, 3) sampled at ``times`` for eigenvalues below -POSITIVITY_TOL.
+
+    Bloch vectors (k, n, 3) are k trajectories on the one grid: the result is then the list
+    of their k reports, each that trajectory's own, from one eigenvalue evaluation.
+    """
+    eigs = eigenvalues(bloch)[1]
+    reports = positivity_reports(times, eigs)
     return reports if eigs.ndim == 2 else reports[0]

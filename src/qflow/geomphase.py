@@ -50,6 +50,7 @@ from .qstate import (
     DensityMatrix,
     InitialStateSpec,
     bloch_array,
+    bloch_radius,
     eigenbasis,
     initial_state,
     require_nondegenerate,
@@ -175,28 +176,13 @@ def assemble_phase(times: np.ndarray, branches: tuple[BranchData, ...]):
         overlaps[br.label] = complex(endpoint[-1])
     if abs(total[-1]) < SUM_FLOOR:
         raise PhaseUndefinedError("branch sum has vanishing magnitude; Arg undefined")
-    raw = _unwrapped_change(np.angle(total))
+    arg = np.angle(total)
+    raw = float(np.unwrap(arg)[-1] - arg[0])
     return raw, principal_value(raw), {
         "connection": connection,
         "overlaps": overlaps,
         "weights": weights,
     }
-
-
-def _unwrapped_change(p: np.ndarray) -> float:
-    """``np.unwrap(p)[-1] - p[0]`` of a 1-D series, bit for bit: np.unwrap adds +0.0
-    to each increment with |dp| < pi, so only the others' corrections (by numpy's
-    mod and +-pi boundary rule, summed in the same order) move the endpoint.
-    """
-    if p.size < 2:
-        return float(p[-1] - p[0])
-    d = np.diff(p)
-    jumps = d[~(np.abs(d) < math.pi)]
-    period, low = 2.0 * math.pi, -math.pi
-    dmod = np.mod(jumps - low, period) + low
-    dmod[(dmod == low) & (jumps > 0)] = math.pi
-    correction = np.cumsum(dmod - jumps)[-1] if jumps.size else 0.0
-    return float(p[-1] + correction - p[0])
 
 
 def _unwrapped_arg(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -502,10 +488,7 @@ def _closed_form_rung(model, p00: np.ndarray, coh: np.ndarray, times: np.ndarray
     the one-state rung's.
     """
     omega0, h = model.omega0, times[1] - times[0]
-    (pop, q), _ = model.envelopes(times)
-    r_z = 2.0 * p00[:, None] * pop - 1.0
-    transverse = 2.0 * coh[:, None] * q  # only its square is read
-    r = np.sqrt(r_z * r_z + transverse * transverse)
+    r_z, transverse, r = bloch_radius(p00[:, None], coh[:, None], *model.envelopes(times)[0])
     rows, out = np.arange(p00.size), [None] * p00.size
     for i in rows:
         try:

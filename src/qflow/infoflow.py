@@ -52,10 +52,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import PositivityReport, TimeLocalParams, positivity_check, sample_times
+from .channels import PositivityReport, TimeLocalParams, positivity_reports, sample_times
 from .errors import ConfigError, NumericalError, require_finite, sole_result
-from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_trace_distance,
-                     density_from_bloch)
+from .qstate import (DensityMatrix, InitialStateSpec, PolarBloch, bloch_radius,
+                     bloch_trace_distance, density_from_bloch)
 
 DELTA_FLOOR = 1e-13
 SIGMA_NOISE_REL = 1e-9
@@ -75,7 +75,7 @@ class FlowSegment:
 
 @dataclass(frozen=True)
 class FlowLedger:
-    """Time series of D, sigma and the flow cumulants of a pair of evolving states."""
+    """D, sigma and the flow cumulants of a pair of evolving states, and rho1's positivity."""
 
     standard_state: DensityMatrix  # the second state at t = 0 (rho2 of the pair)
     times: np.ndarray
@@ -114,14 +114,18 @@ class BlpResult:
     n_distinct: int  # distinct (x, y) pair keys scored
 
 
-def _invariants(states, first, second):
-    """The invariants (x, y) = (dp00^2, |dcoh|^2) of the pairs (states[first], states[second]).
-
-    ``first`` and ``second`` index ``states``; dp00 from the populations keeps
-    the digits that z - z' rounds away.
-    """
+def _coordinates(states):
+    """(p00, coh) = (rho00, rho01) of ``states``, one array each."""
     mats = np.array([s.matrix for s in states])
-    p00, coh = mats[:, 0, 0].real, mats[:, 0, 1]
+    return mats[:, 0, 0].real, mats[:, 0, 1]
+
+
+def _invariants(p00, coh, first, second):
+    """The invariants (x, y) = (dp00^2, |dcoh|^2) of the pairs (first, second) of states (p00, coh).
+
+    ``first`` and ``second`` index the states; dp00 from the populations
+    keeps the digits that z - z' rounds away.
+    """
     dp00 = p00[first] - p00[second]
     dcoh = coh[first] - coh[second]
     dp00 *= dp00
@@ -159,11 +163,11 @@ def sigma(t: float, model, rho0: DensityMatrix) -> float:
 
     Positive values signal backward flow.
     """
-    x, y = _invariants([rho0, model.steady_state()], 0, 1)
+    x, y = _invariants(*_coordinates([rho0, model.steady_state()]), 0, 1)
     return float(_d_sigma(x, y, *model.envelopes(float(t)))[1])
 
 
-def _bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
+def bisect_all(f, a: np.ndarray, b: np.ndarray, fa: np.ndarray, xtol: float):
     """Bisect every bracket [a_i, b_i] of the family f together.
 
     ``f(ts, which)`` evaluates member ``which[j]`` of the family at ``ts[j]``;
@@ -287,14 +291,14 @@ class _Block(NamedTuple):
     pairs: tuple  # (row, column) of the left ends of the brackets
 
 
-def _grid_block(keys, times, model, shared, entries, invariants, out):
+def _grid_block(keys, times, model, shared, invariants, rho1, out):
     """D, sigma, positivity and brackets of the entries ``keys`` on their shared grid.
 
     ``model`` is the entries' one model, whose envelopes on the grid are
     ``shared``, or the stack of their parameters as a column (``shared`` is
-    None), evaluated here; ``invariants`` holds the row's (x, y), one array
-    each.  An entry whose D is not finite gets its :class:`NumericalError`
-    in ``out`` and leaves the block; None when none is left.
+    None), evaluated here; ``invariants`` and ``rho1`` hold the row's (x, y)
+    and (p00, |coh|) of rho1.  An entry whose D is not finite gets its
+    :class:`NumericalError` in ``out`` and leaves the block; None when none is left.
     """
     (P, q), rates = model.envelopes(times) if shared is None else shared
     dist, sig = _d_sigma(*(v[keys, None] for v in invariants), (P, q), rates)
@@ -310,14 +314,9 @@ def _grid_block(keys, times, model, shared, entries, invariants, out):
             return None
         keys, dist, sig = [keys[r] for r in keep], dist[keep], sig[keep]
         P, q = (f[keep] if f.ndim == 2 else f for f in (P, q))
-    # rho1(t)'s Bloch vector turned about z into the x-z plane: the same |r| and eigenvalues
-    rho1s = [entries[k][1].matrix for k in keys]
-    bloch = np.zeros((3,) + dist.shape)
-    np.multiply(np.array([2.0 * abs(m[0, 1]) for m in rho1s])[:, None], q, out=bloch[0])
-    np.multiply(np.array([2.0 * m[0, 0].real for m in rho1s])[:, None], P, out=bloch[2])
-    bloch[2] -= 1.0
+    r = bloch_radius(*(v[keys, None] for v in rho1), P, q)[2]  # rho1(t)'s |r|
     del P, q
-    positivity = positivity_check(times, np.moveaxis(bloch, 0, -1))
+    positivity = positivity_reports(times, 0.5 * (1.0 - r))
     return _Block(keys, times, dist, sig, positivity, *_brackets(dist, sig))
 
 
@@ -335,12 +334,12 @@ def _ledger_row(entries, t_end: float, times) -> list:
     model, that model's one call on the grid, which all its blocks there
     share), one :func:`_d_sigma`, one finiteness scan, one positivity
     evaluation and one bracket scan.  An entry's D and sigma follow from its
-    pair invariants alone, and its positivity from rho1 (|r| from P and q).  Then all
-    brackets of all entries are bisected together, one ``envelopes``
-    call per round, and one more gives D at every
-    entry's run boundaries; with several models these calls run on the
-    stack of their parameters, picked per bracket and per knot.  The runs
-    accumulate a block at a time.
+    pair invariants alone, and its positivity from rho1's (p00, |coh|), read
+    once per row with them (|r| by :func:`qflow.qstate.bloch_radius`).  Then
+    all brackets of all entries are bisected together, one ``envelopes``
+    call per round, and one more gives D at every entry's run boundaries;
+    with several models these calls run on the stack of their parameters,
+    picked per bracket and per knot.  The runs accumulate a block at a time.
     Each entry gets its ledger, or the :class:`NumericalError` it raised (a
     grid above the sample cap fails every entry of its model).
     """
@@ -372,8 +371,11 @@ def _ledger_row(entries, t_end: float, times) -> list:
             return model_cls(stack[idx])
 
     out: list = [None] * len(entries)
+    p00, coh = _coordinates([s for entry in entries for s in entry[1:]])
     pair = np.arange(0, 2 * len(entries), 2)  # rho1 and rho2 of each entry, in turn
-    invariants = _invariants([s for entry in entries for s in entry[1:]], pair, pair + 1)
+    invariants = _invariants(p00, coh, pair, pair + 1)
+    # rho1's (p00, |coh|); hypot rounds |coh| as abs() does, np.abs's loop may not
+    rho1 = p00[pair], np.hypot(coh.real[pair], coh.imag[pair])
     slot = np.zeros(len(entries), dtype=np.intp)  # each entry's model in the stack
     grids: dict[int, np.ndarray] = {}  # one grid per sample count
     sharing: dict[int, list[int]] = {}  # the entries on each grid
@@ -402,7 +404,7 @@ def _ledger_row(entries, t_end: float, times) -> list:
                 if last is None or last[0] != (slots[0], size):
                     last = (slots[0], size), model.envelopes(grids[size])
                 shared = last[1]
-            block = _grid_block(mine, grids[size], model, shared, entries, invariants, out)
+            block = _grid_block(mine, grids[size], model, shared, invariants, rho1, out)
             if block is not None:
                 blocks.append(block)
     last = shared = None  # the grid envelopes are not needed past the grid pass
@@ -425,7 +427,7 @@ def _ledger_row(entries, t_end: float, times) -> list:
         return _d_sigma(*(v[which] for v in per_bracket),
                         *model_at(bracket_slots[which]).envelopes(ts))[1]
 
-    roots, evals = _bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
+    roots, evals = bisect_all(sigma_at, t_lo, t_hi, fa, BISECT_REL_TOL * t_end)
     brackets = np.bincount(owner, minlength=len(keys)).tolist()
     rounds = np.zeros(len(keys), dtype=int)
     np.maximum.at(rounds, owner, evals)
@@ -605,7 +607,7 @@ def blp_measure(model, grid=None, t_end: float | None = None,
         times = sample_times(model, t_end)
     times = np.asarray(times, dtype=float)
 
-    x, y = _invariants(grid.states, grid.first, grid.second)
+    x, y = _invariants(*_coordinates(grid.states), grid.first, grid.second)
     # finite states give finite or infinite keys, never NaN, so a sort
     # orders every key; np.unique's hash table costs four sorts on keys that
     # rarely repeat

@@ -1,8 +1,8 @@
 """Qubit state representations, conversions, eigenvalues and eigenbasis, trace distance.
 
 Each qubit-geometry formula is written once here, vectorised over samples:
-:func:`bloch_array`, :func:`bloch_dot`, :func:`eigenvalues`,
-:func:`eigenbasis` and :func:`bloch_trace_distance`.  So is each eigenvalue
+:func:`bloch_array`, :func:`bloch_radius` (|r| from the damping envelopes),
+:func:`eigenvalues`, :func:`eigenbasis` and :func:`bloch_trace_distance`.  So is each eigenvalue
 decision: a state is positive while its smaller eigenvalue is at least
 -POSITIVITY_TOL, and a sampled path has an eigenbasis while
 :func:`require_nondegenerate` passes on its |r|.
@@ -191,20 +191,6 @@ class DensityMatrix:
         return bool(np.max(np.abs(self.matrix - other.matrix)) <= tol)
 
 
-def bloch_dot(a: np.ndarray, b: np.ndarray):
-    """a_x b_x + a_y b_y + a_z b_z of Bloch arrays (..., 3), bit for bit ``np.sum``'s.
-
-    Elementwise passes instead of a reduction over the size-3 axis, which
-    numpy runs as a slow strided loop; (3,) inputs give a scalar.  ``np.sum``
-    adds from +0.0, so three products of -0.0 sum to +0.0 here too.
-    """
-    s = a[..., 0] * b[..., 0]
-    s += 0.0
-    s += a[..., 1] * b[..., 1]
-    s += a[..., 2] * b[..., 2]
-    return s
-
-
 def bloch_array(states) -> np.ndarray:
     """Bloch vectors (..., 3) of Hermitian unit-trace matrices (..., 2, 2)."""
     states = np.asarray(states)
@@ -215,9 +201,19 @@ def bloch_array(states) -> np.ndarray:
     return out
 
 
+def bloch_radius(p00, coh, P, q):
+    """(r_z, r_perp, |r|) of states (p00, |coh|) under the damping envelopes (P, q), broadcast.
+
+    Both models map rho00 -> p00 P, |rho01| -> |coh q|: r_z = 2 p00 P - 1, r_perp = 2 |coh| q.
+    """
+    r_z = 2.0 * p00 * P - 1.0
+    r_perp = 2.0 * coh * q
+    return r_z, r_perp, np.sqrt(r_z * r_z + r_perp * r_perp)
+
+
 def _radius_and_eigenvalues(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(|r|, eps_plus, eps_minus) of float Bloch arrays (..., 3)."""
-    r = np.sqrt(bloch_dot(b, b))
+    r = np.sqrt(np.sum(b * b, axis=-1))
     return r, 0.5 * (1.0 + r), 0.5 * (1.0 - r)
 
 
@@ -324,4 +320,4 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 def bloch_trace_distance(r1, r2) -> np.ndarray:
     """Trace distance |r1 - r2| / 2 between Bloch arrays (..., 3), broadcast."""
     diff = np.subtract(r1, r2, dtype=float)
-    return 0.5 * np.sqrt(bloch_dot(diff, diff))
+    return 0.5 * np.sqrt(np.sum(diff * diff, axis=-1))

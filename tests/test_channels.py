@@ -385,6 +385,14 @@ class TestStackedPositivity:
         assert stacked == [positivity_check(times, np.array(row, dtype=float))
                            for row in (ok_row, bad_row)]
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_sample_count_must_match_the_times(self, n):
+        # a mismatched count used to give a report, or an IndexError past the grid's end
+        times, bloch = np.linspace(0.0, 1.0, 5), np.zeros((n, 3))
+        for stack in (bloch, bloch[None]):
+            with pytest.raises(ConfigError, match=f"{n} samples on 5 times"):
+                positivity_check(times, stack)
+
 
 class TestTrajectoryType:
     def test_requires_zero_start(self):

@@ -25,7 +25,6 @@ from qflow.geomphase import (
     WEIGHT_FLOOR,
     _pure_integrand_factory,
     _unwrapped_arg,
-    _unwrapped_change,
     assemble_phase,
     branch_data,
     circle_distance,
@@ -369,39 +368,6 @@ class TestLadderOracle:
         assert raw == ref_raw
         assert same_values(details["connection"], ref_connection)
         assert same_values(details["overlaps"], ref_overlaps)
-
-
-class TestUnwrappedChange:
-    """The endpoint of np.unwrap, from the increments it corrects only."""
-
-    EDGES = (0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 0.5 * math.pi,
-             3.0 * math.pi, math.nan)
-
-    @staticmethod
-    def assert_bit_equal(p):
-        p = np.asarray(p, dtype=float)
-        want = np.unwrap(p)[-1] - p[0]
-        got = _unwrapped_change(p)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, got, want)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(EDGES) | st.floats(-20.0, 20.0), min_size=1,
-                    max_size=12))
-    def test_equals_numpy(self, p):
-        self.assert_bit_equal(p)
-
-    @pytest.mark.parametrize("p", [
-        [0.3], [math.nan], [-0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, math.nan],
-        [0.0, math.pi], [0.0, -math.pi], [math.pi, -math.pi], [-math.pi, math.pi],
-        [0.0, 2.0 * math.pi], [0.0, -2.0 * math.pi, 0.0], [1.0, 1.0 + math.pi, 1.0],
-    ])
-    def test_edges(self, p):
-        self.assert_bit_equal(p)
-
-    def test_phase_series(self, rng):
-        # wrapped angles of a long rotation, as assemble_phase meets them
-        theta = np.cumsum(rng.uniform(-1.0, 3.5, 2001))
-        self.assert_bit_equal(np.angle(np.exp(1j * theta)))
 
 
 class TestSimpson:

@@ -1,12 +1,13 @@
-"""Import hygiene: no unused names, and no scipy on qflow's import path.
+"""Import hygiene: no unused names, and neither scipy nor mpmath on qflow's import path.
 
 A static check by ``ast``: every name an ``import`` statement binds must be
 read somewhere in the same module; ``__init__.py`` re-exports are exempt.
 
 Every route to the results runs on numpy alone, and importing scipy costs
-more than most runs, so only :func:`qflow.geomphase.gp_pure` loads it.  A
-fresh interpreter checks that importing qflow, and running the CLI, leaves
-it out of ``sys.modules``.
+more than most runs, so only :func:`qflow.geomphase.gp_pure` loads it;
+mpmath serves only the tests' oracles.  A fresh interpreter checks that
+importing qflow, and running each CLI subcommand, leaves both out of
+``sys.modules``.
 """
 
 import ast
@@ -57,18 +58,21 @@ def run_fresh(code: str) -> None:
 
 
 NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'"
+NO_MPMATH = "assert 'mpmath' not in sys.modules, 'mpmath loaded'"
 
 
 @pytest.mark.parametrize("module", ["qflow", "qflow.cli"])
 def test_import_leaves_scipy_unloaded(module):
-    run_fresh(f"import sys, {module}\n{NO_SCIPY}")
+    run_fresh(f"import sys, {module}\n{NO_SCIPY}\n{NO_MPMATH}")
 
 
-@pytest.mark.parametrize("argv", [["critical", "--W", "0.6"], ["sweep", "--figure", "fig4"]],
-                         ids=["critical", "literal-sweep"])
+@pytest.mark.parametrize("argv", [["critical", "--W", "0.6"], ["sweep", "--figure", "fig4"],
+                                  ["simulate"], ["flows"], ["gp"]],
+                         ids=["critical", "literal-sweep", "simulate", "flows", "gp"])
 def test_cli_run_leaves_scipy_unloaded(argv, tmp_path):
     argv = argv + ["--out", str(tmp_path / "out.csv")]
-    run_fresh(f"import sys, qflow.cli\nassert qflow.cli.main({argv!r}) == 0\n{NO_SCIPY}")
+    run_fresh(f"import sys, qflow.cli\nassert qflow.cli.main({argv!r}) == 0\n"
+              f"{NO_SCIPY}\n{NO_MPMATH}")
     assert (tmp_path / "out.csv").stat().st_size > 0
 
 

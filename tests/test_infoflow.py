@@ -21,7 +21,7 @@ from qflow.infoflow import (
     BISECT_REL_TOL,
     BLOCK_SAMPLES,
     PairGrid,
-    _bisect_all,
+    bisect_all,
     blp_measure,
     default_pair_grid,
     default_state_grid,
@@ -172,7 +172,7 @@ class TestFlows:
         else:
             model = tl_model(coupling, coupling / ratio)
         rho0 = initial_state(InitialStateSpec(z, vt, vp))
-        with mock.patch.object(infoflow, "_bisect_all", wraps=infoflow._bisect_all) as spy:
+        with mock.patch.object(infoflow, "bisect_all", wraps=infoflow.bisect_all) as spy:
             ledger = flows(rho0, model, T)
         brackets = 0
         for (_, a, b, fa, _), _ in spy.call_args_list:  # no call when D is constant
@@ -218,7 +218,7 @@ def assert_batched_matches_scalar(f, brackets, xtol):
         assert np.all((a[which] < ts) & (ts < b[which]))  # which names each point's bracket
         return f(ts)
 
-    roots, evals = _bisect_all(counted, a, b, fa, xtol)
+    roots, evals = bisect_all(counted, a, b, fa, xtol)
     ref = [scalar_bisect(f, lo, flo, hi, xtol) for lo, flo, hi in zip(a, fa, b)]
     assert np.array_equal(roots, np.array([r for r, _ in ref]))
     assert evals.tolist() == [n for _, n in ref]  # midpoint evaluations per bracket
@@ -243,7 +243,7 @@ class TestBatchedBisection:
         def fail(ts, which):
             raise AssertionError("called")
 
-        roots, evals = _bisect_all(fail, np.empty(0), np.empty(0), np.empty(0), 1e-9)
+        roots, evals = bisect_all(fail, np.empty(0), np.empty(0), np.empty(0), 1e-9)
         assert roots.size == 0 and evals.size == 0
 
     @settings(max_examples=100, deadline=None)

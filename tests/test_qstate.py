@@ -13,7 +13,8 @@ from qflow.qstate import (
     DensityMatrix,
     InitialStateSpec,
     PolarBloch,
-    bloch_dot,
+    bloch_array,
+    bloch_radius,
     bloch_trace_distance,
     density_from_bloch,
     eigenbasis,
@@ -313,20 +314,11 @@ class TestSquaredNormOrder:
             for out, ref in zip(eigenvalues(arr), summed_eigenvalues(arr)):
                 assert_bitwise(out, ref)
 
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), shape=BLOCH_SHAPES)
-    def test_bloch_dot_matches_summed_form(self, data, shape):
-        a = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
-        b = data.draw(hnp.arrays(float, shape, elements=COMPONENTS))
-        for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
-            assert_bitwise(bloch_dot(x, y), np.sum(x * y, axis=-1))
-
     def test_non_contiguous_components(self, rng):
         wide = rng.normal(size=(40, 7, 6))
         b1, b2 = wide[..., ::2], wide[::-1, :, 1::2]  # strided Bloch axis, reversed rows
         assert not b1.flags.c_contiguous and not b2.flags.c_contiguous
         assert_bitwise(bloch_trace_distance(b1, b2), summed_trace_distance(b1, b2))
-        assert_bitwise(bloch_dot(b1, b2), np.sum(b1 * b2, axis=-1))
         for out, ref in zip(eigenvalues(b1), summed_eigenvalues(b1)):
             assert_bitwise(out, ref)
 
@@ -337,3 +329,33 @@ class TestSquaredNormOrder:
         assert_bitwise(d, summed_trace_distance(a, b))
         eps_plus, eps_minus = eigenvalues(a)
         assert np.ndim(eps_plus) == 0 and np.ndim(eps_minus) == 0
+
+
+class TestBlochRadius:
+    """|r| of a state (p00, |coh|) under the damping envelopes (P, q)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), n=st.integers(1, 6))
+    def test_is_the_norm_of_the_turned_bloch_vector(self, data, k, n):
+        def column(elements, size):
+            return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+        p00, coh = column(st.floats(0.0, 1.0), k)[:, None], column(st.floats(0.0, 0.5), k)[:, None]
+        P, q = column(st.floats(0.0, 1.2), n), column(st.floats(-1.2, 1.2), n)
+        r_z, r_perp, r = bloch_radius(p00, coh, P, q)
+        assert r.shape == (k, n)
+        # the Bloch vector turned about z into the x-z plane: |r| and the
+        # eigenvalues bit for bit as the Bloch-array formulas give them
+        turned = np.stack([r_perp, np.zeros_like(r), r_z], axis=-1)
+        assert_bitwise(r, np.sqrt(np.sum(turned * turned, axis=-1)))
+        assert_bitwise(eigenvalues(turned)[1], 0.5 * (1.0 - r))
+        # and of the matrix rho00 = p00 P, rho01 = |coh| q exp(-i phi) itself
+        phi = data.draw(st.floats(-math.pi, math.pi))
+        mats = np.empty((k, n, 2, 2), dtype=complex)
+        mats[..., 0, 0] = p00 * P
+        mats[..., 1, 1] = 1.0 - p00 * P
+        mats[..., 0, 1] = coh * q * np.exp(-1j * phi)
+        mats[..., 1, 0] = np.conj(mats[..., 0, 1])
+        b = bloch_array(mats)
+        assert np.max(np.abs(b[..., 2] - r_z)) <= 4e-16
+        assert np.max(np.abs(np.linalg.norm(b, axis=-1) - r)) <= 1e-15
